@@ -10,7 +10,8 @@ character moments attached to Harish-Chandra bimodules.
 Module map:
 
   ratfunc      exact rationals, polynomials in t, rational functions
-  diagrams     partition / Brauer / walled diagram kernels
+  diagrams     partition / Brauer / walled diagram kernels; all per-flavor
+               behaviour lives on these three classes
   homspaces    morphisms, composition, trace, duality, basis change
   karoubi      idempotents, promotion, decomposition, simple dimensions
   semisimplify Gram matrices of the trace pairing, negligible morphisms

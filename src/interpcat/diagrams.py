@@ -13,16 +13,27 @@ Flavors:
                        cross-row edges join equal colors, same-row edges join
                        opposite colors
 
-Composition convention: compose_*(p, q) is "p after q" -- q maps [k] -> [l],
-p maps [l] -> [m], and the second return value is the exponent of t produced
-by middle-only components (S) or closed loops (GL, O).
+Per-flavor behaviour lives on these classes and nowhere else: each carries
+its kernels as private methods (_compose, _tensor, _flip, _closure,
+_signature, _to_json) and classmethods (_build, _identity, _basis,
+_basis_size, _from_json, _labels).  Entry points keyed by a flavor string
+look the class up in DIAGRAM_CLASSES.  The Diagram base writes the shared
+kernels once, with the defaults of the one-row signature data (m,) of S and
+O; WalledDiagram overrides them for its two-color signature data (r, s).
+
+Composition convention: compose_diagrams(p, q) is "p after q" -- q maps
+[k] -> [l], p maps [l] -> [m], and the second return value is the exponent
+of t produced by middle-only components (S) or closed loops (GL, O).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from interpcat.partitions import bell_number, double_factorial_odd, partitions_of
 
 
 def _endpoint_key(x: int) -> tuple[int, int]:
@@ -52,133 +63,23 @@ def _check_cover(blocks: Sequence[Sequence[int]], top: int, bottom: int, kind: s
         raise ValueError(f"{kind}: endpoints mismatch (missing {missing}, extra {extra})")
 
 
+def _check_matching(pairs, top: int, bottom: int, kind: str) -> tuple[tuple[int, ...], ...]:
+    """Canonical blocks of a perfect matching of the endpoints of [top] -> [bottom]."""
+    ps = _canonical_blocks(pairs)
+    for p in ps:
+        if len(p) != 2:
+            raise ValueError(f"{kind} blocks must be pairs")
+    _check_cover(ps, top, bottom, kind)
+    return ps
+
+
 def _pretty(block: Iterable[int]) -> str:
     return "{" + ", ".join(str(x) if x > 0 else f"{-x}'" for x in block) + "}"
 
 
-@dataclass(frozen=True)
-class PartitionDiagram:
-    """Set partition of the endpoints of a map [top] -> [bottom]."""
-
-    top: int
-    bottom: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
-
-    def __str__(self) -> str:
-        return f"P[{self.top}->{self.bottom}: {', '.join(map(_pretty, self.blocks))}]"
-
-
-def partition_diagram(top: int, bottom: int, blocks: Iterable[Iterable[int]]) -> PartitionDiagram:
-    """Canonicalize and validate a partition diagram."""
-    bs = _canonical_blocks(blocks)
-    _check_cover(bs, top, bottom, "partition diagram")
-    return PartitionDiagram(top, bottom, bs)
-
-
-def identity_partition(m: int) -> PartitionDiagram:
-    return PartitionDiagram(m, m, _canonical_blocks([(i, -i) for i in range(1, m + 1)]))
-
-
-@dataclass(frozen=True)
-class BrauerDiagram:
-    """Perfect matching of the endpoints of a map [top] -> [bottom]."""
-
-    top: int
-    bottom: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __str__(self) -> str:
-        return f"B[{self.top}->{self.bottom}: {', '.join(map(_pretty, self.pairs))}]"
-
-
-def brauer_diagram(top: int, bottom: int, pairs: Iterable[Iterable[int]]) -> BrauerDiagram:
-    if (top + bottom) % 2:
-        raise ValueError("Brauer diagram needs an even number of endpoints")
-    ps = _canonical_blocks(pairs)
-    for p in ps:
-        if len(p) != 2:
-            raise ValueError("Brauer diagram blocks must be pairs")
-    _check_cover(ps, top, bottom, "Brauer diagram")
-    return BrauerDiagram(top, bottom, ps)
-
-
-def identity_brauer(m: int) -> BrauerDiagram:
-    return BrauerDiagram(m, m, _canonical_blocks([(i, -i) for i in range(1, m + 1)]))
-
-
-@dataclass(frozen=True)
-class WalledDiagram:
-    """Black/white matching diagram between mixed tensor signatures.
-
-    source = (r1, s1) means r1 black endpoints (V factors) followed by s1
-    white endpoints (dual factors) on the source row; likewise target.
-    """
-
-    source: tuple[int, int]
-    target: tuple[int, int]
-    pairs: tuple[tuple[int, int], ...]
-
-    def color(self, x: int) -> int:
-        """1 = black (V), 0 = white (V*), for endpoint +i or -j."""
-        if x > 0:
-            return 1 if x <= self.source[0] else 0
-        return 1 if -x <= self.target[0] else 0
-
-    def __str__(self) -> str:
-        return f"W[{self.source}->{self.target}: {', '.join(map(_pretty, self.pairs))}]"
-
-
-def walled_diagram(
-    source: tuple[int, int] | Sequence[int],
-    target: tuple[int, int] | Sequence[int],
-    pairs: Iterable[Iterable[int]],
-) -> WalledDiagram:
-    r1, s1 = source
-    r2, s2 = target
-    if r1 + s2 != r2 + s1:
-        raise ValueError("walled diagram signature violates r1 + s2 = r2 + s1")
-    ps = _canonical_blocks(pairs)
-    for p in ps:
-        if len(p) != 2:
-            raise ValueError("walled diagram blocks must be pairs")
-    _check_cover(ps, r1 + s1, r2 + s2, "walled diagram")
-    d = WalledDiagram((r1, s1), (r2, s2), ps)
-    for a, b in ps:
-        same_row = (a > 0) == (b > 0)
-        if same_row and d.color(a) == d.color(b):
-            raise ValueError(f"same-row edge {(a, b)} must join opposite colors")
-        if not same_row and d.color(a) != d.color(b):
-            raise ValueError(f"cross-row edge {(a, b)} must join equal colors")
-    return d
-
-
-def identity_walled(r: int, s: int) -> WalledDiagram:
-    return WalledDiagram(
-        (r, s), (r, s), _canonical_blocks([(i, -i) for i in range(1, r + s + 1)])
-    )
-
-
-Diagram = PartitionDiagram | BrauerDiagram | WalledDiagram
-
-
-def flavor_of(d: Diagram) -> str:
-    if isinstance(d, PartitionDiagram):
-        return "S"
-    if isinstance(d, BrauerDiagram):
-        return "O"
-    if isinstance(d, WalledDiagram):
-        return "GL"
-    raise TypeError(f"not a diagram: {d!r}")
-
-
-# ---------------------------------------------------------------------------
-# composition
+def _as_data(x) -> tuple[int, ...]:
+    """Signature data of an endpoint argument: m -> (m,), (r, s) -> (r, s)."""
+    return (x,) if isinstance(x, int) else tuple(x)
 
 
 class _UnionFind:
@@ -204,50 +105,384 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def compose_partition(
-    p: PartitionDiagram, q: PartitionDiagram
-) -> tuple[PartitionDiagram, int]:
+# ---------------------------------------------------------------------------
+# the shared kernels
+
+
+class Diagram:
+    """Kernels shared by the three diagram classes, written against their
+    `flavor`, `_blocks` (blocks or pairs), `_build` and `_signature`."""
+
+    flavor: str
+
+    def _signature(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(source data, target data)."""
+        return (self.top,), (self.bottom,)
+
+    @classmethod
+    def _identity(cls, data: tuple[int, ...]) -> Diagram:
+        (m,) = data
+        return cls(m, m, tuple((i, -i) for i in range(1, m + 1)))
+
+    @classmethod
+    def _from_json(cls, obj: dict, blocks: list) -> Diagram:
+        return cls._build((obj["top"],), (obj["bottom"],), blocks)
+
+    def _to_json(self) -> dict:
+        """{"flavor": ..., "top": l, "bottom": m, "blocks": [[...]]} with signed ints."""
+        source, target = self._signature()
+        return {
+            "flavor": self.flavor,
+            "top": sum(source),
+            "bottom": sum(target),
+            "blocks": [list(b) for b in self._blocks],
+        }
+
+    def _flip(self) -> Diagram:
+        source, target = self._signature()
+        return self._build(target, source, [tuple(-x for x in b) for b in self._blocks])
+
+    def _tensor(self, q: Diagram) -> Diagram:
+        """Disjoint union, with q's endpoints re-indexed after self's."""
+        (top,), (bottom,) = self._signature()
+        (q_top,), (q_bottom,) = q._signature()
+        blocks = list(self._blocks) + [
+            tuple(x + top if x > 0 else x - bottom for x in b) for b in q._blocks
+        ]
+        return self._build((top + q_top,), (bottom + q_bottom,), blocks)
+
+    def _closure(self) -> int:
+        source, target = self._signature()
+        if source != target:
+            raise ValueError("closure needs source and target of equal signature")
+        blocks = self._blocks
+        uf = _UnionFind(len(blocks))
+        owner: dict[int, int] = {}
+        for idx, b in enumerate(blocks):
+            for x in b:
+                owner[x] = idx
+        for i in range(1, sum(source) + 1):
+            uf.union(owner[i], owner[-i])
+        return len({uf.find(i) for i in range(len(blocks))})
+
+
+def _check_middle(q_target, p_source):
+    if q_target != p_source:
+        raise ValueError(
+            f"cannot compose: q has target {list(q_target)}, p has source {list(p_source)}"
+        )
+
+
+def _compose_matchings(p: Diagram, q: Diagram) -> tuple[Diagram, int]:
+    """p after q for perfect matchings; returns (diagram, removed loops)."""
+    q_source, q_target = q._signature()
+    p_source, p_target = p._signature()
+    _check_middle(q_target, p_source)
+    pairs, loops = _trace_paths(
+        p._blocks, q._blocks, sum(q_source), sum(q_target), sum(p_target)
+    )
+    return p._build(q_source, p_target, pairs), loops
+
+
+# ---------------------------------------------------------------------------
+# the three flavors
+
+
+@dataclass(frozen=True)
+class PartitionDiagram(Diagram):
+    """Set partition of the endpoints of a map [top] -> [bottom]."""
+
+    top: int
+    bottom: int
+    blocks: tuple[tuple[int, ...], ...]
+
+    flavor = "S"
+    _blocks = property(lambda self: self.blocks)
+
+    def __str__(self) -> str:
+        return f"P[{self.top}->{self.bottom}: {', '.join(map(_pretty, self.blocks))}]"
+
+    @classmethod
+    def _build(cls, source, target, blocks) -> PartitionDiagram:
+        return partition_diagram(source[0], target[0], blocks)
+
+    @classmethod
+    def _basis(cls, source, target) -> list[PartitionDiagram]:
+        """All Bell(l+m) partition diagrams, in restricted-growth order."""
+        (l,), (m,) = source, target
+        pts = list(range(1, l + 1)) + [-j for j in range(1, m + 1)]
+        return [partition_diagram(l, m, blocks) for blocks in _set_partitions_of(pts)]
+
+    @classmethod
+    def _basis_size(cls, source, target) -> int:
+        return bell_number(source[0] + target[0])
+
+    @classmethod
+    def _labels(cls, data) -> list[tuple[int, ...]]:
+        """Partitions of every k <= m."""
+        (m,) = data
+        return [lam for k in range(m + 1) for lam in partitions_of(k)]
+
+    def _compose(self, q: PartitionDiagram) -> tuple[PartitionDiagram, int]:
+        """Returns (self * q, N): the least restrictive pattern on the outer
+        endpoints consistent with both diagrams, and the number N of merged
+        components made of middle endpoints only."""
+        _check_middle((q.bottom,), (self.top,))
+        k, l, m = q.top, q.bottom, self.bottom
+        # node ids: 0..k-1 outer source, k..k+l-1 middle, k+l..k+l+m-1 outer target
+        uf = _UnionFind(k + l + m)
+
+        def q_node(x: int) -> int:
+            return x - 1 if x > 0 else k + (-x) - 1
+
+        def p_node(x: int) -> int:
+            return k + x - 1 if x > 0 else k + l + (-x) - 1
+
+        for block in q.blocks:
+            first = q_node(block[0])
+            for x in block[1:]:
+                uf.union(first, q_node(x))
+        for block in self.blocks:
+            first = p_node(block[0])
+            for x in block[1:]:
+                uf.union(first, p_node(x))
+
+        outer_groups: dict[int, list[int]] = {}
+        for i in range(1, k + 1):
+            outer_groups.setdefault(uf.find(i - 1), []).append(i)
+        for j in range(1, m + 1):
+            outer_groups.setdefault(uf.find(k + l + j - 1), []).append(-j)
+        middle_only = 0
+        for i in range(l):
+            if uf.find(k + i) not in outer_groups:
+                middle_only += 1
+                outer_groups[uf.find(k + i)] = []  # count each middle component once
+        blocks = [b for b in outer_groups.values() if b]
+        return partition_diagram(k, m, blocks), middle_only
+
+
+@dataclass(frozen=True)
+class BrauerDiagram(Diagram):
+    """Perfect matching of the endpoints of a map [top] -> [bottom]."""
+
+    top: int
+    bottom: int
+    pairs: tuple[tuple[int, int], ...]
+
+    flavor = "O"
+    _blocks = property(lambda self: self.pairs)
+    _compose = _compose_matchings
+
+    def __str__(self) -> str:
+        return f"B[{self.top}->{self.bottom}: {', '.join(map(_pretty, self.pairs))}]"
+
+    @classmethod
+    def _build(cls, source, target, pairs) -> BrauerDiagram:
+        return brauer_diagram(source[0], target[0], pairs)
+
+    @classmethod
+    def _basis(cls, source, target) -> list[BrauerDiagram]:
+        """All (l+m-1)!! matchings; empty when l+m is odd."""
+        (l,), (m,) = source, target
+        if (l + m) % 2:
+            return []
+        pts = list(range(1, l + 1)) + [-j for j in range(1, m + 1)]
+        return [brauer_diagram(l, m, pairs) for pairs in _matchings_of(pts)]
+
+    @classmethod
+    def _basis_size(cls, source, target) -> int:
+        n = source[0] + target[0]
+        return 0 if n % 2 else double_factorial_odd(n)
+
+    @classmethod
+    def _labels(cls, data) -> list[tuple[int, ...]]:
+        """Partitions of m, m - 2, ...: matchings change size in pairs."""
+        (m,) = data
+        return [lam for k in range(m % 2, m + 1, 2) for lam in partitions_of(k)]
+
+
+@dataclass(frozen=True)
+class WalledDiagram(Diagram):
+    """Black/white matching diagram between mixed tensor signatures.
+
+    source = (r1, s1) means r1 black endpoints (V factors) followed by s1
+    white endpoints (dual factors) on the source row; likewise target.
+    """
+
+    source: tuple[int, int]
+    target: tuple[int, int]
+    pairs: tuple[tuple[int, int], ...]
+
+    flavor = "GL"
+    _blocks = property(lambda self: self.pairs)
+    _compose = _compose_matchings
+
+    def color(self, x: int) -> int:
+        """1 = black (V), 0 = white (V*), for endpoint +i or -j."""
+        if x > 0:
+            return 1 if x <= self.source[0] else 0
+        return 1 if -x <= self.target[0] else 0
+
+    def __str__(self) -> str:
+        return f"W[{self.source}->{self.target}: {', '.join(map(_pretty, self.pairs))}]"
+
+    def _signature(self):
+        return self.source, self.target
+
+    @classmethod
+    def _identity(cls, data) -> WalledDiagram:
+        return cls(data, data, tuple((i, -i) for i in range(1, sum(data) + 1)))
+
+    @classmethod
+    def _build(cls, source, target, pairs) -> WalledDiagram:
+        return walled_diagram(source, target, pairs)
+
+    @classmethod
+    def _basis(cls, source, target) -> list[WalledDiagram]:
+        """All (r1+s2)! walled diagrams; empty when signatures are incompatible.
+
+        Valid edges always join the set A = {source blacks, target whites} with
+        B = {target blacks, source whites}, so diagrams are bijections A -> B.
+        """
+        (r1, s1), (r2, s2) = source, target
+        if r1 + s2 != r2 + s1:
+            return []
+        side_a = [+i for i in range(1, r1 + 1)] + [-(r2 + j) for j in range(1, s2 + 1)]
+        side_b = [-j for j in range(1, r2 + 1)] + [+(r1 + i) for i in range(1, s1 + 1)]
+        return [
+            walled_diagram(source, target, list(zip(side_a, perm)))
+            for perm in itertools.permutations(side_b)
+        ]
+
+    @classmethod
+    def _basis_size(cls, source, target) -> int:
+        (r1, s1), (r2, s2) = source, target
+        return math.factorial(r1 + s2) if r1 + s2 == r2 + s1 else 0
+
+    @classmethod
+    def _labels(cls, data) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Bipartitions of sizes (r - i, s - i), smallest total size first."""
+        r, s = data
+        out = [
+            (black, white)
+            for i in range(min(r, s), -1, -1)
+            for black in partitions_of(r - i)
+            for white in partitions_of(s - i)
+        ]
+        out.sort(key=lambda lab: (sum(lab[0]) + sum(lab[1]), lab))
+        return out
+
+    @classmethod
+    def _from_json(cls, obj: dict, blocks: list) -> WalledDiagram:
+        for field in ("top_colors", "bottom_colors"):
+            if field not in obj:
+                raise ValueError(f"diagram JSON missing field '{field}'")
+        source = _colors_to_signature(obj["top_colors"], "top_colors")
+        target = _colors_to_signature(obj["bottom_colors"], "bottom_colors")
+        if sum(source) != obj["top"] or sum(target) != obj["bottom"]:
+            raise ValueError("color strings disagree with 'top'/'bottom' counts")
+        return walled_diagram(source, target, blocks)
+
+    def _to_json(self) -> dict:
+        (r1, s1), (r2, s2) = self.source, self.target
+        out = super()._to_json()
+        out["top_colors"] = "1" * r1 + "0" * s1
+        out["bottom_colors"] = "1" * r2 + "0" * s2
+        return out
+
+    def _tensor(self, q: WalledDiagram) -> WalledDiagram:
+        """The combined rows stay color-sorted (blacks then whites), so q's
+        endpoints are interleaved past self's block of each color."""
+        (pr1, ps1), (pr2, ps2) = self.source, self.target
+        (qr1, qs1), (qr2, qs2) = q.source, q.target
+
+        def p_map(x: int) -> int:
+            if x > 0:  # p source black i -> i, p source white j -> (pr1+qr1)+j
+                return x if x <= pr1 else x + qr1
+            j = -x
+            return -(j if j <= pr2 else j + qr2)
+
+        def q_map(x: int) -> int:
+            if x > 0:  # q source black i -> pr1+i, q source white j -> (pr1+qr1)+ps1+j
+                return pr1 + x if x <= qr1 else pr1 + qr1 + ps1 + (x - qr1)
+            j = -x
+            return -(pr2 + j if j <= qr2 else pr2 + qr2 + ps2 + (j - qr2))
+
+        pairs = [tuple(p_map(x) for x in pr) for pr in self.pairs] + [
+            tuple(q_map(x) for x in pr) for pr in q.pairs
+        ]
+        return walled_diagram((pr1 + qr1, ps1 + qs1), (pr2 + qr2, ps2 + qs2), pairs)
+
+
+DIAGRAM_CLASSES: dict[str, type[Diagram]] = {
+    "S": PartitionDiagram,
+    "O": BrauerDiagram,
+    "GL": WalledDiagram,
+}
+
+
+def _diagram_class(flavor: str) -> type[Diagram]:
+    try:
+        return DIAGRAM_CLASSES[flavor]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown flavor {flavor!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# validated constructors
+
+
+def partition_diagram(top: int, bottom: int, blocks: Iterable[Iterable[int]]) -> PartitionDiagram:
+    """Canonicalize and validate a partition diagram."""
+    bs = _canonical_blocks(blocks)
+    _check_cover(bs, top, bottom, "partition diagram")
+    return PartitionDiagram(top, bottom, bs)
+
+
+def brauer_diagram(top: int, bottom: int, pairs: Iterable[Iterable[int]]) -> BrauerDiagram:
+    if (top + bottom) % 2:
+        raise ValueError("Brauer diagram needs an even number of endpoints")
+    return BrauerDiagram(top, bottom, _check_matching(pairs, top, bottom, "Brauer diagram"))
+
+
+def walled_diagram(
+    source: tuple[int, int] | Sequence[int],
+    target: tuple[int, int] | Sequence[int],
+    pairs: Iterable[Iterable[int]],
+) -> WalledDiagram:
+    r1, s1 = source
+    r2, s2 = target
+    if r1 + s2 != r2 + s1:
+        raise ValueError("walled diagram signature violates r1 + s2 = r2 + s1")
+    ps = _check_matching(pairs, r1 + s1, r2 + s2, "walled diagram")
+    d = WalledDiagram((r1, s1), (r2, s2), ps)
+    for a, b in ps:
+        same_row = (a > 0) == (b > 0)
+        if same_row and d.color(a) == d.color(b):
+            raise ValueError(f"same-row edge {(a, b)} must join opposite colors")
+        if not same_row and d.color(a) != d.color(b):
+            raise ValueError(f"cross-row edge {(a, b)} must join equal colors")
+    return d
+
+
+def identity_diagram(flavor: str, x) -> Diagram:
+    """The identity diagram of [m] (S, O) or [r, s] (GL)."""
+    return _diagram_class(flavor)._identity(_as_data(x))
+
+
+# ---------------------------------------------------------------------------
+# composition, tensor, flip, refinement, closure
+
+
+def compose_diagrams(p: Diagram, q: Diagram) -> tuple[Diagram, int]:
     """p after q: q maps [k] -> [l], p maps [l] -> [m].
 
-    Returns (p * q, N): the least restrictive pattern on the outer endpoints
-    consistent with both diagrams, and the number N of merged components made
-    of middle endpoints only (the t-exponent of the composition law).
+    Returns (p * q, N) with N the exponent of t: middle-only components (S)
+    or closed loops (O, GL).
     """
-    if q.bottom != p.top:
-        raise ValueError(
-            f"cannot compose: q has target [{q.bottom}], p has source [{p.top}]"
-        )
-    k, l, m = q.top, q.bottom, p.bottom
-    # node ids: 0..k-1 outer source, k..k+l-1 middle, k+l..k+l+m-1 outer target
-    uf = _UnionFind(k + l + m)
-
-    def q_node(x: int) -> int:
-        return x - 1 if x > 0 else k + (-x) - 1
-
-    def p_node(x: int) -> int:
-        return k + x - 1 if x > 0 else k + l + (-x) - 1
-
-    for block in q.blocks:
-        first = q_node(block[0])
-        for x in block[1:]:
-            uf.union(first, q_node(x))
-    for block in p.blocks:
-        first = p_node(block[0])
-        for x in block[1:]:
-            uf.union(first, p_node(x))
-
-    outer_groups: dict[int, list[int]] = {}
-    for i in range(1, k + 1):
-        outer_groups.setdefault(uf.find(i - 1), []).append(i)
-    for j in range(1, m + 1):
-        outer_groups.setdefault(uf.find(k + l + j - 1), []).append(-j)
-    middle_only = 0
-    for i in range(l):
-        if uf.find(k + i) not in outer_groups:
-            middle_only += 1
-            outer_groups[uf.find(k + i)] = []  # count each middle component once
-    blocks = [b for b in outer_groups.values() if b]
-    return partition_diagram(k, m, blocks), middle_only
+    if type(p) is not type(q):
+        raise TypeError(f"cannot compose diagrams of different flavors: {p!r}, {q!r}")
+    return p._compose(q)
 
 
 def _trace_paths(
@@ -320,101 +555,20 @@ def _trace_paths(
     return pairs, loops
 
 
-def compose_brauer(p: BrauerDiagram, q: BrauerDiagram) -> tuple[BrauerDiagram, int]:
-    """p after q for perfect matchings; returns (diagram, removed loops)."""
-    if q.bottom != p.top:
-        raise ValueError(
-            f"cannot compose: q has target [{q.bottom}], p has source [{p.top}]"
-        )
-    pairs, loops = _trace_paths(p.pairs, q.pairs, q.top, q.bottom, p.bottom)
-    return brauer_diagram(q.top, p.bottom, pairs), loops
-
-
-def compose_walled(p: WalledDiagram, q: WalledDiagram) -> tuple[WalledDiagram, int]:
-    """p after q for walled diagrams; wall constraints are preserved."""
-    if q.target != p.source:
-        raise ValueError(
-            f"cannot compose: q has target {q.target}, p has source {p.source}"
-        )
-    pairs, loops = _trace_paths(
-        p.pairs, q.pairs, sum(q.source), sum(q.target), sum(p.target)
-    )
-    return walled_diagram(q.source, p.target, pairs), loops
-
-
-def compose_diagrams(p: Diagram, q: Diagram) -> tuple[Diagram, int]:
-    """Flavor dispatch for p after q."""
-    if isinstance(p, PartitionDiagram) and isinstance(q, PartitionDiagram):
-        return compose_partition(p, q)
-    if isinstance(p, BrauerDiagram) and isinstance(q, BrauerDiagram):
-        return compose_brauer(p, q)
-    if isinstance(p, WalledDiagram) and isinstance(q, WalledDiagram):
-        return compose_walled(p, q)
-    raise TypeError(f"cannot compose diagrams of different flavors: {p!r}, {q!r}")
-
-
-# ---------------------------------------------------------------------------
-# tensor, flip, refinement, closure
-
-
-def _shift(x: int, top_shift: int, bottom_shift: int) -> int:
-    return x + top_shift if x > 0 else x - bottom_shift
-
-
 def tensor_diagram(p: Diagram, q: Diagram) -> Diagram:
     """Disjoint union, with q's endpoints re-indexed after p's.
 
     For walled diagrams the combined rows stay color-sorted (blacks then
     whites), so q's endpoints are interleaved past p's block of each color.
     """
-    if isinstance(p, PartitionDiagram) and isinstance(q, PartitionDiagram):
-        blocks = list(p.blocks) + [
-            tuple(_shift(x, p.top, p.bottom) for x in b) for b in q.blocks
-        ]
-        return partition_diagram(p.top + q.top, p.bottom + q.bottom, blocks)
-    if isinstance(p, BrauerDiagram) and isinstance(q, BrauerDiagram):
-        pairs = list(p.pairs) + [
-            tuple(_shift(x, p.top, p.bottom) for x in pr) for pr in q.pairs
-        ]
-        return brauer_diagram(p.top + q.top, p.bottom + q.bottom, pairs)
-    if isinstance(p, WalledDiagram) and isinstance(q, WalledDiagram):
-        return _tensor_walled(p, q)
-    raise TypeError(f"cannot tensor diagrams of different flavors: {p!r}, {q!r}")
-
-
-def _tensor_walled(p: WalledDiagram, q: WalledDiagram) -> WalledDiagram:
-    (pr1, ps1), (pr2, ps2) = p.source, p.target
-    (qr1, qs1), (qr2, qs2) = q.source, q.target
-
-    def p_map(x: int) -> int:
-        if x > 0:  # p source black i -> i, p source white j -> (pr1+qr1)+j
-            return x if x <= pr1 else x + qr1
-        j = -x
-        return -(j if j <= pr2 else j + qr2)
-
-    def q_map(x: int) -> int:
-        if x > 0:  # q source black i -> pr1+i, q source white j -> (pr1+qr1)+ps1+j
-            return pr1 + x if x <= qr1 else pr1 + qr1 + ps1 + (x - qr1)
-        j = -x
-        return -(pr2 + j if j <= qr2 else pr2 + qr2 + ps2 + (j - qr2))
-
-    pairs = [tuple(p_map(x) for x in pr) for pr in p.pairs] + [
-        tuple(q_map(x) for x in pr) for pr in q.pairs
-    ]
-    return walled_diagram(
-        (pr1 + qr1, ps1 + qs1), (pr2 + qr2, ps2 + qs2), pairs
-    )
+    if type(p) is not type(q):
+        raise TypeError(f"cannot tensor diagrams of different flavors: {p!r}, {q!r}")
+    return p._tensor(q)
 
 
 def flip(d: Diagram) -> Diagram:
     """Swap the source and target rows (the dual-morphism diagram)."""
-    if isinstance(d, PartitionDiagram):
-        return partition_diagram(d.bottom, d.top, [tuple(-x for x in b) for b in d.blocks])
-    if isinstance(d, BrauerDiagram):
-        return brauer_diagram(d.bottom, d.top, [tuple(-x for x in p) for p in d.pairs])
-    if isinstance(d, WalledDiagram):
-        return walled_diagram(d.target, d.source, [tuple(-x for x in p) for p in d.pairs])
-    raise TypeError(f"not a diagram: {d!r}")
+    return d._flip()
 
 
 def refines(p: PartitionDiagram, p2: PartitionDiagram) -> bool:
@@ -446,40 +600,7 @@ def closure_components(d: Diagram) -> int:
     This is the exponent l(D) in the graphical trace: Tr(e_D) = t^l(D).
     Requires equal source and target signatures.
     """
-    if isinstance(d, PartitionDiagram):
-        if d.top != d.bottom:
-            raise ValueError("closure needs source and target of equal size")
-        n = len(d.blocks)
-        uf = _UnionFind(n)
-        owner: dict[int, int] = {}
-        for idx, b in enumerate(d.blocks):
-            for x in b:
-                owner[x] = idx
-        for i in range(1, d.top + 1):
-            uf.union(owner[i], owner[-i])
-        return len({uf.find(i) for i in range(n)})
-    if isinstance(d, BrauerDiagram):
-        if d.top != d.bottom:
-            raise ValueError("closure needs source and target of equal size")
-        size = d.top
-        pairs = d.pairs
-    elif isinstance(d, WalledDiagram):
-        if d.source != d.target:
-            raise ValueError("closure needs source and target of equal signature")
-        size = sum(d.source)
-        pairs = d.pairs
-    else:
-        raise TypeError(f"not a diagram: {d!r}")
-    uf = _UnionFind(2 * size)  # nodes: +i -> i-1, -i -> size+i-1
-
-    def node(x: int) -> int:
-        return x - 1 if x > 0 else size + (-x) - 1
-
-    for a, b in pairs:
-        uf.union(node(a), node(b))
-    for i in range(1, size + 1):
-        uf.union(node(i), node(-i))
-    return len({uf.find(i) for i in range(2 * size)})
+    return d._closure()
 
 
 # ---------------------------------------------------------------------------
@@ -519,50 +640,18 @@ def _matchings_of(items: list[int]) -> Iterator[list[tuple[int, int]]]:
             yield [(first, partner)] + tail
 
 
-def enumerate_partition_basis(l: int, m: int) -> list[PartitionDiagram]:
-    """All Bell(l+m) partition diagrams from [l] to [m], deterministic order."""
-    pts = list(range(1, l + 1)) + [-j for j in range(1, m + 1)]
-    return [partition_diagram(l, m, blocks) for blocks in _set_partitions_of(pts)]
-
-
-def enumerate_brauer_basis(l: int, m: int) -> list[BrauerDiagram]:
-    """All (l+m-1)!! matchings from [l] to [m]; empty when l+m is odd."""
-    if (l + m) % 2:
-        return []
-    pts = list(range(1, l + 1)) + [-j for j in range(1, m + 1)]
-    return [brauer_diagram(l, m, pairs) for pairs in _matchings_of(pts)]
-
-
-def enumerate_walled_basis(
-    source: tuple[int, int], target: tuple[int, int]
-) -> list[WalledDiagram]:
-    """All (r1+s2)! walled diagrams; empty when signatures are incompatible.
-
-    Valid edges always join the set A = {source blacks, target whites} with
-    B = {target blacks, source whites}, so diagrams are bijections A -> B.
-    """
-    r1, s1 = source
-    r2, s2 = target
-    if r1 + s2 != r2 + s1:
-        return []
-    side_a = [+i for i in range(1, r1 + 1)] + [-(r2 + j) for j in range(1, s2 + 1)]
-    side_b = [-j for j in range(1, r2 + 1)] + [+(r1 + i) for i in range(1, s1 + 1)]
-    out = []
-    for perm in itertools.permutations(side_b):
-        pairs = list(zip(side_a, perm))
-        out.append(walled_diagram(source, target, pairs))
-    return out
-
-
 def enumerate_basis(flavor: str, source, target) -> list[Diagram]:
-    """Complete diagram basis of Hom(source, target) for the given flavor."""
-    if flavor == "S":
-        return enumerate_partition_basis(source, target)
-    if flavor == "O":
-        return enumerate_brauer_basis(source, target)
-    if flavor == "GL":
-        return enumerate_walled_basis(tuple(source), tuple(target))
-    raise ValueError(f"unknown flavor {flavor!r}")
+    """Complete diagram basis of Hom(source, target), in deterministic order.
+
+    Bell(l+m) diagrams for S, (l+m-1)!! for O, (r1+s2)! for GL; empty when
+    no diagram fits the two signatures.
+    """
+    return _diagram_class(flavor)._basis(_as_data(source), _as_data(target))
+
+
+def basis_size(flavor: str, source, target) -> int:
+    """len(enumerate_basis(flavor, source, target)), without enumerating."""
+    return _diagram_class(flavor)._basis_size(_as_data(source), _as_data(target))
 
 
 # ---------------------------------------------------------------------------
@@ -570,33 +659,9 @@ def enumerate_basis(flavor: str, source, target) -> list[Diagram]:
 
 
 def diagram_to_json(d: Diagram) -> dict:
-    """{"flavor": ..., "top": l, "bottom": m, "blocks": [[...]]} with signed ints."""
-    if isinstance(d, PartitionDiagram):
-        return {
-            "flavor": "S",
-            "top": d.top,
-            "bottom": d.bottom,
-            "blocks": [list(b) for b in d.blocks],
-        }
-    if isinstance(d, BrauerDiagram):
-        return {
-            "flavor": "O",
-            "top": d.top,
-            "bottom": d.bottom,
-            "blocks": [list(p) for p in d.pairs],
-        }
-    if isinstance(d, WalledDiagram):
-        r1, s1 = d.source
-        r2, s2 = d.target
-        return {
-            "flavor": "GL",
-            "top": r1 + s1,
-            "bottom": r2 + s2,
-            "top_colors": "1" * r1 + "0" * s1,
-            "bottom_colors": "1" * r2 + "0" * s2,
-            "blocks": [list(p) for p in d.pairs],
-        }
-    raise TypeError(f"not a diagram: {d!r}")
+    """{"flavor": ..., "top": l, "bottom": m, "blocks": [[...]]} with signed ints;
+    GL adds "top_colors"/"bottom_colors" bit strings."""
+    return d._to_json()
 
 
 def _colors_to_signature(colors: str, field: str) -> tuple[int, int]:
@@ -610,19 +675,5 @@ def diagram_from_json(obj: dict) -> Diagram:
     for field in ("flavor", "top", "bottom", "blocks"):
         if field not in obj:
             raise ValueError(f"diagram JSON missing field '{field}'")
-    flavor = obj["flavor"]
-    blocks = [tuple(b) for b in obj["blocks"]]
-    if flavor == "S":
-        return partition_diagram(obj["top"], obj["bottom"], blocks)
-    if flavor == "O":
-        return brauer_diagram(obj["top"], obj["bottom"], blocks)
-    if flavor == "GL":
-        for field in ("top_colors", "bottom_colors"):
-            if field not in obj:
-                raise ValueError(f"diagram JSON missing field '{field}'")
-        source = _colors_to_signature(obj["top_colors"], "top_colors")
-        target = _colors_to_signature(obj["bottom_colors"], "bottom_colors")
-        if sum(source) != obj["top"] or sum(target) != obj["bottom"]:
-            raise ValueError("color strings disagree with 'top'/'bottom' counts")
-        return walled_diagram(source, target, blocks)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    cls = _diagram_class(obj["flavor"])
+    return cls._from_json(obj, [tuple(b) for b in obj["blocks"]])

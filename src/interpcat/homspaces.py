@@ -18,17 +18,16 @@ import math
 from dataclasses import dataclass
 
 from interpcat.diagrams import (
-    BrauerDiagram,
+    DIAGRAM_CLASSES,
     Diagram,
     PartitionDiagram,
+    _as_data,
     _set_partitions_of,
-    brauer_diagram,
     closure_components,
     compose_diagrams,
     enumerate_basis,
-    identity_brauer,
-    identity_partition,
-    identity_walled,
+    flip,
+    identity_diagram,
     partition_diagram,
     tensor_diagram,
     walled_diagram,
@@ -85,29 +84,27 @@ def sig_o(m: int) -> ObjectSignature:
     return ObjectSignature("O", (m,))
 
 
+def as_signature(x, flavor: str) -> ObjectSignature:
+    """x if it is a signature, else the flavor's signature with endpoint x:
+    an int m for S and O, an (r, s) pair for GL."""
+    if isinstance(x, ObjectSignature):
+        return x
+    return ObjectSignature(flavor, _as_data(x))
+
+
 def diagram_source(d: Diagram) -> ObjectSignature:
-    if isinstance(d, PartitionDiagram):
-        return sig_s(d.top)
-    if isinstance(d, BrauerDiagram):
-        return sig_o(d.top)
-    return sig_gl(*d.source)
+    return ObjectSignature(d.flavor, d._signature()[0])
 
 
 def diagram_target(d: Diagram) -> ObjectSignature:
-    if isinstance(d, PartitionDiagram):
-        return sig_s(d.bottom)
-    if isinstance(d, BrauerDiagram):
-        return sig_o(d.bottom)
-    return sig_gl(*d.target)
+    return ObjectSignature(d.flavor, d._signature()[1])
 
 
 def hom_basis(source: ObjectSignature, target: ObjectSignature) -> list[Diagram]:
     """Diagram basis of Hom(source, target); [] when the space is zero."""
     if source.flavor != target.flavor:
         raise ValueError("Hom between different flavors")
-    if source.flavor == "GL":
-        return enumerate_basis("GL", source.data, target.data)
-    return enumerate_basis(source.flavor, source.data[0], target.data[0])
+    return enumerate_basis(source.flavor, source.data, target.data)
 
 
 class Morphism:
@@ -167,9 +164,6 @@ class Morphism:
     def __truediv__(self, c) -> "Morphism":
         return self.scale(RF_ONE / (c if isinstance(c, RatFunc) else RatFunc(c)))
 
-    def map_coeffs(self, fn) -> "Morphism":
-        return Morphism(self.source, self.target, {d: fn(c) for d, c in self.terms.items()})
-
     def __str__(self) -> str:
         if not self.terms:
             return f"0: {self.source} -> {self.target}"
@@ -188,13 +182,7 @@ def diagram_morphism(d: Diagram, coeff=1) -> Morphism:
 
 
 def identity(sig: ObjectSignature) -> Morphism:
-    if sig.flavor == "S":
-        d: Diagram = identity_partition(sig.data[0])
-    elif sig.flavor == "O":
-        d = identity_brauer(sig.data[0])
-    else:
-        d = identity_walled(*sig.data)
-    return diagram_morphism(d)
+    return diagram_morphism(identity_diagram(sig.flavor, sig.data))
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
@@ -302,76 +290,56 @@ def delta_to_e(f: Morphism) -> Morphism:
 # rigidity: evaluation, coevaluation, braiding
 
 
+def _ev_diagram(sig: ObjectSignature) -> Diagram:
+    if sig.flavor == "GL":
+        r, s = sig.data
+        # source is [s, r] (x) [r, s] = [s + r, r + s]; whites start at s + r
+        r1 = s + r
+        pairs = []
+        for k in range(1, r + 1):  # X's black k with X*'s white r + 1 - k
+            pairs.append((s + k, r1 + (r + 1 - k)))
+        for j in range(1, s + 1):  # X*'s black s + 1 - j with X's white j
+            pairs.append((s + 1 - j, r1 + r + j))
+        return walled_diagram((r1, r + s), (0, 0), pairs)
+    (m,) = sig.data
+    blocks = [(i, m + i) for i in range(1, m + 1)]
+    return DIAGRAM_CLASSES[sig.flavor]._build((2 * m,), (0,), blocks)
+
+
 def ev(sig: ObjectSignature) -> Morphism:
     """Evaluation X* (x) X -> 1: parallel arcs for S and O, nested for GL."""
-    if sig.flavor in ("S", "O"):
-        m = sig.data[0]
-        blocks = [(i, m + i) for i in range(1, m + 1)]
-        if sig.flavor == "S":
-            d: Diagram = partition_diagram(2 * m, 0, blocks)
-        else:
-            d = brauer_diagram(2 * m, 0, blocks)
-        return diagram_morphism(d)
-    r, s = sig.data
-    # source is [s, r] (x) [r, s] = [s + r, r + s]; whites start at s + r
-    r1 = s + r
-    pairs = []
-    for k in range(1, r + 1):  # X's black k with X*'s white r + 1 - k
-        pairs.append((s + k, r1 + (r + 1 - k)))
-    for j in range(1, s + 1):  # X*'s black s + 1 - j with X's white j
-        pairs.append((s + 1 - j, r1 + r + j))
-    return diagram_morphism(walled_diagram((r1, r + s), (0, 0), pairs))
+    return diagram_morphism(_ev_diagram(sig))
 
 
 def coev(sig: ObjectSignature) -> Morphism:
-    """Coevaluation 1 -> X (x) X*."""
-    if sig.flavor in ("S", "O"):
-        m = sig.data[0]
-        blocks = [(-i, -(m + i)) for i in range(1, m + 1)]
-        if sig.flavor == "S":
-            d: Diagram = partition_diagram(0, 2 * m, blocks)
-        else:
-            d = brauer_diagram(0, 2 * m, blocks)
-        return diagram_morphism(d)
-    r, s = sig.data
-    # target is [r, s] (x) [s, r] = [r + s, s + r]; whites start at r + s
-    r2 = r + s
-    pairs = []
-    for k in range(1, r + 1):  # X black k with X* white r + 1 - k
-        pairs.append((-k, -(r2 + s + (r + 1 - k))))
-    for j in range(1, s + 1):  # X* black s + 1 - j with X white j
-        pairs.append((-(r + (s + 1 - j)), -(r2 + j)))
-    return diagram_morphism(walled_diagram((0, 0), (r2, s + r), pairs))
+    """Coevaluation 1 -> X (x) X*: the mirror image of the evaluation of X*."""
+    return diagram_morphism(flip(_ev_diagram(sig.dual())))
 
 
 def swap(sig_a: ObjectSignature, sig_b: ObjectSignature) -> Morphism:
     """The braiding diagram c_{A,B}: A (x) B -> B (x) A."""
     if sig_a.flavor != sig_b.flavor:
         raise ValueError("cannot swap signatures of different flavors")
-    if sig_a.flavor in ("S", "O"):
-        a, b = sig_a.data[0], sig_b.data[0]
-        blocks = [(i, -(b + i)) for i in range(1, a + 1)] + [
-            (a + j, -j) for j in range(1, b + 1)
-        ]
-        if sig_a.flavor == "S":
-            d: Diagram = partition_diagram(a + b, b + a, blocks)
-        else:
-            d = brauer_diagram(a + b, b + a, blocks)
-        return diagram_morphism(d)
-    ra, sa = sig_a.data
-    rb, sb = sig_b.data
-    pairs = []
-    for i in range(1, ra + 1):  # A black i -> past B's blacks
-        pairs.append((i, -(rb + i)))
-    for i in range(1, rb + 1):  # B black i -> front
-        pairs.append((ra + i, -i))
-    for j in range(1, sa + 1):  # A white j -> past B's whites
-        pairs.append((ra + rb + j, -(rb + ra + sb + j)))
-    for j in range(1, sb + 1):  # B white j -> front of whites
-        pairs.append((ra + rb + sa + j, -(rb + ra + j)))
-    return diagram_morphism(
-        walled_diagram((ra + rb, sa + sb), (rb + ra, sb + sa), pairs)
-    )
+    if sig_a.flavor == "GL":
+        ra, sa = sig_a.data
+        rb, sb = sig_b.data
+        pairs = []
+        for i in range(1, ra + 1):  # A black i -> past B's blacks
+            pairs.append((i, -(rb + i)))
+        for i in range(1, rb + 1):  # B black i -> front
+            pairs.append((ra + i, -i))
+        for j in range(1, sa + 1):  # A white j -> past B's whites
+            pairs.append((ra + rb + j, -(rb + ra + sb + j)))
+        for j in range(1, sb + 1):  # B white j -> front of whites
+            pairs.append((ra + rb + sa + j, -(rb + ra + j)))
+        return diagram_morphism(
+            walled_diagram((ra + rb, sa + sb), (rb + ra, sb + sa), pairs)
+        )
+    (a,), (b,) = sig_a.data, sig_b.data
+    blocks = [(i, -(b + i)) for i in range(1, a + 1)] + [
+        (a + j, -j) for j in range(1, b + 1)
+    ]
+    return diagram_morphism(DIAGRAM_CLASSES[sig_a.flavor]._build((a + b,), (b + a,), blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +356,13 @@ def signature_from_json(obj: dict) -> ObjectSignature:
     if "flavor" not in obj:
         raise ValueError("signature JSON missing field 'flavor'")
     flavor = obj["flavor"]
-    if flavor == "GL":
-        for field in ("r", "s"):
-            if field not in obj:
-                raise ValueError(f"signature JSON missing field '{field}'")
-        return sig_gl(obj["r"], obj["s"])
-    if flavor in ("S", "O"):
-        if "m" not in obj:
-            raise ValueError("signature JSON missing field 'm'")
-        return ObjectSignature(flavor, (obj["m"],))
-    raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    fields = ("r", "s") if flavor == "GL" else ("m",)
+    for field in fields:
+        if field not in obj:
+            raise ValueError(f"signature JSON missing field '{field}'")
+    return ObjectSignature(flavor, tuple(obj[field] for field in fields))
 
 
 def morphism_to_json(f: Morphism, basis: str = "e") -> dict:

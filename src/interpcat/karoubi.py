@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from interpcat.diagrams import (
-    brauer_diagram,
+    DIAGRAM_CLASSES,
     compose_diagrams,
     partition_diagram,
     walled_diagram,
@@ -28,17 +28,16 @@ from interpcat.diagrams import (
 from interpcat.homspaces import (
     Morphism,
     ObjectSignature,
+    as_signature,
     compose,
     diagram_morphism,
     hom_basis,
     identity,
     sig_gl,
-    sig_o,
-    sig_s,
     trace,
 )
 from interpcat.linalg import SparseEchelon
-from interpcat.partitions import check_partition, partitions_of, sn_irrep_dimension
+from interpcat.partitions import check_partition, sn_irrep_dimension
 from interpcat.ratfunc import PoleError, RatFunc, RF_ONE, RF_T
 
 Partition = tuple[int, ...]
@@ -96,14 +95,10 @@ def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def permutation_morphism(sigma: tuple[int, ...], flavor: str = "S") -> Morphism:
-    """Embed sigma in End([n]) via the diagram {i, sigma(i)'}."""
-    n = len(sigma)
-    blocks = [(i, -sigma[i - 1]) for i in range(1, n + 1)]
-    if flavor == "S":
-        return diagram_morphism(partition_diagram(n, n, blocks))
-    if flavor == "O":
-        return diagram_morphism(brauer_diagram(n, n, blocks))
-    raise ValueError("permutation_morphism supports flavors S and O")
+    """Embed sigma in End([n]) via the diagram {i, sigma(i)'}; flavors S and O."""
+    sig = as_signature(len(sigma), flavor)
+    blocks = [(i, -sigma[i - 1]) for i in range(1, len(sigma) + 1)]
+    return diagram_morphism(DIAGRAM_CLASSES[flavor]._build(sig.data, sig.data, blocks))
 
 
 def _symmetrizer_terms(lam: Partition) -> list[tuple[tuple[int, ...], int]]:
@@ -128,7 +123,7 @@ def young_symmetrizer(lam: Partition, flavor: str = "S") -> Morphism:
     lam = check_partition(lam)
     n = sum(lam)
     norm = RatFunc(Fraction(sn_irrep_dimension(lam), math.factorial(n)))
-    sig = sig_s(n) if flavor == "S" else sig_o(n)
+    sig = as_signature(n, flavor)
     terms: dict = {}
     for sigma, sign in _symmetrizer_terms(lam):
         d = next(iter(permutation_morphism(sigma, flavor).terms))
@@ -276,63 +271,31 @@ def object_of_identity(sig: ObjectSignature) -> KaroubiObject:
 Label = tuple  # Partition for S/O, Bipartition for GL
 
 
-def _label_size(flavor: str, lam: Label) -> int:
+def _label_data(flavor: str, lam: Label) -> tuple[int, ...]:
+    """Signature data of Y_lam: (|lam|,), or (|black|, |white|) for GL."""
     if flavor == "GL":
-        return sum(lam[0]) + sum(lam[1])
-    return sum(lam)
+        return (sum(lam[0]), sum(lam[1]))
+    return (sum(lam),)
 
 
-def _labels_for_object(flavor: str, sig: ObjectSignature) -> list[Label]:
-    """All simple labels that can occur in an object with this signature."""
-    if flavor == "S":
-        m = sig.data[0]
-        return [lam for k in range(m + 1) for lam in partitions_of(k)]
-    if flavor == "O":
-        m = sig.data[0]
-        return [
-            lam
-            for k in range(m % 2, m + 1, 2)
-            for lam in partitions_of(k)
-        ]
-    r, s = sig.data
-    out: list[Label] = []
-    for i in range(min(r, s), -1, -1):
-        a, b = r - i, s - i
-        for black in partitions_of(a):
-            for white in partitions_of(b):
-                out.append((black, white))
-    out.sort(key=lambda lab: (sum(lab[0]) + sum(lab[1]), lab))
-    return out
+def _label_size(flavor: str, lam: Label) -> int:
+    return sum(_label_data(flavor, lam))
 
 
 def _labels_below(flavor: str, lam: Label) -> list[Label]:
     """Labels of simples that can occur in Y_lam besides lam itself."""
-    if flavor == "S":
-        return [mu for k in range(sum(lam)) for mu in partitions_of(k)]
-    if flavor == "O":
-        n = sum(lam)
-        return [mu for k in range(n % 2, n, 2) for mu in partitions_of(k)]
-    a, b = sum(lam[0]), sum(lam[1])
-    out: list[Label] = []
-    for i in range(1, min(a, b) + 1):
-        for black in partitions_of(a - i):
-            for white in partitions_of(b - i):
-                out.append((black, white))
-    out.sort(key=lambda lab: (sum(lab[0]) + sum(lab[1]), lab))
-    return out
+    data = _label_data(flavor, lam)
+    labels = DIAGRAM_CLASSES[flavor]._labels(data)
+    return [mu for mu in labels if _label_size(flavor, mu) < sum(data)]
 
 
 def symmetrizer_object(lam: Label, flavor: str = "S") -> KaroubiObject:
     """Y_lam = ([|lam|], y_lam): contains L(lam) once plus smaller simples."""
-    if flavor == "S":
-        return KaroubiObject(sig_s(sum(lam)), young_symmetrizer(lam, "S"))
-    if flavor == "O":
-        return KaroubiObject(sig_o(sum(lam)), young_symmetrizer(lam, "O"))
     if flavor == "GL":
-        return KaroubiObject(
-            sig_gl(sum(lam[0]), sum(lam[1])), bipartition_symmetrizer(lam)
-        )
-    raise ValueError(f"unknown flavor {flavor!r}")
+        y = bipartition_symmetrizer(lam)
+    else:
+        y = young_symmetrizer(lam, flavor)
+    return KaroubiObject(y.source, y)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +435,7 @@ def _certified(at_point, seed_material) -> dict[Label, int]:
 
 def _multiplicities_of(X: KaroubiObject, flavor: str, seed: int = 0) -> dict[Label, int]:
     """Multiplicities of all candidate simples in X, with certification."""
-    labels = _labels_for_object(flavor, X.sig)
+    labels = DIAGRAM_CLASSES[flavor]._labels(X.sig.data)
 
     def at_point(t0: Fraction | None) -> dict[Label, int]:
         return _triangular_multiplicities(X, flavor, labels, t0)
@@ -490,7 +453,7 @@ def multiplicity(
     """
     flavor = X.sig.flavor
     lam = _normalize_label(flavor, lam)
-    labels = _labels_for_object(flavor, X.sig)
+    labels = DIAGRAM_CLASSES[flavor]._labels(X.sig.data)
     if lam not in labels:
         return 0
     if t0 is not None:

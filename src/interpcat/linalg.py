@@ -1,21 +1,25 @@
 """Exact linear algebra over a field (Fraction or RatFunc entries).
 
 Only the handful of primitives the library needs: incremental sparse row
-echelon for ranks of morphism spans, and dense elimination for determinants,
-ranks and nullspaces of Gram matrices.  Entries may be any field elements
-supporting +, -, *, / and truthiness as a zero test.
+echelon for ranks of morphism spans, and one dense forward elimination that
+gives ranks, determinants and (with back-substitution) nullspaces of Gram
+matrices.  Entries may be any field elements supporting +, -, *, / and
+truthiness as a zero test.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 
 class SparseEchelon:
-    """Incremental row echelon over sparse dict rows with hashable keys."""
+    """Incremental row echelon over sparse dict rows with hashable keys.
 
-    def __init__(self, key_order: Callable[[Hashable], object] = repr):
-        self._key_order = key_order
+    Each row's pivot is its key with the smallest repr, so the elimination
+    path depends only on the keys' reprs.
+    """
+
+    def __init__(self):
         self._rows: dict[Hashable, dict] = {}  # pivot key -> row with pivot 1
 
     @property
@@ -26,7 +30,7 @@ class SparseEchelon:
         """Reduce a row against the basis; returns True if the rank grew."""
         row = {k: v for k, v in row.items() if v}
         while row:
-            pivot = min(row, key=self._key_order)
+            pivot = min(row, key=repr)
             basis_row = self._rows.get(pivot)
             if basis_row is None:
                 pval = row[pivot]
@@ -46,40 +50,40 @@ class SparseEchelon:
         return False
 
 
-def span_rank(rows: Sequence[dict], key_order: Callable = repr) -> int:
-    ech = SparseEchelon(key_order)
-    for row in rows:
-        ech.add(row)
-    return ech.rank
+def _forward_eliminate(rows: list[list]) -> Iterator[tuple[int, bool]]:
+    """Bring rows to row echelon form in place, by elimination with row swaps.
+
+    Yields (pivot column, whether a row swap brought the pivot up) for pivot
+    row 0, 1, ... in turn, before clearing the entries below that pivot, so a
+    caller that stops early does no further arithmetic.  Pivot rows are not
+    scaled; the entries left of each pivot are zero and are never touched.
+    """
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
+            return
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        yield col, pivot_row != r
+        prow = rows[r]
+        pval = prow[col]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / pval
+                rows[i][col:] = [a - f * b for a, b in zip(rows[i][col:], prow[col:])]
+        r += 1
 
 
 def dense_rank(matrix: Sequence[Sequence]) -> int:
-    """Rank of a dense matrix by fraction-based Gaussian elimination."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pval = rows[rank][col]
-        rows[rank] = [v / pval for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of a dense matrix: the number of pivots of forward elimination."""
+    return sum(1 for _ in _forward_eliminate([list(r) for r in matrix]))
 
 
 def determinant(matrix: Sequence[Sequence]):
-    """Determinant over a field by elimination with row swaps."""
+    """Determinant over a field: the signed product of the elimination pivots."""
     n = len(matrix)
     if n == 0:
         raise ValueError("determinant of an empty matrix is undefined here")
@@ -88,61 +92,44 @@ def determinant(matrix: Sequence[Sequence]):
     rows = [list(r) for r in matrix]
     sign = 1
     det = None
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if rows[i][col]), None)
-        if pivot_row is None:
-            zero = rows[0][0] - rows[0][0]
-            return zero
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+    found = 0
+    for col, swapped in _forward_eliminate(rows):
+        if col != found:
+            break  # a column without a pivot: singular
+        if swapped:
             sign = -sign
-        pval = rows[col][col]
-        det = pval if det is None else det * pval
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] / pval
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+        det = rows[col][col] if det is None else det * rows[col][col]
+        found += 1
+    if found < n:
+        return rows[0][0] - rows[0][0]
     return det if sign == 1 else -det
 
 
 def right_nullspace(matrix: Sequence[Sequence]) -> list[list]:
-    """Basis of {v : A v = 0} for a dense matrix over a field."""
+    """Basis of {v : A v = 0} for a dense matrix over a field.
+
+    One vector per free column, in increasing column order, with a 1 in its
+    free column and zeros in the other free columns.
+    """
     rows = [list(r) for r in matrix]
-    if not rows:
+    if not rows or not rows[0]:
         return []
     ncols = len(rows[0])
-    # reduced row echelon form, tracking pivot columns
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pval = rows[r][col]
-        rows[r] = [v / pval for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    one = None
-    for row in rows:
-        for v in row:
-            if v:
-                one = v / v
-                break
-        if one is not None:
-            break
-    if one is None:
-        one = 1  # zero matrix: caller's entries may be any field; 1 works with Fraction
-    zero = one - one
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    zero = rows[0][0] - rows[0][0]
+    one = type(zero)(1)
+    pivots = [col for col, _ in _forward_eliminate(rows)]
+    # back-substitution: scale each pivot to 1 and clear the entries above it
+    for k in reversed(range(len(pivots))):
+        col = pivots[k]
+        prow = rows[k]
+        pval = prow[col]
+        prow[col:] = [v / pval for v in prow[col:]]
+        for i in range(k):
+            f = rows[i][col]
+            if f:
+                rows[i][col:] = [a - f * b for a, b in zip(rows[i][col:], prow[col:])]
     basis = []
-    for free in free_cols:
+    for free in (c for c in range(ncols) if c not in pivots):
         vec = [zero] * ncols
         vec[free] = one
         for prow, pcol in zip(rows, pivots):

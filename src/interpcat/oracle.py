@@ -19,36 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from interpcat.diagrams import (
-    BrauerDiagram,
-    Diagram,
-    PartitionDiagram,
-    WalledDiagram,
-    compose_diagrams,
-)
-from interpcat.homspaces import (
-    Morphism,
-    ObjectSignature,
-    hom_basis,
-    sig_gl,
-    sig_o,
-    sig_s,
-)
+from interpcat.diagrams import Diagram, PartitionDiagram, compose_diagrams
+from interpcat.homspaces import Morphism, as_signature, hom_basis
 from interpcat.karoubi import KaroubiObject
 from interpcat.linalg import dense_rank
 from interpcat.ratfunc import PoleError
 
 MAX_ENTRIES = 10**6
-
-
-def _as_signature(x, flavor: str) -> ObjectSignature:
-    if isinstance(x, ObjectSignature):
-        return x
-    if flavor == "S":
-        return sig_s(x)
-    if flavor == "O":
-        return sig_o(x)
-    return sig_gl(*x)
 
 
 def _check_budget(n: int, l: int, m: int):
@@ -96,9 +73,11 @@ def _contraction_matrix(groups, l: int, m: int, n: int, distinct: bool) -> np.nd
     return mat
 
 
-def _pattern_matrix(p: PartitionDiagram, n: int, distinct: bool) -> np.ndarray:
-    _check_budget(n, p.top, p.bottom)
-    return _contraction_matrix(p.blocks, p.top, p.bottom, n, distinct)
+def _pattern_matrix(d: Diagram, n: int, distinct: bool) -> np.ndarray:
+    source, target = d._signature()
+    l, m = sum(source), sum(target)
+    _check_budget(n, l, m)
+    return _contraction_matrix(d._blocks, l, m, n, distinct)
 
 
 def delta_matrix(p: PartitionDiagram, n: int) -> np.ndarray:
@@ -111,25 +90,15 @@ def e_matrix(p: PartitionDiagram, n: int) -> np.ndarray:
     return _pattern_matrix(p, n, distinct=False)
 
 
-def _matching_matrix(pairs, l: int, m: int, n: int) -> np.ndarray:
-    """Matrix of a matching diagram: every edge is a delta contraction.
-
-    Cross edges act as identity wires, same-row edges as evaluation or
-    coevaluation under the dual-basis pairing; all reduce to "equal values".
-    """
-    _check_budget(n, l, m)
-    return _contraction_matrix(list(pairs), l, m, n, distinct=False)
-
-
 def diagram_matrix(d: Diagram, n: int, basis: str = "e") -> np.ndarray:
-    """Classical matrix of a single diagram at parameter value n."""
-    if isinstance(d, PartitionDiagram):
-        return delta_matrix(d, n) if basis == "delta" else e_matrix(d, n)
-    if isinstance(d, BrauerDiagram):
-        return _matching_matrix(d.pairs, d.top, d.bottom, n)
-    if isinstance(d, WalledDiagram):
-        return _matching_matrix(d.pairs, sum(d.source), sum(d.target), n)
-    raise TypeError(f"not a diagram: {d!r}")
+    """Classical matrix of a single diagram at parameter value n.
+
+    basis = "delta" selects the strict-orbit matrix of an S diagram.  A
+    matching (O, GL) has only the relaxed one: every edge is a delta
+    contraction, cross edges acting as identity wires and same-row edges as
+    evaluation or coevaluation under the dual-basis pairing.
+    """
+    return _pattern_matrix(d, n, distinct=basis == "delta" and d.flavor == "S")
 
 
 def morphism_matrix(f: Morphism, n: int) -> tuple[np.ndarray, int]:
@@ -166,9 +135,9 @@ def verify_structure_constants(l, m, k, n: int, flavor: str = "S") -> dict:
     product of B and A must equal n^power times the matrix of the composed
     diagram.  Returns {"pairs", "violations", "passed"}.
     """
-    sl = _as_signature(l, flavor)
-    sm = _as_signature(m, flavor)
-    sk = _as_signature(k, flavor)
+    sl = as_signature(l, flavor)
+    sm = as_signature(m, flavor)
+    sk = as_signature(k, flavor)
     for a, b in ((sl, sm), (sm, sk), (sl, sk)):
         _check_budget(n, a.size, b.size)
     first_legs = hom_basis(sl, sm)
@@ -194,15 +163,15 @@ def hom_dim_classical(l, m, n: int, flavor: str = "S") -> int:
     For the S flavor this is the span of the strict-orbit (delta) matrices;
     it equals the classical Hom dimension between tensor powers.
     """
-    sl = _as_signature(l, flavor)
-    sm = _as_signature(m, flavor)
+    sl = as_signature(l, flavor)
+    sm = as_signature(m, flavor)
     _check_budget(n, sl.size, sm.size)
     basis = hom_basis(sl, sm)
     if not basis:
         return 0
     rows = []
     for d in basis:
-        mat = diagram_matrix(d, n, basis="delta" if flavor == "S" else "e")
+        mat = diagram_matrix(d, n, basis="delta")
         rows.append([Fraction(int(v)) for v in mat.reshape(-1)])
     return dense_rank(rows)
 

@@ -2,9 +2,11 @@
 
 Each named check either passes silently or raises AssertionError; the runner
 collects one line per check into a deterministic report (fixed seed, no
-timestamps), so repeated runs are byte-identical.  The brute-force
-symmetric-function oracles (monomial expansion and Schur straightening) live
-here because several checks pit library routines against them.
+timestamps), so repeated runs are byte-identical.  A check that raises any
+other exception is reported with status "error" and counted as a failure.
+The brute-force symmetric-function oracles (monomial expansion and Schur
+straightening) live here because several checks pit library routines
+against them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from interpcat import diagrams, homspaces, karoubi, oracle, semisimplify, symfun
 from interpcat.homspaces import (
     Morphism,
+    as_signature,
     compose,
     diagram_morphism,
     dimension,
@@ -104,16 +107,6 @@ def _schur_expand(poly: dict, nvars: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def lr_by_straightening(lam, mu, nu) -> int:
-    """c^lam_{mu,nu} read off from the monomial expansion of s_mu s_nu."""
-    n = sum(lam)
-    if sum(mu) + sum(nu) != n:
-        return 0
-    nvars = max(n, 1)
-    product = _poly_mul(_ssyt_weights(mu, (), nvars), _ssyt_weights(nu, (), nvars))
-    return _schur_expand(product, nvars).get(tuple(lam), 0)
-
-
 def schur_products_expanded(total: int):
     """All (mu, nu, expansion) with |mu| + |nu| = total, via straightening."""
     nvars = max(total, 1)
@@ -176,11 +169,9 @@ def random_morphism(rng: random.Random, src, tgt, nterms: int = 2) -> Morphism:
 
 
 def _random_sig(rng: random.Random, flavor: str):
-    if flavor == "S":
-        return sig_s(rng.randint(0, 2))
-    if flavor == "O":
-        return sig_o(rng.randint(0, 2))
-    return sig_gl(rng.randint(0, 1), rng.randint(0, 1))
+    if flavor == "GL":
+        return as_signature((rng.randint(0, 1), rng.randint(0, 1)), flavor)
+    return as_signature(rng.randint(0, 2), flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +769,10 @@ def run_selftest(level: str = "quick", seed: int = 0) -> dict:
         except AssertionError as exc:
             failures += 1
             results.append({"name": name, "status": "fail", "detail": str(exc)})
+        except Exception as exc:  # a crashing check is reported, not fatal
+            failures += 1
+            detail = f"{type(exc).__name__}: {exc}"
+            results.append({"name": name, "status": "error", "detail": detail})
     return {
         "level": level,
         "seed": seed,

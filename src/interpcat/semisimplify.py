@@ -13,30 +13,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from interpcat.diagrams import closure_components, compose_diagrams
-from interpcat.homspaces import (
-    Morphism,
-    ObjectSignature,
-    hom_basis,
-    sig_gl,
-    sig_o,
-    sig_s,
-)
+from interpcat.diagrams import basis_size, closure_components, compose_diagrams
+from interpcat.homspaces import Morphism, as_signature, hom_basis
 from interpcat.partitions import check_partition, partitions_of
 from interpcat.linalg import dense_rank, determinant, right_nullspace
 from interpcat.ratfunc import RatFunc, t_power
 
 Partition = tuple[int, ...]
 
+# Largest Hom basis whose Gram matrix is built: S gram(3, 3) is 203 x 203 and
+# ranks in about a second; gram(4, 4) would be 4140 x 4140.
+MAX_GRAM_BASIS = 300
 
-def _as_signature(x, flavor: str) -> ObjectSignature:
-    if isinstance(x, ObjectSignature):
-        return x
-    if flavor == "S":
-        return sig_s(x)
-    if flavor == "O":
-        return sig_o(x)
-    return sig_gl(*x)
+
+def _gram_bases(l, m, flavor: str):
+    """Bases of Hom(l, m) and Hom(m, l), refusing spaces over the size budget
+    before enumerating them."""
+    src = as_signature(l, flavor)
+    tgt = as_signature(m, flavor)
+    size = basis_size(src.flavor, src.data, tgt.data)
+    if size > MAX_GRAM_BASIS:
+        raise ValueError(
+            f"Gram budget exceeded: Hom({src}, {tgt}) has {size} > {MAX_GRAM_BASIS} diagrams"
+        )
+    return hom_basis(src, tgt), hom_basis(tgt, src)
 
 
 def _pairing_power(f, g) -> int:
@@ -47,10 +47,7 @@ def _pairing_power(f, g) -> int:
 
 def gram_matrix_symbolic(l, m, flavor: str = "S") -> list[list[RatFunc]]:
     """Trace-pairing Gram matrix over Q(t); entries are powers of t."""
-    src = _as_signature(l, flavor)
-    tgt = _as_signature(m, flavor)
-    fs = hom_basis(src, tgt)
-    gs = hom_basis(tgt, src)
+    fs, gs = _gram_bases(l, m, flavor)
     return [[t_power(_pairing_power(f, g)) for g in gs] for f in fs]
 
 
@@ -70,10 +67,7 @@ class GramReport:
 
 def gram(l, m, t0: Fraction | int | None, flavor: str = "S") -> GramReport:
     """Exact Gram matrix and rank; t0 = None keeps entries symbolic in Q(t)."""
-    src = _as_signature(l, flavor)
-    tgt = _as_signature(m, flavor)
-    fs = hom_basis(src, tgt)
-    gs = hom_basis(tgt, src)
+    fs, gs = _gram_bases(l, m, flavor)
     powers = [[_pairing_power(f, g) for g in gs] for f in fs]
     if t0 is None:
         matrix = [[t_power(p) for p in row] for row in powers]
@@ -110,10 +104,10 @@ def is_negligible(f: Morphism, t0: Fraction | int) -> bool:
 
 def negligible_basis(l, m, t0: Fraction | int, flavor: str = "S") -> list[Morphism]:
     """Basis of the negligible subspace of Hom([l], [m]) at t = t0."""
-    src = _as_signature(l, flavor)
-    tgt = _as_signature(m, flavor)
-    fs = hom_basis(src, tgt)
     report = gram(l, m, t0, flavor)
+    src = as_signature(l, flavor)
+    tgt = as_signature(m, flavor)
+    fs = hom_basis(src, tgt)
     out = []
     # f = sum a_i f_i is negligible iff a^T G = 0, i.e. a in the right
     # nullspace of G^T

@@ -3,8 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
+from interpcat import cli, selftest
 from interpcat.cli import main
+from interpcat.karoubi import NonGenericPointError
 
 WORKED_P = {"flavor": "S", "top": 3, "bottom": 6, "blocks": [[1, 3, -2], [2, -4, -5], [-1], [-3, -6]]}
 WORKED_Q = {"flavor": "S", "top": 6, "bottom": 2, "blocks": [[1, 3], [2, -2], [4, -1], [5], [6]]}
@@ -226,6 +229,49 @@ class TestSelftestCommand:
         monkeypatch.setenv("INTERPCAT_SEED", "123")
         got = run_json(capsys, "selftest", "--level", "quick")
         assert got["seed"] == 123
+
+    def test_bad_seed_env_is_schema_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("INTERPCAT_SEED", "abc")
+        assert main(["selftest", "--level", "quick"]) == 2
+        assert "INTERPCAT_SEED" in capsys.readouterr().err
+
+    def test_bad_seed_env_spares_other_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("INTERPCAT_SEED", "abc")
+        got = run_json(capsys, "lr", "--lambda", "[2,1]", "--mu", "[1]", "--nu", "[1,1]")
+        assert got == {"coefficient": 1}
+
+    def test_crashing_check_is_reported(self, capsys, monkeypatch):
+        def check_crash(rng, full):
+            raise ZeroDivisionError("division by zero")
+
+        checks = [selftest.CHECKS[0], ("crash", check_crash)]
+        monkeypatch.setattr(selftest, "CHECKS", checks)
+        code, out = run_cli(capsys, "selftest", "--level", "quick")
+        assert code == 1
+        got = json.loads(out)
+        assert got["counts"] == {"pass": 1, "fail": 1}
+        assert got["checks"][1] == {
+            "name": "crash",
+            "status": "error",
+            "detail": "ZeroDivisionError: division by zero",
+        }
+
+
+class TestExitCodes:
+    def test_non_generic_point_exit_1(self, capsys, monkeypatch):
+        def unlucky(args):
+            raise NonGenericPointError("two sample points disagreed")
+
+        monkeypatch.setattr(cli, "cmd_decompose", unlucky)
+        assert main(["decompose", "-f", "{}"]) == 1
+        assert "two sample points disagreed" in capsys.readouterr().err
+
+    def test_oversized_gram_refused_up_front(self, capsys):
+        start = time.perf_counter()
+        code = main(["gram", "-l", "4", "-m", "4", "--t", "2"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "budget" in capsys.readouterr().err
 
 
 class TestSubprocess:

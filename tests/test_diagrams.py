@@ -8,16 +8,12 @@ from interpcat.diagrams import (
     brauer_diagram,
     closure_components,
     coarsenings,
-    compose_brauer,
-    compose_partition,
-    compose_walled,
+    compose_diagrams,
     diagram_from_json,
     diagram_to_json,
     enumerate_basis,
     flip,
-    identity_brauer,
-    identity_partition,
-    identity_walled,
+    identity_diagram,
     partition_diagram,
     refines,
     tensor_diagram,
@@ -36,7 +32,7 @@ WORKED_RESULT = partition_diagram(3, 2, [(1, 3, -2), (2, -1)])
 
 class TestCanonical:
     def test_identity(self):
-        assert partition_diagram(1, 1, [(1, -1)]) == identity_partition(1)
+        assert partition_diagram(1, 1, [(1, -1)]) == identity_diagram("S", 1)
 
     def test_canonical_ordering_unique(self):
         a = partition_diagram(3, 6, [(-1,), (2, -4, -5), (-6, -3), (3, -2, 1)])
@@ -67,56 +63,57 @@ class TestCanonical:
 
 class TestCompose:
     def test_worked_composition_example(self):
-        result, n = compose_partition(WORKED_Q, WORKED_P)
+        result, n = compose_diagrams(WORKED_Q, WORKED_P)
         assert result == WORKED_RESULT
         assert n == 1
 
     def test_identity_composition(self):
-        assert compose_partition(identity_partition(2), identity_partition(2)) == (
-            identity_partition(2),
+        assert compose_diagrams(identity_diagram("S", 2), identity_diagram("S", 2)) == (
+            identity_diagram("S", 2),
             0,
         )
 
     def test_pi_squared(self):
-        assert compose_partition(PI, PI) == (PI, 1)
+        assert compose_diagrams(PI, PI) == (PI, 1)
 
     def test_signature_mismatch(self):
         with pytest.raises(ValueError):
-            compose_partition(WORKED_P, WORKED_P)
+            compose_diagrams(WORKED_P, WORKED_P)
 
     def test_brauer_cup_cap(self):
         e = brauer_diagram(2, 2, [(1, 2), (-1, -2)])
-        assert compose_brauer(e, e) == (e, 1)
+        assert compose_diagrams(e, e) == (e, 1)
 
     def test_brauer_identity(self):
         e = brauer_diagram(2, 2, [(1, 2), (-1, -2)])
-        assert compose_brauer(identity_brauer(2), e) == (e, 0)
+        assert compose_diagrams(identity_diagram("O", 2), e) == (e, 0)
 
     def test_brauer_swap_involution(self):
         swap = brauer_diagram(2, 2, [(1, -2), (2, -1)])
-        assert compose_brauer(swap, swap) == (identity_brauer(2), 0)
+        assert compose_diagrams(swap, swap) == (identity_diagram("O", 2), 0)
 
     def test_walled_cup_cap(self):
         e = walled_diagram((1, 1), (1, 1), [(1, 2), (-1, -2)])
-        assert compose_walled(e, e) == (e, 1)
+        assert compose_diagrams(e, e) == (e, 1)
 
     def test_walled_identity(self):
         e = walled_diagram((1, 1), (1, 1), [(1, 2), (-1, -2)])
-        assert compose_walled(e, identity_walled(1, 1)) == (e, 0)
+        assert compose_diagrams(e, identity_diagram("GL", (1, 1))) == (e, 0)
 
     def test_walled_zigzag_chain(self):
         # (id (x) ev) o (coev (x) id) traced at the diagram level on [1, 0]
         coev_id = walled_diagram((1, 0), (2, 1), [(1, -2), (-1, -3)])
         id_ev = walled_diagram((2, 1), (1, 0), [(1, -1), (2, 3)])
-        assert compose_walled(id_ev, coev_id) == (identity_walled(1, 0), 0)
+        assert compose_diagrams(id_ev, coev_id) == (identity_diagram("GL", (1, 0)), 0)
 
 
 class TestTensorFlip:
     def test_identity_tensor(self):
-        assert tensor_diagram(identity_partition(1), identity_partition(1)) == identity_partition(2)
+        one = identity_diagram("S", 1)
+        assert tensor_diagram(one, one) == identity_diagram("S", 2)
 
     def test_pi_tensor_id(self):
-        got = tensor_diagram(PI, identity_partition(1))
+        got = tensor_diagram(PI, identity_diagram("S", 1))
         assert got == partition_diagram(2, 2, [(1,), (-1,), (2, -2)])
 
     def test_empty_unit(self):
@@ -124,7 +121,7 @@ class TestTensorFlip:
         assert tensor_diagram(empty, WORKED_P) == WORKED_P
 
     def test_flip_identity(self):
-        assert flip(identity_partition(3)) == identity_partition(3)
+        assert flip(identity_diagram("S", 3)) == identity_diagram("S", 3)
 
     def test_flip_mirror(self):
         assert flip(WORKED_P) == partition_diagram(
@@ -137,9 +134,27 @@ class TestTensorFlip:
         for d in enumerate_basis("GL", (1, 1), (2, 0)):
             assert flip(flip(d)) == d
 
+    def test_flip_brauer(self):
+        d = brauer_diagram(2, 4, [(1, -3), (2, -1), (-2, -4)])
+        assert flip(d) == brauer_diagram(4, 2, [(1, -2), (2, 4), (3, -1)])
+
+    def test_flip_walled(self):
+        d = walled_diagram((2, 1), (1, 0), [(1, -1), (2, 3)])
+        assert flip(d) == walled_diagram((1, 0), (2, 1), [(1, -1), (-2, -3)])
+
+    def test_brauer_tensor(self):
+        swap = brauer_diagram(2, 2, [(1, -2), (2, -1)])
+        cup = brauer_diagram(0, 2, [(-1, -2)])
+        assert tensor_diagram(swap, cup) == brauer_diagram(
+            2, 4, [(1, -2), (2, -1), (-3, -4)]
+        )
+        cap = brauer_diagram(2, 0, [(1, 2)])
+        strand = brauer_diagram(1, 1, [(1, -1)])
+        assert tensor_diagram(cap, strand) == brauer_diagram(3, 1, [(1, 2), (3, -1)])
+
     def test_gl_tensor_color_sorting(self):
-        a = identity_walled(1, 1)
-        b = identity_walled(1, 0)
+        a = identity_diagram("GL", (1, 1))
+        b = identity_diagram("GL", (1, 0))
         out = tensor_diagram(a, b)
         assert out.source == (2, 1)
         # a's black 1 stays at 1, b's black goes to 2, a's white to 3
@@ -172,7 +187,7 @@ class TestRefinement:
 class TestClosure:
     def test_identity_closure(self):
         for m in range(4):
-            assert closure_components(identity_partition(m)) == m
+            assert closure_components(identity_diagram("S", m)) == m
 
     def test_pi_closure(self):
         assert closure_components(PI) == 1
@@ -216,6 +231,22 @@ class TestWireFormat:
         for d in samples:
             blob = json.dumps(diagram_to_json(d))
             assert diagram_from_json(json.loads(blob)) == d
+
+    def test_exact_json_each_flavor(self):
+        assert diagram_to_json(partition_diagram(2, 1, [(1, -1), (2,)])) == {
+            "flavor": "S", "top": 2, "bottom": 1, "blocks": [[1, -1], [2]],
+        }
+        assert diagram_to_json(brauer_diagram(2, 2, [(1, 2), (-1, -2)])) == {
+            "flavor": "O", "top": 2, "bottom": 2, "blocks": [[1, 2], [-1, -2]],
+        }
+        assert diagram_to_json(walled_diagram((2, 1), (1, 0), [(1, -1), (2, 3)])) == {
+            "flavor": "GL",
+            "top": 3,
+            "bottom": 1,
+            "top_colors": "110",
+            "bottom_colors": "1",
+            "blocks": [[1, -1], [2, 3]],
+        }
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="flavor"):

@@ -143,6 +143,45 @@ class TestDuality:
         m = swap(sig_s(0), sig_s(2))
         assert m == identity(sig_s(2))
 
+    def test_o_gl_ev_coev_diagrams(self):
+        one = "(1)/(1) * "
+        cases = [
+            (sig_o(0), "B[0->0: ]", "B[0->0: ]"),
+            (sig_o(1), "B[2->0: {1, 2}]", "B[0->2: {1', 2'}]"),
+            (sig_o(2), "B[4->0: {1, 3}, {2, 4}]", "B[0->4: {1', 3'}, {2', 4'}]"),
+            (sig_gl(0, 0), "W[(0, 0)->(0, 0): ]", "W[(0, 0)->(0, 0): ]"),
+            (sig_gl(1, 0), "W[(1, 1)->(0, 0): {1, 2}]", "W[(0, 0)->(1, 1): {1', 2'}]"),
+            (sig_gl(0, 1), "W[(1, 1)->(0, 0): {1, 2}]", "W[(0, 0)->(1, 1): {1', 2'}]"),
+            (sig_gl(1, 1), "W[(2, 2)->(0, 0): {1, 4}, {2, 3}]",
+             "W[(0, 0)->(2, 2): {1', 4'}, {2', 3'}]"),
+            (sig_gl(2, 0), "W[(2, 2)->(0, 0): {1, 4}, {2, 3}]",
+             "W[(0, 0)->(2, 2): {1', 4'}, {2', 3'}]"),
+            (sig_gl(0, 2), "W[(2, 2)->(0, 0): {1, 4}, {2, 3}]",
+             "W[(0, 0)->(2, 2): {1', 4'}, {2', 3'}]"),
+        ]
+        for sig, ev_str, coev_str in cases:
+            assert str(ev(sig)) == one + ev_str, sig
+            assert str(coev(sig)) == one + coev_str, sig
+
+    def test_o_gl_swap_diagrams(self):
+        one = "(1)/(1) * "
+        cases = [
+            (sig_o(0), sig_o(1), "B[1->1: {1, 1'}]"),
+            (sig_o(1), sig_o(1), "B[2->2: {1, 2'}, {2, 1'}]"),
+            (sig_o(2), sig_o(1), "B[3->3: {1, 2'}, {2, 3'}, {3, 1'}]"),
+            (sig_o(1), sig_o(2), "B[3->3: {1, 3'}, {2, 1'}, {3, 2'}]"),
+            (sig_o(2), sig_o(2), "B[4->4: {1, 3'}, {2, 4'}, {3, 1'}, {4, 2'}]"),
+            (sig_gl(0, 0), sig_gl(1, 1), "W[(1, 1)->(1, 1): {1, 1'}, {2, 2'}]"),
+            (sig_gl(1, 0), sig_gl(0, 1), "W[(1, 1)->(1, 1): {1, 1'}, {2, 2'}]"),
+            (sig_gl(1, 1), sig_gl(1, 0), "W[(2, 1)->(2, 1): {1, 2'}, {2, 1'}, {3, 3'}]"),
+            (sig_gl(2, 0), sig_gl(0, 2),
+             "W[(2, 2)->(2, 2): {1, 1'}, {2, 2'}, {3, 3'}, {4, 4'}]"),
+            (sig_gl(1, 1), sig_gl(1, 1),
+             "W[(2, 2)->(2, 2): {1, 2'}, {2, 1'}, {3, 4'}, {4, 3'}]"),
+        ]
+        for a, b, want in cases:
+            assert str(swap(a, b)) == one + want, (a, b)
+
 
 class TestBasisChange:
     def test_e_pi_in_delta_basis(self):

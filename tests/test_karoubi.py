@@ -89,6 +89,10 @@ class TestYoungSymmetrizer:
         for lam in partitions_of(4):
             assert is_idempotent(young_symmetrizer(lam)), lam
 
+    def test_brauer_permutation(self):
+        got = permutation_morphism((2, 3, 1), "O")
+        assert str(got) == "(1)/(1) * B[3->3: {1, 2'}, {2, 3'}, {3, 1'}]"
+
     def test_brauer_flavor(self):
         y = young_symmetrizer((2,), "O")
         assert is_idempotent(y)

@@ -6,7 +6,7 @@ import pytest
 from interpcat.diagrams import (
     coarsenings,
     enumerate_basis,
-    identity_partition,
+    identity_diagram,
     partition_diagram,
 )
 from interpcat.homspaces import diagram_morphism, identity, sig_gl, sig_s
@@ -37,7 +37,7 @@ class TestPatternMatrices:
             assert np.array_equal(delta_matrix(PI, n), expected)
 
     def test_identity_matrix(self):
-        assert np.array_equal(e_matrix(identity_partition(1), 3), np.eye(3, dtype=np.int64))
+        assert np.array_equal(e_matrix(identity_diagram("S", 1), 3), np.eye(3, dtype=np.int64))
 
     def test_delta_vanishes_with_many_blocks(self):
         d = partition_diagram(2, 1, [(1,), (2,), (-1,)])
@@ -51,7 +51,7 @@ class TestPatternMatrices:
 
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
-            e_matrix(identity_partition(8), 7)
+            e_matrix(identity_diagram("S", 8), 7)
 
     def test_four_to_three_map(self):
         # P = {1,1'}, {2,4}, {3}, {2',3'} sends v_i1 x v_i2 x v_i3 x v_i4 to
