@@ -147,27 +147,31 @@ def _check_flavor(stated: str | None, value, field: str):
         raise SchemaError(f"{field}: payload has flavor {actual}, --flavor says {stated}")
 
 
-def cmd_compose(args):
+def _operands(args):
+    """-P and -Q of compose and tensor: both diagrams or both morphisms, of
+    the --flavor if one is stated; two diagrams must share their flavor."""
     kind_p, p = _diagram_or_morphism(args.P, "-P")
     kind_q, q = _diagram_or_morphism(args.Q, "-Q")
     if kind_p != kind_q:
         raise SchemaError("-P and -Q must both be diagrams or both be morphisms")
     _check_flavor(args.flavor, p, "-P")
     _check_flavor(args.flavor, q, "-Q")
-    if kind_p == "diagram":
+    if kind_p == "diagram" and p.flavor != q.flavor:
+        raise SchemaError(f"-Q: diagram has flavor {q.flavor}, -P has flavor {p.flavor}")
+    return kind_p, p, q
+
+
+def cmd_compose(args):
+    kind, p, q = _operands(args)
+    if kind == "diagram":
         d, power = diagrams.compose_diagrams(q, p)  # -P acts first
         return {"diagram": diagrams.diagram_to_json(d), "t_power": power}
     return morphism_to_json(compose(q, p))
 
 
 def cmd_tensor(args):
-    kind_p, p = _diagram_or_morphism(args.P, "-P")
-    kind_q, q = _diagram_or_morphism(args.Q, "-Q")
-    if kind_p != kind_q:
-        raise SchemaError("-P and -Q must both be diagrams or both be morphisms")
-    _check_flavor(args.flavor, p, "-P")
-    _check_flavor(args.flavor, q, "-Q")
-    if kind_p == "diagram":
+    kind, p, q = _operands(args)
+    if kind == "diagram":
         return {"diagram": diagrams.diagram_to_json(diagrams.tensor_diagram(p, q))}
     return morphism_to_json(homspaces.tensor(p, q))
 

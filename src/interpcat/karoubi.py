@@ -385,10 +385,10 @@ def _decomposition_matrix(flavor: str, lam: Label, mu: Label) -> int:
 def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
     """Multiplicities of the strictly smaller simples inside Y_lam."""
     Y = symmetrizer_object(lam, flavor)
-    labels = _labels_below(flavor, lam)
+    symmetrizers = _symmetrizers(flavor, _labels_below(flavor, lam))
 
     def at_point(t0: Fraction | None) -> dict[Label, int]:
-        mult = _triangular_multiplicities(Y, flavor, labels, t0)
+        mult = _triangular_multiplicities(Y, flavor, symmetrizers, t0)
         # primitivity check: L(lam) must appear exactly once on top
         self_rank = _hom_rank(Y, Y, t0)
         if self_rank != 1 + sum(m * m for m in mult.values()):
@@ -400,15 +400,25 @@ def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
     return _certified(at_point, seed_material=("K", flavor, lam))
 
 
+def _symmetrizers(flavor: str, labels: list[Label]) -> dict[Label, KaroubiObject]:
+    """Y_lam for each label, in the given order; built once per computation so
+    every sample point (and the exact fallback) reuses the same objects."""
+    return {lam: symmetrizer_object(lam, flavor) for lam in labels}
+
+
 def _triangular_multiplicities(
-    X: KaroubiObject, flavor: str, labels: list[Label], t0: Fraction | None
+    X: KaroubiObject,
+    flavor: str,
+    symmetrizers: dict[Label, KaroubiObject],
+    t0: Fraction | None,
 ) -> dict[Label, int]:
-    """Invert the unitriangular K system over the given labels (size order)."""
+    """Invert the unitriangular K system over the labels of `symmetrizers`
+    (size order)."""
     mult: dict[Label, int] = {}
-    for lam in labels:
-        h = _hom_rank(X, symmetrizer_object(lam, flavor), t0)
+    for lam, Y in symmetrizers.items():
+        h = _hom_rank(X, Y, t0)
         corr = 0
-        for mu in labels:
+        for mu in symmetrizers:
             if _label_size(flavor, mu) < _label_size(flavor, lam) and mult.get(mu):
                 corr += mult[mu] * _decomposition_matrix(flavor, lam, mu)
         value = h - corr
@@ -435,10 +445,10 @@ def _certified(at_point, seed_material) -> dict[Label, int]:
 
 def _multiplicities_of(X: KaroubiObject, flavor: str, seed: int = 0) -> dict[Label, int]:
     """Multiplicities of all candidate simples in X, with certification."""
-    labels = DIAGRAM_CLASSES[flavor]._labels(X.sig.data)
+    symmetrizers = _symmetrizers(flavor, DIAGRAM_CLASSES[flavor]._labels(X.sig.data))
 
     def at_point(t0: Fraction | None) -> dict[Label, int]:
-        return _triangular_multiplicities(X, flavor, labels, t0)
+        return _triangular_multiplicities(X, flavor, symmetrizers, t0)
 
     return _certified(at_point, seed_material=(seed, str(X.sig), len(X.idem.terms)))
 
@@ -457,10 +467,11 @@ def multiplicity(
     if lam not in labels:
         return 0
     if t0 is not None:
-        first = _triangular_multiplicities(X, flavor, labels, Fraction(t0))
+        symmetrizers = _symmetrizers(flavor, labels)
+        first = _triangular_multiplicities(X, flavor, symmetrizers, Fraction(t0))
         rng = random.Random(seed)
         (check,) = _sample_points(rng, 1)
-        second = _triangular_multiplicities(X, flavor, labels, check)
+        second = _triangular_multiplicities(X, flavor, symmetrizers, check)
         if first != second:
             raise NonGenericPointError(
                 f"t0 = {t0} is not generic for this multiplicity computation"

@@ -11,6 +11,27 @@ in three layers:
 A RatFunc is always canonical: gcd(num, den) = 1 and den is monic, so
 equality and hashing are structural.  All values are immutable.
 
+The public constructor RatFunc(num, den) brings any pair to that form.
+Arithmetic keeps it without redundant gcds (Henrici, JACM 1956; Knuth,
+TAOCP vol. 2, 4.5.1) and hands its results to the private `_make`, which
+trusts them.  Each shortcut stays exact because of a coprimality fact:
+
+  * a constant denominator is normalized by scaling: no Euclid loop;
+  * a gcd with a nonzero constant operand is 1, so it is never computed;
+  * polynomials (denominator 1) add, subtract, multiply and negate as
+    polynomials, and a/b + c/1 = (a + cb)/b is reduced because
+    gcd(a + cb, b) = gcd(a, b);
+  * a/b + c/d with g = gcd(b, d): s = a(d/g) + c(b/g) is coprime to b/g and
+    d/g, so only h = gcd(s, g) can cancel, giving (s/h) / ((b/g)(d/h));
+    when g = 1 the result (ad + bc)/(bd) is already reduced;
+  * (a/b)(c/d): only gcd(a, d) and gcd(c, b) can cancel, and once they are
+    divided out the product is reduced; a quotient is the product with the
+    inverse, scaled to a monic denominator;
+  * negation and t -> -t keep num and den coprime.
+
+Coefficients are Fractions throughout; Poly arithmetic builds its results
+from Fractions without re-wrapping them.
+
 Text format (used by the CLI): ``(num)/(den)`` where each side is a sparse
 sum of terms ``c``, ``c*t``, ``c*t^k``.  Bare integers, ``a/b`` rationals and
 denominator-free polynomials are accepted as shorthand on input.
@@ -18,11 +39,16 @@ denominator-free polynomials are accepted as shorthand on input.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, "RatFunc"]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_new = object.__new__
 
 
 class PoleError(ZeroDivisionError):
@@ -35,8 +61,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
@@ -73,45 +99,57 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _poly(out)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a)
+        out += [_ZERO] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return _poly(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        a, b = self.coeffs, other.coeffs
+        if len(a) <= 1 or len(b) <= 1:
+            if not a or not b:
+                return POLY_ZERO
+            return other.scale(a[0]) if len(a) == 1 else self.scale(b[0])
+        out = [_ZERO] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _poly(out)
 
     def scale(self, c: Fraction | int) -> "Poly":
-        c = Fraction(c)
-        return Poly(tuple(a * c for a in self.coeffs))
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c == 1:
+            return self
+        if not c:
+            return POLY_ZERO
+        return _poly([a * c for a in self.coeffs])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
+        d = other.degree
+        lower, lead = other.coeffs[:d], other.coeffs[d]
         rem = list(self.coeffs)
-        d, lead = other.degree, other.leading()
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[i + shift] -= factor * c
-        return Poly(q), Poly(rem)
+        q = [_ZERO] * max(0, len(rem) - d)
+        for shift in range(len(rem) - 1 - d, -1, -1):
+            factor = rem[shift + d]
+            if factor:
+                if lead != 1:
+                    factor = factor / lead
+                q[shift] = factor
+                for i, c in enumerate(lower):
+                    rem[shift + i] -= factor * c
+        return _poly(q), _poly(rem[:d])
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -120,8 +158,11 @@ class Poly:
         return self if lead == 1 else self.scale(1 / lead)
 
     def gcd(self, other: "Poly") -> "Poly":
+        """Monic gcd; the zero polynomial only for gcd(0, 0)."""
         a, b = self, other
-        while not b.is_zero():
+        while b.coeffs:
+            if len(b.coeffs) == 1:
+                return POLY_ONE
             a, b = b, divmod(a, b)[1]
         return a.monic()
 
@@ -134,7 +175,7 @@ class Poly:
 
     def at_minus_t(self) -> "Poly":
         """Substitute t -> -t."""
-        return Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
+        return _poly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
 
     # -- text --------------------------------------------------------------
 
@@ -172,7 +213,37 @@ POLY_T = Poly((0, 1))
 def poly_t_power(k: int) -> Poly:
     if k < 0:
         raise ValueError("negative power of t is not a polynomial")
-    return Poly((0,) * k + (1,))
+    return _poly([_ZERO] * k + [_ONE])
+
+
+def _poly(cs: list[Fraction]) -> Poly:
+    """Trusted Poly constructor: cs holds Fractions; trailing zeros are dropped."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = _new(Poly)
+    p.coeffs = tuple(cs)
+    return p
+
+
+def _exquo(a: Poly, b: Poly) -> Poly:
+    """a / b for a monic b that divides a exactly.
+
+    Only the coefficients that become leading terms are updated; the rest
+    would cancel to the zero remainder.
+    """
+    bc = b.coeffs
+    d = len(bc) - 1
+    if d == 0:
+        return a
+    rem = list(a.coeffs)
+    q = [_ZERO] * (len(rem) - d)
+    for shift in range(len(rem) - 1 - d, -1, -1):
+        factor = rem[shift + d]
+        if factor:
+            q[shift] = factor
+            for i in range(max(0, d - shift), d):
+                rem[shift + i] -= factor * bc[i]
+    return _poly(q)
 
 
 class RatFunc:
@@ -187,17 +258,20 @@ class RatFunc:
             self.num, self.den = num.num, num.den
             return
         num = _as_poly(num)
-        den = POLY_ONE if den is None else _as_poly(den)
+        if den is None:
+            self.num, self.den = num, POLY_ONE
+            return
+        den = _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
-        lead = den.leading()
+        if not num.coeffs:
+            den = POLY_ONE
+        elif len(num.coeffs) > 1 and len(den.coeffs) > 1:
+            g = num.gcd(den)
+            num, den = _exquo(num, g), _exquo(den, g)
+        lead = den.coeffs[-1]
         if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
         self.num, self.den = num, den
 
     def is_zero(self) -> bool:
@@ -208,11 +282,11 @@ class RatFunc:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = RatFunc(Poly((other,)))
+            other = _as_ratfunc(other)
         return (
             isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.den == other.den
+            and self.num.coeffs == other.num.coeffs
+            and self.den.coeffs == other.den.coeffs
         )
 
     def __hash__(self) -> int:
@@ -220,22 +294,24 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return _make(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
-        return self + (-_as_ratfunc(other))
+        other = _as_ratfunc(other)
+        return _sum(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other) -> "RatFunc":
-        return _as_ratfunc(other) + (-self)
+        other = _as_ratfunc(other)
+        return _sum(other.num, other.den, -self.num, self.den)
 
     def __mul__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -243,7 +319,7 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other) -> "RatFunc":
         return _as_ratfunc(other) / self
@@ -257,7 +333,10 @@ class RatFunc:
         return self.num(t0) / d
 
     def at_minus_t(self) -> "RatFunc":
-        return RatFunc(self.num.at_minus_t(), self.den.at_minus_t())
+        num, den = self.num.at_minus_t(), self.den.at_minus_t()
+        if den.coeffs[-1] != 1:  # odd degree: the leading coefficient is -1
+            num, den = -num, -den
+        return _make(num, den)
 
     def is_polynomial(self) -> bool:
         return self.den == POLY_ONE
@@ -267,24 +346,68 @@ class RatFunc:
         # pair is integral with content 1 (parses back to the same value).
         if self.is_zero():
             return "(0)/(1)"
-        coeffs = list(self.num.coeffs) + list(self.den.coeffs)
-        lcm_den = 1
-        for c in coeffs:
-            lcm_den = lcm_den * c.denominator // _gcd(lcm_den, c.denominator)
-        gcd_num = 0
-        for c in coeffs:
-            gcd_num = _gcd(gcd_num, abs(c.numerator))
-        scale = Fraction(lcm_den, gcd_num or 1)
+        coeffs = self.num.coeffs + self.den.coeffs
+        scale = Fraction(
+            math.lcm(*(c.denominator for c in coeffs)),
+            math.gcd(*(c.numerator for c in coeffs)),
+        )
         return f"({self.num.scale(scale)})/({self.den.scale(scale)})"
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _make(num: Poly, den: Poly) -> RatFunc:
+    """Trusted RatFunc constructor for pairs that are canonical by construction."""
+    f = _new(RatFunc)
+    f.num = num
+    f.den = den
+    return f
+
+
+def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
+    """a/b + c/d for canonical pairs, by Henrici's addition rule."""
+    if not c.coeffs:
+        return _make(a, b)
+    if not a.coeffs:
+        return _make(c, d)
+    if len(b.coeffs) == 1:  # b = 1
+        return _make(a + c, POLY_ONE) if len(d.coeffs) == 1 else _make(a * d + c, d)
+    if len(d.coeffs) == 1:
+        return _make(a + c * b, b)
+    g = b if b.coeffs == d.coeffs else b.gcd(d)
+    if len(g.coeffs) == 1:
+        return _make(a * d + c * b, b * d)
+    b_g = _exquo(b, g)
+    s = a * _exquo(d, g) + c * b_g
+    if not s.coeffs:
+        return RF_ZERO
+    if len(s.coeffs) > 1:
+        h = s.gcd(g)
+        if len(h.coeffs) > 1:
+            return _make(_exquo(s, h), b_g * _exquo(d, h))
+    return _make(s, b_g * d)
+
+
+def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
+    """(a/b) * (c/d) for coprime pairs with b monic and d nonzero.
+
+    Cancels the cross gcds only; d need not be monic, so division is the
+    product with the inverse, and the result is scaled to a monic denominator.
+    """
+    if not a.coeffs or not c.coeffs:
+        return RF_ZERO
+    if len(a.coeffs) > 1 and len(d.coeffs) > 1:
+        g = a.gcd(d)
+        a, d = _exquo(a, g), _exquo(d, g)
+    if len(c.coeffs) > 1 and len(b.coeffs) > 1:
+        g = c.gcd(b)
+        c, b = _exquo(c, g), _exquo(b, g)
+    num, den = a * c, b * d
+    lead = den.coeffs[-1]
+    if lead != 1:
+        num, den = num.scale(1 / lead), den.scale(1 / lead)
+    return _make(num, den)
 
 
 def _as_poly(x) -> Poly:
@@ -299,18 +422,18 @@ def _as_ratfunc(x) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, (int, Fraction, Poly)):
-        return RatFunc(x)
+        return _make(_as_poly(x), POLY_ONE)
     raise TypeError(f"cannot interpret {x!r} as a rational function in t")
 
 
-RF_ZERO = RatFunc(POLY_ZERO)
-RF_ONE = RatFunc(POLY_ONE)
-RF_T = RatFunc(POLY_T)
+RF_ZERO = _make(POLY_ZERO, POLY_ONE)
+RF_ONE = _make(POLY_ONE, POLY_ONE)
+RF_T = _make(POLY_T, POLY_ONE)
 
 
 def t_power(k: int) -> RatFunc:
     """t^k for k >= 0."""
-    return RatFunc(poly_t_power(k))
+    return _make(poly_t_power(k), POLY_ONE)
 
 
 def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Poly:

@@ -27,8 +27,8 @@ MAX_GRAM_BASIS = 300
 
 
 def _gram_bases(l, m, flavor: str):
-    """Bases of Hom(l, m) and Hom(m, l), refusing spaces over the size budget
-    before enumerating them."""
+    """Signatures of [l] and [m] and bases of Hom(l, m) and Hom(m, l),
+    refusing spaces over the size budget before enumerating them."""
     src = as_signature(l, flavor)
     tgt = as_signature(m, flavor)
     size = basis_size(src.flavor, src.data, tgt.data)
@@ -36,7 +36,7 @@ def _gram_bases(l, m, flavor: str):
         raise ValueError(
             f"Gram budget exceeded: Hom({src}, {tgt}) has {size} > {MAX_GRAM_BASIS} diagrams"
         )
-    return hom_basis(src, tgt), hom_basis(tgt, src)
+    return src, tgt, hom_basis(src, tgt), hom_basis(tgt, src)
 
 
 def _pairing_power(f, g) -> int:
@@ -45,10 +45,18 @@ def _pairing_power(f, g) -> int:
     return middle + closure_components(d)
 
 
+def _gram_entries(fs, gs, t0: Fraction | None) -> list[list]:
+    """Tr(f o g) for f in fs (rows) and g in gs (columns), at t0 or in Q(t)."""
+    powers = [[_pairing_power(f, g) for g in gs] for f in fs]
+    if t0 is None:
+        return [[t_power(p) for p in row] for row in powers]
+    return [[t0**p for p in row] for row in powers]
+
+
 def gram_matrix_symbolic(l, m, flavor: str = "S") -> list[list[RatFunc]]:
     """Trace-pairing Gram matrix over Q(t); entries are powers of t."""
-    fs, gs = _gram_bases(l, m, flavor)
-    return [[t_power(_pairing_power(f, g)) for g in gs] for f in fs]
+    _, _, fs, gs = _gram_bases(l, m, flavor)
+    return _gram_entries(fs, gs, None)
 
 
 @dataclass
@@ -67,13 +75,10 @@ class GramReport:
 
 def gram(l, m, t0: Fraction | int | None, flavor: str = "S") -> GramReport:
     """Exact Gram matrix and rank; t0 = None keeps entries symbolic in Q(t)."""
-    fs, gs = _gram_bases(l, m, flavor)
-    powers = [[_pairing_power(f, g) for g in gs] for f in fs]
-    if t0 is None:
-        matrix = [[t_power(p) for p in row] for row in powers]
-    else:
+    _, _, fs, gs = _gram_bases(l, m, flavor)
+    if t0 is not None:
         t0 = Fraction(t0)
-        matrix = [[t0**p for p in row] for row in powers]
+    matrix = _gram_entries(fs, gs, t0)
     rank = dense_rank(matrix) if matrix else 0
     size = len(fs)
     return GramReport(
@@ -104,14 +109,11 @@ def is_negligible(f: Morphism, t0: Fraction | int) -> bool:
 
 def negligible_basis(l, m, t0: Fraction | int, flavor: str = "S") -> list[Morphism]:
     """Basis of the negligible subspace of Hom([l], [m]) at t = t0."""
-    report = gram(l, m, t0, flavor)
-    src = as_signature(l, flavor)
-    tgt = as_signature(m, flavor)
-    fs = hom_basis(src, tgt)
+    src, tgt, fs, gs = _gram_bases(l, m, flavor)
     out = []
     # f = sum a_i f_i is negligible iff a^T G = 0, i.e. a in the right
     # nullspace of G^T
-    transpose = [list(col) for col in zip(*report.gram)] if report.gram else []
+    transpose = [list(col) for col in zip(*_gram_entries(fs, gs, Fraction(t0)))]
     for vec in right_nullspace(transpose):
         terms = {d: RatFunc(a) for d, a in zip(fs, vec) if a}
         out.append(Morphism(src, tgt, terms))

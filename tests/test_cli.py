@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from interpcat import cli, selftest
 from interpcat.cli import main
 from interpcat.karoubi import NonGenericPointError
@@ -60,6 +62,16 @@ class TestCompose:
             capsys, "compose", "--flavor", "O", "-P", json.dumps(WORKED_P), "-Q", json.dumps(WORKED_Q)
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["compose", "tensor"])
+    def test_mixed_flavor_diagrams_are_schema_error(self, capsys, command):
+        s_diagram = {"flavor": "S", "top": 1, "bottom": 1, "blocks": [[1, -1]]}
+        o_diagram = {"flavor": "O", "top": 1, "bottom": 1, "blocks": [[1, -1]]}
+        code = main([command, "-P", json.dumps(s_diagram), "-Q", json.dumps(o_diagram)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "schema error: -Q: diagram has flavor O, -P has flavor S\n"
 
 
 class TestScalarCommands:

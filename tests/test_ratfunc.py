@@ -1,5 +1,8 @@
 """Exact scalar arithmetic: canonical forms, evaluation, interpolation."""
 
+import itertools
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from interpcat.ratfunc import (
     RatFunc,
     RF_ONE,
     RF_T,
+    RF_ZERO,
     format_ratfunc,
     interpolate,
     parse_poly,
@@ -46,6 +50,172 @@ class TestArithmetic:
         assert 1 + t == t + 1
         assert 2 * t == t + t
         assert t - Fraction(1, 2) == RatFunc(Poly((Fraction(-1, 2), 1)))
+
+
+def _full_reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Textbook normal form: divide out the Euclidean gcd, then make den monic."""
+    a, b = num, den
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    num, den = divmod(num, a)[0], divmod(den, a)[0]
+    lead = den.leading()
+    return num.scale(1 / lead), den.scale(1 / lead)
+
+
+def _linear_product(roots, scale=1) -> Poly:
+    p = Poly((scale,))
+    for r in roots:
+        p = p * Poly((-r, 1))
+    return p
+
+
+def _random_poly(rng: random.Random, max_degree: int = 2) -> Poly:
+    coeffs = [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(max_degree + 1)]
+    coeffs[-1] = coeffs[-1] or Fraction(1)
+    return Poly(coeffs[: rng.randint(1, max_degree + 1)])
+
+
+# Roots of the denominators; numerators sometimes share one, so products
+# and quotients have cross factors to cancel.
+_ROOTS = (-2, -1, 0, 1, 2, Fraction(1, 2))
+
+
+def _fraction_with_roots(rng: random.Random, roots) -> RatFunc:
+    num = _random_poly(rng) * _linear_product(rng.sample(_ROOTS, rng.randint(0, 1)))
+    den = _linear_product(roots, scale=rng.choice([1, -2, Fraction(3, 2)]))
+    return RatFunc(num, den)
+
+
+def _operand_pair(rng: random.Random, shape: str) -> tuple[RatFunc, RatFunc]:
+    """Two operands of the given shape, from the paths of the arithmetic."""
+    if shape == "constant":
+        return tuple(RatFunc(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in "xy")
+    if shape == "polynomial":
+        return tuple(RatFunc(_random_poly(rng, 3)) for _ in "xy")
+    if shape == "constant denominator":
+        return tuple(
+            RatFunc(_random_poly(rng), Poly((rng.choice([2, -3, Fraction(1, 2)]),))) for _ in "xy"
+        )
+    if shape == "coprime denominators":
+        left = rng.sample(_ROOTS[:3], rng.randint(1, 2))
+        right = rng.sample(_ROOTS[3:], rng.randint(1, 2))
+    else:  # "shared factor": the root sets overlap
+        shared = rng.sample(_ROOTS, 1)
+        rest = [r for r in _ROOTS if r not in shared]
+        left = shared + rng.sample(rest, rng.randint(0, 1))
+        right = shared + rng.sample(rest, rng.randint(0, 2))
+    return _fraction_with_roots(rng, left), _fraction_with_roots(rng, right)
+
+
+SHAPES = ("constant", "polynomial", "constant denominator", "coprime denominators", "shared factor")
+
+# raw (unreduced) numerator and denominator of each binary operation
+_RAW = {
+    operator.add: lambda a, b, c, d: (a * d + c * b, b * d),
+    operator.sub: lambda a, b, c, d: (a * d - c * b, b * d),
+    operator.mul: lambda a, b, c, d: (a * c, b * d),
+    operator.truediv: lambda a, b, c, d: (a * d, b * c),
+}
+
+
+def _raw_parts(x) -> tuple[Poly, Poly]:
+    if isinstance(x, RatFunc):
+        return x.num, x.den
+    return Poly((x,)), Poly((1,))
+
+
+def _assert_canonical(result: RatFunc, raw_num: Poly, raw_den: Poly):
+    expected = RatFunc(raw_num, raw_den)
+    assert (result.num, result.den) == _full_reduce(raw_num, raw_den)
+    assert result == expected and hash(result) == hash(expected)
+    assert result.den.leading() == 1
+    assert result.num.gcd(result.den) == Poly((1,))
+
+
+class TestPolyArithmetic:
+    """Poly ring operations and division, checked by evaluation and degree."""
+
+    def test_ring_operations_evaluate_pointwise(self):
+        rng = random.Random("poly ring")
+        points = (-2, 0, Fraction(1, 3), 5)
+        for _ in range(60):
+            a, b = _random_poly(rng, 3), _random_poly(rng, 3)
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for x in points:
+                assert (a + b)(x) == a(x) + b(x)
+                assert (a - b)(x) == a(x) - b(x)
+                assert (a * b)(x) == a(x) * b(x)
+                assert (-a)(x) == -a(x)
+                assert a.scale(k)(x) == k * a(x)
+                assert a.at_minus_t()(x) == a(-x)
+            for p in (a + b, a - b, a * b, -a, a.scale(k)):
+                assert not p.coeffs or p.coeffs[-1] != 0
+
+    def test_division_with_remainder(self):
+        rng = random.Random("poly divmod")
+        for _ in range(60):
+            a, b = _random_poly(rng, 4), _random_poly(rng, 2)
+            if not b:
+                continue
+            q, r = divmod(a, b)
+            assert q * b + r == a
+            assert r.degree < b.degree
+        assert divmod(Poly(()), Poly((0, 1))) == (Poly(()), Poly(()))
+        assert divmod(Poly((1, 2)), Poly((0, 0, 1))) == (Poly(()), Poly((1, 2)))
+        with pytest.raises(ZeroDivisionError):
+            divmod(Poly((1,)), Poly(()))
+
+
+class TestCanonicalForm:
+    """Every fast path gives the fully reduced fraction the gcd path gives."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_binary_operations(self, shape):
+        rng = random.Random(f"ratfunc {shape}")
+        for _ in range(40):
+            x, y = _operand_pair(rng, shape)
+            scalars = [rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))]
+            for a, b in [(x, y), (y, x), (x, x)] + [p for k in scalars for p in ((x, k), (k, x))]:
+                for op, raw in _RAW.items():
+                    if op is operator.truediv and not b:
+                        continue
+                    _assert_canonical(op(a, b), *raw(*_raw_parts(a), *_raw_parts(b)))
+            _assert_canonical(-x, -x.num, x.den)
+
+    def test_mixed_shapes(self):
+        rng = random.Random("ratfunc mixed")
+        for left, right in itertools.product(SHAPES, repeat=2):
+            x, y = _operand_pair(rng, left)[0], _operand_pair(rng, right)[1]
+            for op, raw in _RAW.items():
+                if op is operator.truediv and not y:
+                    continue
+                _assert_canonical(op(x, y), *raw(x.num, x.den, y.num, y.den))
+
+    def test_sum_cancels_a_shared_factor(self):
+        # 1/(t(t-1)) + 1/(t(t+1)) = 2t / (t(t-1)(t+1)): the shared t cancels
+        a = RF_ONE / (t * (t - 1))
+        b = RF_ONE / (t * (t + 1))
+        assert a + b == RatFunc(Poly((2,)), Poly((-1, 0, 1)))
+        assert t / (t * t - 1) + RF_ONE / (t * t - 1) == RF_ONE / (t - 1)
+        assert a - a == RF_ZERO and (a - a).den == Poly((1,))
+
+    def test_constant_denominator(self):
+        assert RatFunc(Poly([2]), Poly([4])) == Fraction(1, 2)
+        f = RatFunc(Poly((0, 3)), Poly((-6,)))
+        assert f.num == Poly((0, Fraction(-1, 2))) and f.is_polynomial()
+        assert RatFunc(Poly(()), Poly((0, 0, 5))) == RF_ZERO
+
+    def test_polynomial_results(self):
+        p, q = t * t - 2, 3 * t + Fraction(1, 2)
+        for result in (p + q, p - q, p * q, -p, p * 2, Fraction(1, 3) - q, (t * t - 1) / (t - 1)):
+            assert result.is_polynomial()
+        assert not (p / q).is_polynomial()
+
+    def test_at_minus_t_keeps_den_monic(self):
+        f = (t + 2) / (t * t * t - t + 1)
+        g = f.at_minus_t()
+        assert g.den.leading() == 1
+        assert g.eval(3) == f.eval(-3)
 
 
 class TestEval:
