@@ -21,9 +21,15 @@ look the class up in DIAGRAM_CLASSES.  The Diagram base writes the shared
 kernels once, with the defaults of the one-row signature data (m,) of S and
 O; WalledDiagram overrides them for its two-color signature data (r, s).
 
+_compose and _closure are shared by all three flavors and are never
+overridden: a matching is a set partition whose blocks have size 2, with the
+same composition law, so both run on one union-find (_components) over
+_blocks and _signature, and _compose builds its result through _build.
+
 Composition convention: compose_diagrams(p, q) is "p after q" -- q maps
 [k] -> [l], p maps [l] -> [m], and the second return value is the exponent
-of t produced by middle-only components (S) or closed loops (GL, O).
+of t produced by components lying in the middle row only, which for
+matchings (GL, O) are the closed loops.
 """
 
 from __future__ import annotations
@@ -82,27 +88,31 @@ def _as_data(x) -> tuple[int, ...]:
     return (x,) if isinstance(x, int) else tuple(x)
 
 
-class _UnionFind:
-    """Union-find with path compression over a fixed range of ints."""
+def _components(n: int, layers: Iterable[tuple[Iterable[Sequence[int]], int, int]]) -> list[int]:
+    """Union-find over the nodes 0..n-1.
 
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    layers holds (blocks, source_offset, target_offset) triples: endpoint +i
+    of a block is node source_offset + i, endpoint -j is node target_offset + j.
+    Merges the nodes of every block and returns the root of every node, the
+    least node of its component."""
+    parent = list(range(n))
+    for blocks, s, t in layers:
+        for block in blocks:
+            root = -1
+            for x in block:
+                x = s + x if x > 0 else t - x
+                while parent[x] != x:
+                    x = parent[x]
+                if root < 0 or x == root:
+                    root = x
+                elif x < root:
+                    parent[root] = root = x
+                else:
+                    parent[x] = root
+    # parents precede their children, so one ascending pass reaches the roots
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +165,34 @@ class Diagram:
         source, target = self._signature()
         if source != target:
             raise ValueError("closure needs source and target of equal signature")
-        blocks = self._blocks
-        uf = _UnionFind(len(blocks))
-        owner: dict[int, int] = {}
-        for idx, b in enumerate(blocks):
-            for x in b:
-                owner[x] = idx
-        for i in range(1, sum(source) + 1):
-            uf.union(owner[i], owner[-i])
-        return len({uf.find(i) for i in range(len(blocks))})
+        # the closing arc i -- i' makes +i and -i one node
+        root = _components(sum(source), [(self._blocks, -1, -1)])
+        return len(set(root))
 
+    def _compose(self, q: Diagram) -> tuple[Diagram, int]:
+        """self after q, with q: [k] -> [l] and self: [l] -> [m].
 
-def _check_middle(q_target, p_source):
-    if q_target != p_source:
-        raise ValueError(
-            f"cannot compose: q has target {list(q_target)}, p has source {list(p_source)}"
-        )
-
-
-def _compose_matchings(p: Diagram, q: Diagram) -> tuple[Diagram, int]:
-    """p after q for perfect matchings; returns (diagram, removed loops)."""
-    q_source, q_target = q._signature()
-    p_source, p_target = p._signature()
-    _check_middle(q_target, p_source)
-    pairs, loops = _trace_paths(
-        p._blocks, q._blocks, sum(q_source), sum(q_target), sum(p_target)
-    )
-    return p._build(q_source, p_target, pairs), loops
+        Glues q's target row to self's source row and merges blocks by
+        union-find.  Returns (self * q, N): the outer endpoints grouped by
+        component, and the number N of components made of middle endpoints
+        only (closed loops, for matchings)."""
+        q_source, q_target = q._signature()
+        p_source, p_target = self._signature()
+        if q_target != p_source:
+            raise ValueError(
+                f"cannot compose: q has target {list(q_target)}, p has source {list(p_source)}"
+            )
+        k, l, m = sum(q_source), sum(q_target), sum(p_target)
+        kl = k + l
+        # node ids: 0..k-1 outer sources, k..kl-1 the middle row, kl..kl+m-1 outer targets
+        root = _components(kl + m, [(q._blocks, -1, k - 1), (self._blocks, k - 1, kl - 1)])
+        outer: dict[int, list[int]] = {}
+        for i in range(k):
+            outer.setdefault(root[i], []).append(i + 1)
+        for j in range(m):
+            outer.setdefault(root[kl + j], []).append(-1 - j)
+        middle_only = len(set(root[k:kl]).difference(outer))
+        return self._build(q_source, p_target, outer.values()), middle_only
 
 
 # ---------------------------------------------------------------------------
@@ -223,43 +234,6 @@ class PartitionDiagram(Diagram):
         (m,) = data
         return [lam for k in range(m + 1) for lam in partitions_of(k)]
 
-    def _compose(self, q: PartitionDiagram) -> tuple[PartitionDiagram, int]:
-        """Returns (self * q, N): the least restrictive pattern on the outer
-        endpoints consistent with both diagrams, and the number N of merged
-        components made of middle endpoints only."""
-        _check_middle((q.bottom,), (self.top,))
-        k, l, m = q.top, q.bottom, self.bottom
-        # node ids: 0..k-1 outer source, k..k+l-1 middle, k+l..k+l+m-1 outer target
-        uf = _UnionFind(k + l + m)
-
-        def q_node(x: int) -> int:
-            return x - 1 if x > 0 else k + (-x) - 1
-
-        def p_node(x: int) -> int:
-            return k + x - 1 if x > 0 else k + l + (-x) - 1
-
-        for block in q.blocks:
-            first = q_node(block[0])
-            for x in block[1:]:
-                uf.union(first, q_node(x))
-        for block in self.blocks:
-            first = p_node(block[0])
-            for x in block[1:]:
-                uf.union(first, p_node(x))
-
-        outer_groups: dict[int, list[int]] = {}
-        for i in range(1, k + 1):
-            outer_groups.setdefault(uf.find(i - 1), []).append(i)
-        for j in range(1, m + 1):
-            outer_groups.setdefault(uf.find(k + l + j - 1), []).append(-j)
-        middle_only = 0
-        for i in range(l):
-            if uf.find(k + i) not in outer_groups:
-                middle_only += 1
-                outer_groups[uf.find(k + i)] = []  # count each middle component once
-        blocks = [b for b in outer_groups.values() if b]
-        return partition_diagram(k, m, blocks), middle_only
-
 
 @dataclass(frozen=True)
 class BrauerDiagram(Diagram):
@@ -271,7 +245,6 @@ class BrauerDiagram(Diagram):
 
     flavor = "O"
     _blocks = property(lambda self: self.pairs)
-    _compose = _compose_matchings
 
     def __str__(self) -> str:
         return f"B[{self.top}->{self.bottom}: {', '.join(map(_pretty, self.pairs))}]"
@@ -315,7 +288,6 @@ class WalledDiagram(Diagram):
 
     flavor = "GL"
     _blocks = property(lambda self: self.pairs)
-    _compose = _compose_matchings
 
     def color(self, x: int) -> int:
         """1 = black (V), 0 = white (V*), for endpoint +i or -j."""
@@ -485,76 +457,6 @@ def compose_diagrams(p: Diagram, q: Diagram) -> tuple[Diagram, int]:
     return p._compose(q)
 
 
-def _trace_paths(
-    p_pairs: Sequence[tuple[int, int]],
-    q_pairs: Sequence[tuple[int, int]],
-    k: int,
-    l: int,
-    m: int,
-) -> tuple[list[tuple[int, int]], int]:
-    """Concatenate matchings q: [k] -> [l] and p: [l] -> [m] along the middle.
-
-    Middle point j is q's target j glued to p's source j.  Returns the induced
-    matching on the outer endpoints (q-sources +i, p-targets -j) and the count
-    of closed cycles contained in the middle row.
-    """
-    q_adj: dict[int, int] = {}
-    for a, b in q_pairs:
-        q_adj[a], q_adj[b] = b, a
-    p_adj: dict[int, int] = {}
-    for a, b in p_pairs:
-        p_adj[a], p_adj[b] = b, a
-
-    visited_mid: set[int] = set()
-
-    def walk(layer: str, x: int) -> tuple[str, int]:
-        """Follow edges from an outer endpoint to the far outer endpoint."""
-        while True:
-            y = q_adj[x] if layer == "q" else p_adj[x]
-            if layer == "q":
-                if y > 0:
-                    return ("q", y)  # another q-source
-                visited_mid.add(-y)
-                layer, x = "p", -y  # hop across the glue to p-source j
-            else:
-                if y < 0:
-                    return ("p", y)  # a p-target
-                visited_mid.add(y)
-                layer, x = "q", -y  # hop back to q-target j
-
-    pairs: list[tuple[int, int]] = []
-    done: set[tuple[str, int]] = set()
-    starts = [("q", i) for i in range(1, k + 1)] + [("p", -j) for j in range(1, m + 1)]
-    for layer, x in starts:
-        if (layer, x) in done:
-            continue
-        end = walk(layer, x)
-        done.add((layer, x))
-        done.add(end)
-        pairs.append((x, end[1]))
-
-    loops = 0
-    remaining = set(range(1, l + 1)) - visited_mid
-    while remaining:
-        j0 = min(remaining)
-        loops += 1
-        cycle = {j0}
-        layer, x = "p", j0  # slot: about to take the p-edge at middle j0
-        while True:
-            y = p_adj[x] if layer == "p" else q_adj[x]
-            # inside a middle cycle, a p-edge joins two p-sources (+,+) and a
-            # q-edge joins two q-targets (-,-); escaping to an outer endpoint
-            # would mean this component was a path and already visited
-            assert (y > 0) if layer == "p" else (y < 0), "middle cycle escaped"
-            j = y if layer == "p" else -y
-            cycle.add(j)
-            layer, x = ("q", -j) if layer == "p" else ("p", j)
-            if (layer, x) == ("p", j0):
-                break
-        remaining -= cycle
-    return pairs, loops
-
-
 def tensor_diagram(p: Diagram, q: Diagram) -> Diagram:
     """Disjoint union, with q's endpoints re-indexed after p's.
 
@@ -582,16 +484,24 @@ def refines(p: PartitionDiagram, p2: PartitionDiagram) -> bool:
     return all(len({owner[x] for x in b}) == 1 for b in p.blocks)
 
 
-def coarsenings(p: PartitionDiagram) -> list[PartitionDiagram]:
-    """All diagrams refined by p, i.e. every way of merging p's blocks."""
-    out = []
+def coarsenings_with_moebius(p: PartitionDiagram) -> Iterator[tuple[PartitionDiagram, int]]:
+    """(coarsening, mu) for every way of merging p's blocks, in restricted-growth order.
+
+    mu is the Moebius function of the interval [p, coarsening] in the
+    refinement order: product over merged groups g of (-1)^(|g|-1) (|g|-1)!.
+    """
     for grouping in _set_partitions_of(list(range(len(p.blocks)))):
         merged = [
             tuple(itertools.chain.from_iterable(p.blocks[i] for i in group))
             for group in grouping
         ]
-        out.append(partition_diagram(p.top, p.bottom, merged))
-    return out
+        mu = math.prod((-1) ** (len(g) - 1) * math.factorial(len(g) - 1) for g in grouping)
+        yield partition_diagram(p.top, p.bottom, merged), mu
+
+
+def coarsenings(p: PartitionDiagram) -> list[PartitionDiagram]:
+    """All diagrams refined by p, i.e. every way of merging p's blocks."""
+    return [coarser for coarser, _ in coarsenings_with_moebius(p)]
 
 
 def closure_components(d: Diagram) -> int:

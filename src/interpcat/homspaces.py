@@ -14,21 +14,18 @@ Rep(O_t) ~ Rep(Sp_{-t}); the sign-twisted braiding itself is not modeled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from interpcat.diagrams import (
     DIAGRAM_CLASSES,
     Diagram,
-    PartitionDiagram,
     _as_data,
-    _set_partitions_of,
     closure_components,
+    coarsenings_with_moebius,
     compose_diagrams,
     enumerate_basis,
     flip,
     identity_diagram,
-    partition_diagram,
     tensor_diagram,
     walled_diagram,
 )
@@ -242,32 +239,13 @@ def sp_dimension(m: int) -> RatFunc:
 # basis change between e_P and delta_P (S flavor)
 
 
-def _groupings_with_moebius(p: PartitionDiagram):
-    """Yield (coarsening, moebius) pairs over all merges of p's blocks.
-
-    moebius is the Moebius function of the interval [p, coarsening] in the
-    refinement order: product over merged groups g of (-1)^(|g|-1) (|g|-1)!.
-    """
-    for grouping in _set_partitions_of(list(range(len(p.blocks)))):
-        merged = []
-        mu = 1
-        for group in grouping:
-            cells: list[int] = []
-            for i in group:
-                cells.extend(p.blocks[i])
-            merged.append(tuple(cells))
-            k = len(group)
-            mu *= (-1) ** (k - 1) * math.factorial(k - 1)
-        yield partition_diagram(p.top, p.bottom, merged), mu
-
-
 def e_to_delta(f: Morphism) -> Morphism:
     """Rewrite e-basis coefficients in the delta basis: e_P = sum_{P' >= P} delta_P'."""
     if f.source.flavor != "S":
         raise ValueError("basis change only applies to the S flavor")
     out: dict[Diagram, RatFunc] = {}
     for d, c in f.terms.items():
-        for coarser, _ in _groupings_with_moebius(d):
+        for coarser, _ in coarsenings_with_moebius(d):
             prev = out.get(coarser)
             out[coarser] = c if prev is None else prev + c
     return Morphism(f.source, f.target, out)
@@ -279,7 +257,7 @@ def delta_to_e(f: Morphism) -> Morphism:
         raise ValueError("basis change only applies to the S flavor")
     out: dict[Diagram, RatFunc] = {}
     for d, c in f.terms.items():
-        for coarser, mu in _groupings_with_moebius(d):
+        for coarser, mu in coarsenings_with_moebius(d):
             contrib = c * mu
             prev = out.get(coarser)
             out[coarser] = contrib if prev is None else prev + contrib

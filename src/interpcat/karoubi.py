@@ -38,7 +38,7 @@ from interpcat.homspaces import (
 )
 from interpcat.linalg import SparseEchelon
 from interpcat.partitions import check_partition, sn_irrep_dimension
-from interpcat.ratfunc import PoleError, RatFunc, RF_ONE, RF_T
+from interpcat.ratfunc import PoleError, RatFunc, RF_ONE, RF_T, RF_ZERO, t_power
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -320,23 +320,21 @@ def _sample_points(rng: random.Random, count: int = 2) -> list[Fraction]:
 def _hom_rank(X: KaroubiObject, Y: KaroubiObject, t0: Fraction | None) -> int:
     """dim Hom(X, Y) = rank of {e_Y o d o e_X : d basis diagram}.
 
-    With t0 = None the elimination runs exactly over Q(t); otherwise the
-    idempotent coefficients are evaluated first and all composition happens
-    over plain Fractions (the hot path of every multiplicity computation).
+    The idempotent coefficients are evaluated at t0 first, so every sandwich
+    is summed over plain Fractions (the hot path of every multiplicity
+    computation).  With t0 = None they stay in Q(t) and the rank is exact.
     """
     basis = hom_basis(X.sig, Y.sig)
     if not basis:
         return 0
-    ech = SparseEchelon()
     if t0 is None:
-        for d in basis:
-            prod = compose(Y.idem, compose(diagram_morphism(d), X.idem))
-            ech.add(dict(prod.terms))
-        return ech.rank
-
-    ex = {d: c.eval(t0) for d, c in X.idem.terms.items()}
-    ey = {d: c.eval(t0) for d, c in Y.idem.terms.items()}
-    zero = Fraction(0)
+        ex, ey = X.idem.terms, Y.idem.terms
+        t_to, zero = t_power, RF_ZERO
+    else:
+        ex = {d: c.eval(t0) for d, c in X.idem.terms.items()}
+        ey = {d: c.eval(t0) for d, c in Y.idem.terms.items()}
+        t_to, zero = t0.__pow__, Fraction(0)
+    ech = SparseEchelon()
     pair_cache: dict = {}
 
     def composed(a, b):
@@ -350,14 +348,14 @@ def _hom_rank(X: KaroubiObject, Y: KaroubiObject, t0: Fraction | None) -> int:
         through: dict = {}
         for dx, cx in ex.items():
             dd, power = composed(d, dx)
-            through[dd] = through.get(dd, zero) + cx * t0**power
+            through[dd] = through.get(dd, zero) + cx * t_to(power)
         row: dict = {}
         for dm, cm in through.items():
             if not cm:
                 continue
             for dy, cy in ey.items():
                 dd, power = composed(dy, dm)
-                row[dd] = row.get(dd, zero) + cy * cm * t0**power
+                row[dd] = row.get(dd, zero) + cy * cm * t_to(power)
         ech.add(row)
     return ech.rank
 

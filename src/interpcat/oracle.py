@@ -8,13 +8,16 @@ interpolation categories to the classical ones: structure constants are
 verified pair by pair, and image ranks of idempotents give classical
 dimensions of interpolated objects.
 
-Matrices are numpy int64 within an explicit size budget (entries of all
-products here are bounded by n^l <= 10^6, far below overflow); ranks over Q
-are computed by exact Fraction elimination.
+Diagram matrices are numpy int64 within an explicit size budget: their
+entries are 0/1 and the entries of their products are bounded by
+n^l <= 10^6, far below overflow.  A morphism's matrix sums diagram matrices
+with arbitrary integer scales, so it is accumulated in Python ints
+(dtype=object).  Ranks over Q are computed by exact Fraction elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -113,13 +116,12 @@ def morphism_matrix(f: Morphism, n: int) -> tuple[np.ndarray, int]:
         coeffs = {d: c.eval(n) for d, c in f.terms.items()}
     except PoleError as exc:
         raise PoleError(f"morphism not defined at this integer: {exc}") from exc
-    denom = 1
-    for c in coeffs.values():
-        denom = denom * c.denominator // np.gcd(denom, c.denominator)
-    mat = np.zeros((n**sig_m, n**sig_l), dtype=np.int64)
+    denom = math.lcm(*(c.denominator for c in coeffs.values()))
+    # exact integers: int64 would wrap silently on large scales
+    mat = np.zeros((n**sig_m, n**sig_l), dtype=object)
     for d, c in coeffs.items():
         scale = c.numerator * (denom // c.denominator)
-        mat = mat + scale * diagram_matrix(d, n)
+        mat = mat + scale * diagram_matrix(d, n).astype(object)
     return mat, denom
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from interpcat.diagrams import partition_diagram
+from interpcat import karoubi
+from interpcat.diagrams import DIAGRAM_CLASSES, partition_diagram
 from interpcat.homspaces import (
     compose,
     diagram_morphism,
@@ -16,8 +17,12 @@ from interpcat.homspaces import (
 )
 from interpcat.karoubi import (
     KaroubiObject,
+    NonGenericPointError,
     SizeBudgetError,
     _certified,
+    _hom_rank,
+    _symmetrizers,
+    _triangular_multiplicities,
     bipartition_symmetrizer,
     decompose,
     dim_simple,
@@ -218,6 +223,41 @@ class TestMultiplicity:
 
         assert _certified(at_point, seed_material="test") == {(1,): 1}
         assert len(calls) >= 4
+
+
+class TestExactHomRank:
+    """_hom_rank with t0 = None: the same sandwich loop, over Q(t)."""
+
+    @pytest.mark.parametrize("sig", [sig_s(2), sig_o(2), sig_gl(1, 1)], ids=str)
+    def test_exact_multiplicities_match_point(self, sig):
+        X = object_of_identity(sig)
+        labels = DIAGRAM_CLASSES[sig.flavor]._labels(sig.data)
+        symmetrizers = _symmetrizers(sig.flavor, labels)
+        exact = _triangular_multiplicities(X, sig.flavor, symmetrizers, None)
+        assert exact == _triangular_multiplicities(X, sig.flavor, symmetrizers, Fraction(95, 7))
+        assert {lam: m for lam, m in exact.items() if m} == decompose(X)
+
+    def test_exact_rank_counts_t_powers(self):
+        # End of (S[1], id - pi/t) is one-dimensional because pi o pi = t pi
+        X = KaroubiObject(sig_s(1), std_idempotent())
+        assert _hom_rank(X, X, None) == 1 == _hom_rank(X, X, Fraction(95, 7))
+        assert _hom_rank(X, object_of_identity(sig_s(1)), None) == 1
+
+    def test_certified_falls_back_to_exact(self, monkeypatch):
+        X = KaroubiObject(sig_s(2), young_symmetrizer((2,)))
+        expected = decompose(X)
+        point_rank = karoubi._hom_rank
+        exact_calls = []
+
+        def no_generic_point(X, Y, t0):
+            if t0 is not None:
+                raise NonGenericPointError(f"forced failure at {t0}")
+            exact_calls.append((X, Y))
+            return point_rank(X, Y, t0)
+
+        monkeypatch.setattr(karoubi, "_hom_rank", no_generic_point)
+        assert decompose(X) == expected == {(): 2, (1,): 2, (2,): 1}
+        assert exact_calls
 
 
 class TestDecompose:

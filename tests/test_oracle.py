@@ -5,6 +5,7 @@ import pytest
 
 from interpcat.diagrams import (
     coarsenings,
+    compose_diagrams,
     enumerate_basis,
     identity_diagram,
     partition_diagram,
@@ -12,6 +13,7 @@ from interpcat.diagrams import (
 from interpcat.homspaces import diagram_morphism, identity, sig_gl, sig_s
 from interpcat.karoubi import KaroubiObject, young_symmetrizer
 from interpcat.oracle import (
+    _exact_matrix_rank,
     delta_matrix,
     diagram_matrix,
     e_matrix,
@@ -102,6 +104,30 @@ class TestStructureConstants:
         rep = verify_structure_constants(2, 2, 2, 3, "O")
         assert rep["passed"] and rep["pairs"] == 9
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "flavor, l, m, k",
+        [
+            ("O", 0, 4, 0),
+            ("O", 0, 6, 0),
+            ("O", 2, 4, 2),
+            ("GL", (0, 0), (2, 2), (0, 0)),
+            ("GL", (0, 0), (3, 3), (0, 0)),
+            ("GL", (1, 1), (2, 2), (1, 1)),
+        ],
+    )
+    def test_several_middle_loops(self, flavor, l, m, k, n):
+        # cups into caps close up to m/2 (O) or r (GL) loops in the middle row;
+        # each pair must scale by n^loops
+        loops = {
+            compose_diagrams(b, a)[1]
+            for a in enumerate_basis(flavor, l, m)
+            for b in enumerate_basis(flavor, m, k)
+        }
+        assert max(loops) >= 2
+        rep = verify_structure_constants(l, m, k, n, flavor)
+        assert rep["passed"] and rep["pairs"] > 0
+
     def test_report_shape(self):
         rep = verify_structure_constants(0, 2, 0, 2)
         assert set(rep) == {"pairs", "violations", "passed"}
@@ -177,6 +203,15 @@ class TestMorphismMatrix:
         mat, den = morphism_matrix(f, 2)
         assert den == 2
         assert np.array_equal(mat, np.ones((2, 2), dtype=np.int64))
+
+    def test_large_scales_do_not_wrap(self):
+        # 2^62 (id + pi) at n = 3: the diagonal 2^63 overflows int64, where it
+        # wrapped to -2^63 and the exact rank dropped from 3 to 2
+        f = (identity(sig_s(1)) + diagram_morphism(PI)) * 2**62
+        mat, den = morphism_matrix(f, 3)
+        assert den == 1
+        assert mat.tolist() == [[2**63 if i == j else 2**62 for j in range(3)] for i in range(3)]
+        assert _exact_matrix_rank(mat) == 3
 
     def test_gl_diagram_matrix_contractions(self):
         from interpcat.diagrams import walled_diagram
