@@ -4,11 +4,13 @@ Indecomposables are indexed by partitions (S, O) or bipartitions (GL).  The
 library never materializes a primitive idempotent for L(lambda); instead it
 works with the symmetrizer objects Y_lambda = ([|lambda|], y_lambda), whose
 decomposition matrix K(lambda, mu) = [Y_lambda : L(mu)] is unitriangular with
-respect to size.  Ranks of Hom spaces between Karoubi objects are computed at
-two independent random rational points (agreement doubles as a genericity
-certificate), with exact Q(t) elimination as a fallback, and K is inverted
-by induction on size.  Generic dimensions of simples follow by the trace
-accounting dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
+respect to size.  Sandwiches between symmetrizers carry no t, so K comes from
+one exact elimination, and so do the generic dimensions of simples, by the
+trace accounting dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
+Multiplicities in an arbitrary object, whose idempotent may carry t, invert
+K by induction on size from Hom ranks at two independent random rational
+points (agreement doubles as a genericity certificate), with exact Q(t)
+elimination as a fallback.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from interpcat.diagrams import (
     DIAGRAM_CLASSES,
@@ -360,9 +363,6 @@ def _hom_rank(X: KaroubiObject, Y: KaroubiObject, t0: Fraction | None) -> int:
     return ech.rank
 
 
-_K_CACHE: dict[tuple[str, Label], dict[Label, int]] = {}
-
-
 def _decomposition_matrix(flavor: str, lam: Label, mu: Label) -> int:
     """K(lam, mu) = multiplicity of L(mu) in Y_lam.
 
@@ -374,28 +374,22 @@ def _decomposition_matrix(flavor: str, lam: Label, mu: Label) -> int:
         return 0
     if mu == lam:
         return 1
-    key = (flavor, lam)
-    if key not in _K_CACHE:
-        _K_CACHE[key] = _symmetrizer_decomposition(flavor, lam)
-    return _K_CACHE[key].get(mu, 0)
+    return _symmetrizer_decomposition(flavor, lam).get(mu, 0)
 
 
+# bounded: one small dict per symmetrizer label
+@lru_cache(maxsize=256)
 def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
-    """Multiplicities of the strictly smaller simples inside Y_lam."""
+    """Multiplicities of the strictly smaller simples inside Y_lam, exactly.
+
+    y_lam and every y_mu are Q-combinations of permutation diagrams, and
+    composing a permutation diagram with any diagram closes no loop and no
+    middle component.  So every sandwich y_lam o d o y_mu has constant
+    coefficients, and one exact elimination gives K with no sample point.
+    """
     Y = symmetrizer_object(lam, flavor)
     symmetrizers = _symmetrizers(flavor, _labels_below(flavor, lam))
-
-    def at_point(t0: Fraction | None) -> dict[Label, int]:
-        mult = _triangular_multiplicities(Y, flavor, symmetrizers, t0)
-        # primitivity check: L(lam) must appear exactly once on top
-        self_rank = _hom_rank(Y, Y, t0)
-        if self_rank != 1 + sum(m * m for m in mult.values()):
-            raise NonGenericPointError(
-                f"symmetrizer object for {lam} fails the primitivity count at {t0}"
-            )
-        return mult
-
-    return _certified(at_point, seed_material=("K", flavor, lam))
+    return _triangular_multiplicities(Y, flavor, symmetrizers, None)
 
 
 def _symmetrizers(flavor: str, labels: list[Label]) -> dict[Label, KaroubiObject]:
@@ -417,7 +411,7 @@ def _triangular_multiplicities(
         h = _hom_rank(X, Y, t0)
         corr = 0
         for mu in symmetrizers:
-            if _label_size(flavor, mu) < _label_size(flavor, lam) and mult.get(mu):
+            if mult.get(mu):
                 corr += mult[mu] * _decomposition_matrix(flavor, lam, mu)
         value = h - corr
         if value < 0:
@@ -494,30 +488,31 @@ def decompose(X: KaroubiObject, seed: int = 0) -> dict[Label, int]:
 # ---------------------------------------------------------------------------
 # generic dimensions of simples
 
-_DIM_CACHE: dict[tuple[str, Label], RatFunc] = {}
-
 _SIZE_BUDGET = {"S": 4, "GL": 4, "O": 2}
 
 
 def dim_simple(lam: Label, flavor: str = "S") -> RatFunc:
-    """Generic dimension of L(lam): a degree-|lam| polynomial in t."""
+    """Generic dimension of L(lam): a degree-|lam| polynomial in t.
+
+    Exact and deterministic: tr(y_lam) minus the K-weighted dimensions of
+    the smaller simples, with K computed exactly (no sample point).
+    """
     lam = _normalize_label(flavor, lam)
-    size = _label_size(flavor, lam)
-    if size > _SIZE_BUDGET[flavor]:
+    if _label_size(flavor, lam) > _SIZE_BUDGET[flavor]:
         raise SizeBudgetError(
             f"dim_simple budget is |lam| <= {_SIZE_BUDGET[flavor]} for flavor {flavor}"
         )
-    key = (flavor, lam)
-    if key in _DIM_CACHE:
-        return _DIM_CACHE[key]
-    if size == 0:
-        result = RF_ONE
-    else:
-        Y = symmetrizer_object(lam, flavor)
-        result = trace(Y.idem)
-        for mu in _labels_below(flavor, lam):
-            k = _decomposition_matrix(flavor, lam, mu)
-            if k:
-                result = result - k * dim_simple(mu, flavor)
-    _DIM_CACHE[key] = result
+    return _dim_simple(flavor, lam)
+
+
+# keys are normalized labels within _SIZE_BUDGET, so the cache stays small
+@lru_cache(maxsize=None)
+def _dim_simple(flavor: str, lam: Label) -> RatFunc:
+    if _label_size(flavor, lam) == 0:
+        return RF_ONE
+    result = trace(symmetrizer_object(lam, flavor).idem)
+    for mu in _labels_below(flavor, lam):
+        k = _decomposition_matrix(flavor, lam, mu)
+        if k:
+            result = result - k * _dim_simple(flavor, mu)
     return result

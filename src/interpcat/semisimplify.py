@@ -86,22 +86,31 @@ def gram(l, m, t0: Fraction | int | None, flavor: str = "S") -> GramReport:
     )
 
 
+# Largest Hom basis whose symbolic Gram determinant is expanded over Q(t).
+MAX_SYMBOLIC_DET_BASIS = 15
+
+
 def gram_determinant_symbolic(l, m, flavor: str = "S") -> RatFunc:
-    """Determinant of the symbolic Gram matrix (small Hom spaces only)."""
-    matrix = gram_matrix_symbolic(l, m, flavor)
-    if len(matrix) > 15:
-        raise ValueError("symbolic Gram determinant supported up to l + m <= 4")
-    return determinant(matrix)
+    """Determinant of the symbolic Gram matrix (small Hom spaces only),
+    refusing spaces over the budget before building the matrix."""
+    src, tgt = as_signature(l, flavor), as_signature(m, flavor)
+    size = basis_size(src.flavor, src.data, tgt.data)
+    if size > MAX_SYMBOLIC_DET_BASIS:
+        raise ValueError(
+            f"symbolic Gram determinant supported up to {MAX_SYMBOLIC_DET_BASIS} basis"
+            f" diagrams: Hom({src}, {tgt}) has {size}"
+        )
+    return determinant(gram_matrix_symbolic(l, m, flavor))
 
 
 def is_negligible(f: Morphism, t0: Fraction | int) -> bool:
     """True iff Tr(f o g)(t0) = 0 for every basis diagram g: target -> source."""
     t0 = Fraction(t0)
-    gs = hom_basis(f.target, f.source)
-    for g in gs:
+    coefficients = [(d, c.eval(t0)) for d, c in f.terms.items()]
+    for g in hom_basis(f.target, f.source):
         total = Fraction(0)
-        for d, c in f.terms.items():
-            total += c.eval(t0) * t0 ** _pairing_power(d, g)
+        for d, c in coefficients:
+            total += c * t0 ** _pairing_power(d, g)
         if total:
             return False
     return True

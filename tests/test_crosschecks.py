@@ -6,10 +6,15 @@ permutation-action traces at an integer point in the stable range), which
 shares no code with the Karoubi machinery.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
+from interpcat import karoubi
+from interpcat.diagrams import DIAGRAM_CLASSES, enumerate_basis
 from interpcat.homspaces import identity, sig_s, trace
 from interpcat.karoubi import (
     KaroubiObject,
@@ -109,6 +114,71 @@ def classical_multiplicity(X: KaroubiObject, mu, n: int) -> Fraction:
     return total / math.factorial(n)
 
 
+def _label_parts(flavor: str, lam) -> tuple:
+    """The partitions of a label, one per row block: (black, white) for GL."""
+    return tuple(lam) if flavor == "GL" else (lam,)
+
+
+def _classes(sizes: tuple[int, ...]):
+    """(cycle types, representative, class size) for each class of the
+    product of symmetric groups on consecutive blocks of the given sizes;
+    the representative maps endpoint i (1-based) to its image."""
+    for rhos in itertools.product(*(partitions_of(n) for n in sizes)):
+        image, offset, size = [], 0, 1
+        for rho, n in zip(rhos, sizes):
+            image += [offset + 1 + x for x in cycle_type_representative(rho, n)]
+            offset += n
+            size *= class_size(rho, n)
+        yield rhos, image, size
+
+
+@lru_cache(maxsize=None)
+def _weighted_fixed_points(flavor: str, source: tuple, target: tuple) -> dict:
+    """{(target class, source class): class sizes x fixed basis diagrams}.
+
+    Hom(source, target) is a permutation module for the row groups: a pair
+    (sigma, tau) relabels target endpoint -j as -sigma(j) and source endpoint
+    +i as +tau(i), and fixes a diagram when its set of blocks is unchanged.
+    """
+    blocks = [frozenset(map(frozenset, d._blocks)) for d in enumerate_basis(flavor, source, target)]
+    table = {}
+    for rho_t, sigma, size_t in _classes(target):
+        for rho_s, tau, size_s in _classes(source):
+            fixed = 0
+            for bs in blocks:
+                moved = frozenset(
+                    frozenset(tau[x - 1] if x > 0 else -sigma[-x - 1] for x in b) for b in bs
+                )
+                fixed += moved == bs
+            table[rho_t, rho_s] = size_t * size_s * fixed
+    return table
+
+
+def hom_dim_by_characters(flavor: str, lam, mu) -> Fraction:
+    """dim Hom(Y_mu, Y_lam) = (1/|G|) sum_g fix(g) chi_lam chi_mu(g) over
+    G = (row groups of lam) x (row groups of mu); characters are real."""
+    target = karoubi._label_data(flavor, lam)
+    source = karoubi._label_data(flavor, mu)
+    order = math.prod(math.factorial(n) for n in target + source)
+    total = 0
+    for (rho_t, rho_s), weight in _weighted_fixed_points(flavor, source, target).items():
+        if weight:
+            chi = 1
+            for part, rho in zip(_label_parts(flavor, lam) + _label_parts(flavor, mu), rho_t + rho_s):
+                chi *= sn_character(part, rho)
+            total += weight * chi
+    return Fraction(total, order)
+
+
+def _labels_up_to(flavor: str, size: int) -> list:
+    """Every label of total size <= size."""
+    if flavor == "GL":
+        signatures = [(a, b) for a in range(size + 1) for b in range(size + 1 - a)]
+    else:
+        signatures = [(size - 1,), (size,)]
+    return sorted({lam for data in signatures for lam in DIAGRAM_CLASSES[flavor]._labels(data)})
+
+
 class TestCharacterOracle:
     def test_mn_table_s3(self):
         # the full character table of S_3: trivial, standard, sign
@@ -159,6 +229,30 @@ class TestCharacterOracle:
             for mu in partitions_of(size):
                 want = classical_multiplicity(X, mu, n)
                 assert mults.get(mu, 0) == want, (mu, want)
+
+
+class TestDecompositionMatrixByCharacters:
+    """K(lam, mu) = [Y_lam : L(mu)] against symmetric-group characters.
+
+    Y_lam and Y_mu are summands of [|lam|] and [|mu|] cut out by primitive
+    idempotents of the row groups' algebras, so dim Hom(Y_mu, Y_lam) =
+    sum_nu K(lam, nu) K(mu, nu) is a character inner product of the
+    permutation module Hom([|mu|], [|lam|]).  For lam = mu this is the
+    primitivity identity 1 + sum_{nu < lam} K(lam, nu)^2.
+    """
+
+    @pytest.mark.parametrize("flavor,size", [("S", 3), ("O", 4), ("GL", 4)])
+    def test_gram_of_k_matches_characters(self, flavor, size):
+        labels = _labels_up_to(flavor, size)
+        K = {
+            (lam, nu): karoubi._decomposition_matrix(flavor, lam, nu)
+            for lam in labels
+            for nu in labels
+        }
+        for lam in labels:
+            for mu in labels:
+                got = sum(K[lam, nu] * K[mu, nu] for nu in labels)
+                assert got == hom_dim_by_characters(flavor, lam, mu), (lam, mu)
 
 
 class TestPromotionInvariance:

@@ -366,6 +366,20 @@ class TestDimSimple:
         with pytest.raises(SizeBudgetError):
             dim_simple((2, 1), "O")
 
+    def test_exact_without_sample_points(self, monkeypatch):
+        # symmetrizer sandwiches carry no t, so K and dim_simple never need
+        # a sample point or the two-point certification
+        def sample_point_used(*args, **kwargs):
+            raise AssertionError("sample point used")
+
+        monkeypatch.setattr(karoubi, "_certified", sample_point_used)
+        monkeypatch.setattr(karoubi, "_sample_points", sample_point_used)
+        karoubi._symmetrizer_decomposition.cache_clear()
+        karoubi._dim_simple.cache_clear()
+        assert dim_simple((2, 1)) == t * (t - 2) * (t - 4) / 3
+        assert dim_simple(((1,), (1,)), "GL") == t * t - 1
+        assert dim_simple((1, 1), "O") == (t * t - t) / 2
+
     def test_below_threshold_is_generic_polynomial(self):
         # at t = 2 the generic polynomial for (2) evaluates to -1: it is a
         # polynomial value, not an object dimension, below the threshold
@@ -381,7 +395,7 @@ class TestSymmetrizerObjects:
 
 @pytest.mark.slow
 def test_dim_simple_full_size_four_row():
-    """The whole |lam| = 4 ladder against the hook-length oracle (minutes)."""
+    """The whole |lam| = 4 ladder against the hook-length oracle (about 20 s)."""
     from interpcat.selftest import hook_content_dimension
 
     for lam in partitions_of(4):

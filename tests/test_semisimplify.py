@@ -1,6 +1,7 @@
 """Trace-pairing Gram machinery, negligibility, quotient dimensions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,19 @@ class TestGram:
 
     def test_symbolic_determinant(self):
         assert gram_determinant_symbolic(1, 1) == t * t * (t - 1)
+
+    def test_symbolic_determinant_refused_up_front(self):
+        # S (3, 3) has 203 basis diagrams: refused before any matrix is built
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="15 basis diagrams.* has 203"):
+            gram_determinant_symbolic(3, 3)
+        assert time.perf_counter() - start < 0.1
+
+    def test_symbolic_determinant_limit_counts_gl_diagrams(self):
+        # the limit is on basis diagrams: End(GL[1, 1]) has 2, End(GL[2, 2]) has 4! = 24
+        assert gram_determinant_symbolic(sig_gl(1, 1), sig_gl(1, 1), "GL") == t * t * (t * t - 1)
+        with pytest.raises(ValueError, match="15 basis diagrams.* has 24"):
+            gram_determinant_symbolic(sig_gl(2, 2), sig_gl(2, 2), "GL")
 
     def test_rank_at_1(self):
         rep = gram(1, 1, 1)
