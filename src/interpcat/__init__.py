@@ -31,6 +31,7 @@ from interpcat.diagrams import (
     compose_diagrams,
     enumerate_basis,
     flip,
+    pairing_table,
     partition_diagram,
     refines,
     tensor_diagram,

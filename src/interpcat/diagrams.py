@@ -24,7 +24,14 @@ O; WalledDiagram overrides them for its two-color signature data (r, s).
 _compose and _closure are shared by all three flavors and are never
 overridden: a matching is a set partition whose blocks have size 2, with the
 same composition law, so both run on one union-find (_components) over
-_blocks and _signature, and _compose builds its result through _build.
+_blocks and _signature.  _compose builds its result through _trusted, which
+canonicalizes but does not validate: the composite of two valid diagrams
+covers its endpoints once and keeps the walled color rules.  Every other
+entry point (the validated constructors, _build, JSON) validates.
+
+pairing_table runs the same union-find over the closed picture of f glued
+to g, and counts its components, the exponent of t in Tr(f o g), without
+building the composite.
 
 Composition convention: compose_diagrams(p, q) is "p after q" -- q maps
 [k] -> [l], p maps [l] -> [m], and the second return value is the exponent
@@ -130,6 +137,11 @@ class Diagram:
         return (self.top,), (self.bottom,)
 
     @classmethod
+    def _trusted(cls, source, target, blocks) -> Diagram:
+        """Canonical diagram from blocks known to be valid: no checks."""
+        return cls(source[0], target[0], _canonical_blocks(blocks))
+
+    @classmethod
     def _identity(cls, data: tuple[int, ...]) -> Diagram:
         (m,) = data
         return cls(m, m, tuple((i, -i) for i in range(1, m + 1)))
@@ -192,7 +204,7 @@ class Diagram:
         for j in range(m):
             outer.setdefault(root[kl + j], []).append(-1 - j)
         middle_only = len(set(root[k:kl]).difference(outer))
-        return self._build(q_source, p_target, outer.values()), middle_only
+        return self._trusted(q_source, p_target, outer.values()), middle_only
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +312,10 @@ class WalledDiagram(Diagram):
 
     def _signature(self):
         return self.source, self.target
+
+    @classmethod
+    def _trusted(cls, source, target, pairs) -> WalledDiagram:
+        return cls(source, target, _canonical_blocks(pairs))
 
     @classmethod
     def _identity(cls, data) -> WalledDiagram:
@@ -455,6 +471,36 @@ def compose_diagrams(p: Diagram, q: Diagram) -> tuple[Diagram, int]:
     if type(p) is not type(q):
         raise TypeError(f"cannot compose diagrams of different flavors: {p!r}, {q!r}")
     return p._compose(q)
+
+
+def pairing_table(fs: Sequence[Diagram], gs: Sequence[Diagram]) -> list[bytes]:
+    """Exponent of t in Tr(f o g) for every f in fs (rows) and g in gs (columns).
+
+    Every f maps [l] -> [m] and every g maps [m] -> [l], all of one flavor.
+    Tr(f o g) = t^N, where N counts the components of the closed picture:
+    f's target row glued to g's source row and g's target row to f's source
+    row.  No composite diagram is built.  Row i is a bytes object whose
+    byte j is N for (fs[i], gs[j]); N <= l + m, which must be below 256.
+    """
+    if not fs:
+        return []
+    cls = type(fs[0])
+    source, target = fs[0]._signature()
+    for d, want in [(f, (source, target)) for f in fs] + [(g, (target, source)) for g in gs]:
+        if type(d) is not cls:
+            raise TypeError(f"cannot pair diagrams of different flavors: {fs[0]!r}, {d!r}")
+        if d._signature() != want:
+            raise ValueError(
+                f"cannot pair: {d} does not map {list(want[0])} -> {list(want[1])}"
+            )
+    l = sum(source)
+    n = l + sum(target)
+    # node ids: 0..l-1 the source row of f (= g's target row), l..n-1 its target row
+    columns = [(g._blocks, l - 1, -1) for g in gs]
+    return [
+        bytes(len(set(_components(n, (row, column)))) for column in columns)
+        for row in [(f._blocks, -1, l - 1) for f in fs]
+    ]
 
 
 def tensor_diagram(p: Diagram, q: Diagram) -> Diagram:

@@ -1,5 +1,6 @@
 """Diagram kernels: canonical forms, composition counts, bases, wire format."""
 
+import itertools
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from interpcat.diagrams import (
     enumerate_basis,
     flip,
     identity_diagram,
+    pairing_table,
     partition_diagram,
     refines,
     tensor_diagram,
@@ -258,3 +260,89 @@ class TestWireFormat:
         assert blob["top_colors"] == "10" and blob["bottom_colors"] == "10"
         with pytest.raises(ValueError, match="sorted"):
             diagram_from_json({**blob, "top_colors": "01"})
+
+
+def _signatures(flavor: str, largest: int) -> list:
+    """Every S/O endpoint count up to largest, or GL (r, s) with r, s <= largest."""
+    if flavor == "GL":
+        return [(r, s) for r in range(largest + 1) for s in range(largest + 1)]
+    return list(range(largest + 1))
+
+
+def _rebuild(d):
+    """d built again through its flavor's validated constructor."""
+    if d.flavor == "S":
+        return partition_diagram(d.top, d.bottom, d.blocks)
+    if d.flavor == "O":
+        return brauer_diagram(d.top, d.bottom, d.pairs)
+    return walled_diagram(d.source, d.target, d.pairs)
+
+
+class TestTrustedComposition:
+    """Composites skip validation, so they must equal validated rebuilds."""
+
+    @pytest.mark.parametrize(
+        "flavor, largest, total", [("S", 6, 6), ("O", 4, None), ("GL", 2, None)]
+    )
+    def test_composites_match_validated_rebuild(self, flavor, largest, total):
+        sides = _signatures(flavor, largest)
+        pairs = 0
+        for k, l, m in itertools.product(sides, repeat=3):
+            if total is not None and k + l + m > total:
+                continue
+            qs = enumerate_basis(flavor, k, l)
+            for p in enumerate_basis(flavor, l, m):
+                for q in qs:
+                    d, _ = compose_diagrams(p, q)
+                    rebuilt = _rebuild(d)
+                    assert d == rebuilt and hash(d) == hash(rebuilt), (p, q)
+                    pairs += 1
+        assert pairs > 0
+
+
+class TestPairingTable:
+    @staticmethod
+    def _reference(f, g) -> int:
+        d, middle = compose_diagrams(f, g)
+        return middle + closure_components(d)
+
+    @pytest.mark.parametrize("flavor, total", [("S", 6), ("O", 8), ("GL", 4)])
+    def test_matches_composition_and_closure(self, flavor, total):
+        if flavor == "GL":
+            sides = [(r, s) for r in range(total + 1) for s in range(total + 1 - r)]
+            spaces = itertools.product(sides, repeat=2)
+        else:
+            spaces = ((l, n - l) for n in range(total + 1) for l in range(n + 1))
+        entries = 0
+        for l, m in spaces:
+            fs, gs = enumerate_basis(flavor, l, m), enumerate_basis(flavor, m, l)
+            table = pairing_table(fs, gs)
+            assert table == [bytes(self._reference(f, g) for g in gs) for f in fs], (l, m)
+            entries += len(fs) * len(gs)
+        assert entries > 0
+
+    def test_worked_trace(self):
+        # Tr(pi o pi) = t^2: both singletons close into their own component
+        assert pairing_table([PI, identity_diagram("S", 1)], [PI]) == [b"\x02", b"\x01"]
+
+    def test_empty_rows_and_columns(self):
+        assert pairing_table([], enumerate_basis("S", 1, 1)) == []
+        assert pairing_table(enumerate_basis("O", 1, 2), []) == []
+        assert pairing_table([partition_diagram(0, 0, [])], [partition_diagram(0, 0, [])]) == [
+            b"\x00"
+        ]
+
+    def test_mismatched_signatures_raise(self):
+        fs = enumerate_basis("S", 2, 1)
+        with pytest.raises(ValueError, match="cannot pair"):
+            pairing_table(fs, enumerate_basis("S", 2, 1))
+        with pytest.raises(ValueError, match="cannot pair"):
+            pairing_table(fs + enumerate_basis("S", 1, 2), enumerate_basis("S", 1, 2))
+        with pytest.raises(ValueError, match="cannot pair"):
+            pairing_table(
+                enumerate_basis("GL", (1, 1), (1, 1)), enumerate_basis("GL", (2, 0), (2, 0))
+            )
+
+    def test_mixed_flavors_raise(self):
+        with pytest.raises(TypeError):
+            pairing_table(enumerate_basis("S", 1, 1), enumerate_basis("O", 1, 1))

@@ -19,6 +19,7 @@ from interpcat.homspaces import (
 from interpcat.partitions import bell_number
 from interpcat.ratfunc import RF_T
 from interpcat.selftest import random_morphism
+from interpcat import semisimplify
 from interpcat.semisimplify import (
     annihilated_simples,
     gram,
@@ -73,6 +74,64 @@ class TestGram:
         assert rep.rank + rep.nullity == 2
         rep = gram(1, 1, 3, "O")
         assert rep.rank + rep.nullity == 1
+
+
+def _stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind, by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+# (flavor, l, m) with Hom(l, m) nonzero, for the table-sharing tests
+PAIRED_SPACES = [
+    ("S", 0, 2), ("S", 1, 2), ("S", 1, 3), ("S", 2, 2),
+    ("O", 0, 2), ("O", 1, 3), ("O", 2, 2),
+    ("GL", sig_gl(1, 0), sig_gl(2, 1)), ("GL", sig_gl(2, 1), sig_gl(2, 1)),
+    ("GL", sig_gl(1, 1), sig_gl(2, 2)),
+]
+POINTS = [0, 1, 2, Fraction(5, 2), None]
+
+
+class TestPairingTableSharing:
+    """Gram entries come from one t-free table of exponents per Hom space."""
+
+    @pytest.mark.parametrize("flavor, l, m", PAIRED_SPACES)
+    @pytest.mark.parametrize("t0", POINTS)
+    def test_trace_cyclicity(self, flavor, l, m, t0):
+        # Tr(f o g) = Tr(g o f): Gram(m, l) is the transpose of Gram(l, m)
+        forward = gram(l, m, t0, flavor).gram
+        assert forward
+        assert gram(m, l, t0, flavor).gram == [list(col) for col in zip(*forward)]
+
+    def test_shuffled_ladder_matches_cold_calls(self):
+        calls = [(space, t0) for space in PAIRED_SPACES for t0 in POINTS]
+        cold = {}
+        for (flavor, l, m), t0 in calls:
+            semisimplify._pairing_exponents.cache_clear()
+            cold[flavor, l, m, t0] = gram(l, m, t0, flavor)
+        semisimplify._pairing_exponents.cache_clear()
+        random.Random(7).shuffle(calls)
+        for (flavor, l, m), t0 in calls:
+            assert gram(l, m, t0, flavor) == cold[flavor, l, m, t0]
+        assert semisimplify._pairing_exponents.cache_info().hits > 0
+
+    def test_rows_are_fresh(self):
+        first = gram(1, 1, 2)
+        first.gram[0][0] = None
+        assert gram(1, 1, 2).gram == [[2, 2], [2, 4]]
+
+    def test_cache_is_bounded(self):
+        assert semisimplify._pairing_exponents.cache_info().maxsize == 32
+
+    def test_rank_is_stirling_sum(self):
+        # at t = n the S Gram rank of Hom([l], [m]) is dim Hom_{S_n}(V^l, V^m)
+        cases = [(l, k - l, n) for k in range(6) for l in range(k + 1) for n in range(7)]
+        cases += [(3, 3, 1), (3, 3, 2)]
+        for l, m, n in cases:
+            expected = sum(_stirling2(l + m, j) for j in range(n + 1))
+            assert gram(l, m, n).rank == expected, (l, m, n)
 
 
 class TestNegligible:
