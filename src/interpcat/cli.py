@@ -24,7 +24,6 @@ from interpcat.homspaces import (
     morphism_to_json,
     trace,
 )
-from interpcat.karoubi import NonGenericPointError
 from interpcat.ratfunc import PoleError, format_ratfunc
 from interpcat.selftest import run_selftest
 
@@ -511,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("decompose", cmd_decompose, help="indecomposable decomposition of ([m], e)")
     p.add_argument("-f", dest="morphism", required=True, help="idempotent morphism JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted; no effect (ranks are exact)")
 
     p = add("gram", cmd_gram, help="Gram matrix of the trace pairing")
     p.add_argument("-l", required=True)
@@ -614,7 +613,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, PoleError, ValueError, ZeroDivisionError, NonGenericPointError) as exc:
+    except (DomainError, PoleError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(result)

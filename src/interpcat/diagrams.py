@@ -25,9 +25,11 @@ _compose and _closure are shared by all three flavors and are never
 overridden: a matching is a set partition whose blocks have size 2, with the
 same composition law, so both run on one union-find (_components) over
 _blocks and _signature.  _compose builds its result through _trusted, which
-canonicalizes but does not validate: the composite of two valid diagrams
-covers its endpoints once and keeps the walled color rules.  Every other
-entry point (the validated constructors, _build, JSON) validates.
+neither sorts nor validates: the union-find emits the blocks in canonical
+order (sources ascending before targets, each block keyed by its least
+endpoint), and the composite of two valid diagrams covers its endpoints once
+and keeps the walled color rules.  Every other entry point (the validated
+constructors, _build, JSON) validates.
 
 pairing_table runs the same union-find over the closed picture of f glued
 to g, and counts its components, the exponent of t in Tr(f o g), without
@@ -138,8 +140,8 @@ class Diagram:
 
     @classmethod
     def _trusted(cls, source, target, blocks) -> Diagram:
-        """Canonical diagram from blocks known to be valid: no checks."""
-        return cls(source[0], target[0], _canonical_blocks(blocks))
+        """Diagram from blocks known to be valid and canonical: no checks."""
+        return cls(source[0], target[0], tuple(map(tuple, blocks)))
 
     @classmethod
     def _identity(cls, data: tuple[int, ...]) -> Diagram:
@@ -315,7 +317,7 @@ class WalledDiagram(Diagram):
 
     @classmethod
     def _trusted(cls, source, target, pairs) -> WalledDiagram:
-        return cls(source, target, _canonical_blocks(pairs))
+        return cls(source, target, tuple(map(tuple, pairs)))
 
     @classmethod
     def _identity(cls, data) -> WalledDiagram:

@@ -4,20 +4,19 @@ Indecomposables are indexed by partitions (S, O) or bipartitions (GL).  The
 library never materializes a primitive idempotent for L(lambda); instead it
 works with the symmetrizer objects Y_lambda = ([|lambda|], y_lambda), whose
 decomposition matrix K(lambda, mu) = [Y_lambda : L(mu)] is unitriangular with
-respect to size.  Sandwiches between symmetrizers carry no t, so K comes from
-one exact elimination, and so do the generic dimensions of simples, by the
-trace accounting dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
-Multiplicities in an arbitrary object, whose idempotent may carry t, invert
-K by induction on size from Hom ranks at two independent random rational
-points (agreement doubles as a genericity certificate), with exact Q(t)
-elimination as a fallback.
+respect to size.  Every multiplicity comes from one exact elimination over
+Q(t) per Hom space: [X : L(lambda)] is dim Hom(X, Y_lambda), the rank of the
+sandwiches e_Y o d o e_X, minus the K-weighted multiplicities of the smaller
+simples, by induction on size.  No rank is taken at a sample point, so every
+generic-t answer is exact and independent of any seed.  K itself is the case
+X = Y_lambda, and the generic dimensions of simples follow by the trace
+accounting dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +40,7 @@ from interpcat.homspaces import (
 )
 from interpcat.linalg import SparseEchelon
 from interpcat.partitions import check_partition, sn_irrep_dimension
-from interpcat.ratfunc import PoleError, RatFunc, RF_ONE, RF_T, RF_ZERO, t_power
+from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, RF_ZERO, t_power
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -302,41 +301,15 @@ def symmetrizer_object(lam: Label, flavor: str = "S") -> KaroubiObject:
 
 
 # ---------------------------------------------------------------------------
-# generic-point rank machinery
-
-_PRIME_POOL = [
-    15485863, 15485867, 32452843, 32452867, 49979687, 49979693,
-    67867967, 67867979, 86028121, 86028157, 104395301, 104395303,
-    122949823, 122949829, 141650939, 141650963, 160481183, 160481219,
-]
+# generic multiplicities
 
 
-class NonGenericPointError(RuntimeError):
-    """Two evaluation points disagreed; the sampled point was not generic."""
-
-
-def _sample_points(rng: random.Random, count: int = 2) -> list[Fraction]:
-    primes = rng.sample(_PRIME_POOL, 2 * count)
-    return [Fraction(primes[2 * i], primes[2 * i + 1]) for i in range(count)]
-
-
-def _hom_rank(X: KaroubiObject, Y: KaroubiObject, t0: Fraction | None) -> int:
-    """dim Hom(X, Y) = rank of {e_Y o d o e_X : d basis diagram}.
-
-    The idempotent coefficients are evaluated at t0 first, so every sandwich
-    is summed over plain Fractions (the hot path of every multiplicity
-    computation).  With t0 = None they stay in Q(t) and the rank is exact.
-    """
+def _hom_rank(X: KaroubiObject, Y: KaroubiObject) -> int:
+    """dim Hom(X, Y) at generic t: the rank over Q(t) of the sandwiches
+    {e_Y o d o e_X : d basis diagram}."""
     basis = hom_basis(X.sig, Y.sig)
     if not basis:
         return 0
-    if t0 is None:
-        ex, ey = X.idem.terms, Y.idem.terms
-        t_to, zero = t_power, RF_ZERO
-    else:
-        ex = {d: c.eval(t0) for d, c in X.idem.terms.items()}
-        ey = {d: c.eval(t0) for d, c in Y.idem.terms.items()}
-        t_to, zero = t0.__pow__, Fraction(0)
     ech = SparseEchelon()
     pair_cache: dict = {}
 
@@ -349,16 +322,16 @@ def _hom_rank(X: KaroubiObject, Y: KaroubiObject, t0: Fraction | None) -> int:
 
     for d in basis:
         through: dict = {}
-        for dx, cx in ex.items():
+        for dx, cx in X.idem.terms.items():
             dd, power = composed(d, dx)
-            through[dd] = through.get(dd, zero) + cx * t_to(power)
+            through[dd] = through.get(dd, RF_ZERO) + cx * t_power(power)
         row: dict = {}
         for dm, cm in through.items():
             if not cm:
                 continue
-            for dy, cy in ey.items():
+            for dy, cy in Y.idem.terms.items():
                 dd, power = composed(dy, dm)
-                row[dd] = row.get(dd, zero) + cy * cm * t_to(power)
+                row[dd] = row.get(dd, RF_ZERO) + cy * cm * t_power(power)
         ech.add(row)
     return ech.rank
 
@@ -389,87 +362,44 @@ def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
     """
     Y = symmetrizer_object(lam, flavor)
     symmetrizers = _symmetrizers(flavor, _labels_below(flavor, lam))
-    return _triangular_multiplicities(Y, flavor, symmetrizers, None)
+    return _triangular_multiplicities(Y, flavor, symmetrizers)
 
 
 def _symmetrizers(flavor: str, labels: list[Label]) -> dict[Label, KaroubiObject]:
-    """Y_lam for each label, in the given order; built once per computation so
-    every sample point (and the exact fallback) reuses the same objects."""
+    """Y_lam for each label, in the given order; built once per computation."""
     return {lam: symmetrizer_object(lam, flavor) for lam in labels}
 
 
 def _triangular_multiplicities(
-    X: KaroubiObject,
-    flavor: str,
-    symmetrizers: dict[Label, KaroubiObject],
-    t0: Fraction | None,
+    X: KaroubiObject, flavor: str, symmetrizers: dict[Label, KaroubiObject]
 ) -> dict[Label, int]:
     """Invert the unitriangular K system over the labels of `symmetrizers`
     (size order)."""
     mult: dict[Label, int] = {}
     for lam, Y in symmetrizers.items():
-        h = _hom_rank(X, Y, t0)
+        h = _hom_rank(X, Y)
         corr = 0
         for mu in symmetrizers:
             if mult.get(mu):
                 corr += mult[mu] * _decomposition_matrix(flavor, lam, mu)
         value = h - corr
         if value < 0:
-            raise NonGenericPointError(f"negative multiplicity at t0 = {t0}")
+            raise ValueError(f"negative multiplicity of L({lam}): the K system is inconsistent")
         mult[lam] = value
     return mult
 
 
-def _certified(at_point, seed_material) -> dict[Label, int]:
-    """Run at two independent random points, require agreement; exact fallback."""
-    rng = random.Random(repr(seed_material))
-    for _ in range(4):
-        a, b = _sample_points(rng)
-        try:
-            first = at_point(a)
-            second = at_point(b)
-        except (PoleError, NonGenericPointError):
-            continue
-        if first == second:
-            return first
-    return at_point(None)  # exact over Q(t)
-
-
-def _multiplicities_of(X: KaroubiObject, flavor: str, seed: int = 0) -> dict[Label, int]:
-    """Multiplicities of all candidate simples in X, with certification."""
-    symmetrizers = _symmetrizers(flavor, DIAGRAM_CLASSES[flavor]._labels(X.sig.data))
-
-    def at_point(t0: Fraction | None) -> dict[Label, int]:
-        return _triangular_multiplicities(X, flavor, symmetrizers, t0)
-
-    return _certified(at_point, seed_material=(seed, str(X.sig), len(X.idem.terms)))
-
-
-def multiplicity(
-    X: KaroubiObject, lam: Label, t0: Fraction | None = None, seed: int = 0
-) -> int:
-    """Multiplicity of L(lam) in X at generic t.
-
-    When t0 is given, ranks are evaluated at that point and cross-checked at
-    an independent random point; disagreement raises NonGenericPointError.
-    """
+def _multiplicities_of(X: KaroubiObject) -> dict[Label, int]:
+    """Generic multiplicities of all candidate simples in X, exactly."""
     flavor = X.sig.flavor
-    lam = _normalize_label(flavor, lam)
-    labels = DIAGRAM_CLASSES[flavor]._labels(X.sig.data)
-    if lam not in labels:
-        return 0
-    if t0 is not None:
-        symmetrizers = _symmetrizers(flavor, labels)
-        first = _triangular_multiplicities(X, flavor, symmetrizers, Fraction(t0))
-        rng = random.Random(seed)
-        (check,) = _sample_points(rng, 1)
-        second = _triangular_multiplicities(X, flavor, symmetrizers, check)
-        if first != second:
-            raise NonGenericPointError(
-                f"t0 = {t0} is not generic for this multiplicity computation"
-            )
-        return first.get(lam, 0)
-    return _multiplicities_of(X, flavor, seed).get(lam, 0)
+    symmetrizers = _symmetrizers(flavor, DIAGRAM_CLASSES[flavor]._labels(X.sig.data))
+    return _triangular_multiplicities(X, flavor, symmetrizers)
+
+
+def multiplicity(X: KaroubiObject, lam: Label) -> int:
+    """Multiplicity of L(lam) in X at generic t."""
+    lam = _normalize_label(X.sig.flavor, lam)
+    return _multiplicities_of(X).get(lam, 0)
 
 
 def _normalize_label(flavor: str, lam) -> Label:
@@ -479,10 +409,11 @@ def _normalize_label(flavor: str, lam) -> Label:
 
 
 def decompose(X: KaroubiObject, seed: int = 0) -> dict[Label, int]:
-    """Multiset {label: multiplicity} with all zero entries dropped."""
-    flavor = X.sig.flavor
-    mults = _multiplicities_of(X, flavor, seed)
-    return {lam: m for lam, m in mults.items() if m}
+    """Multiset {label: multiplicity} with all zero entries dropped.
+
+    `seed` is accepted for compatibility and has no effect: every rank is
+    exact over Q(t)."""
+    return {lam: m for lam, m in _multiplicities_of(X).items() if m}
 
 
 # ---------------------------------------------------------------------------

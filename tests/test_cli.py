@@ -7,9 +7,8 @@ import time
 
 import pytest
 
-from interpcat import cli, selftest
+from interpcat import karoubi, selftest
 from interpcat.cli import main
-from interpcat.karoubi import NonGenericPointError
 
 WORKED_P = {"flavor": "S", "top": 3, "bottom": 6, "blocks": [[1, 3, -2], [2, -4, -5], [-1], [-3, -6]]}
 WORKED_Q = {"flavor": "S", "top": 6, "bottom": 2, "blocks": [[1, 3], [2, -2], [4, -1], [5], [6]]}
@@ -270,13 +269,12 @@ class TestSelftestCommand:
 
 
 class TestExitCodes:
-    def test_non_generic_point_exit_1(self, capsys, monkeypatch):
-        def unlucky(args):
-            raise NonGenericPointError("two sample points disagreed")
-
-        monkeypatch.setattr(cli, "cmd_decompose", unlucky)
-        assert main(["decompose", "-f", "{}"]) == 1
-        assert "two sample points disagreed" in capsys.readouterr().err
+    def test_negative_multiplicity_exit_1(self, capsys, monkeypatch):
+        # the guard in the K inversion: ranks too small for K are an error
+        y = run_json(capsys, "young", "--lambda", "[1]")
+        monkeypatch.setattr(karoubi, "_decomposition_matrix", lambda flavor, lam, mu: 5)
+        assert main(["decompose", "-f", json.dumps(y)]) == 1
+        assert "negative multiplicity of L((1,))" in capsys.readouterr().err
 
     def test_oversized_gram_refused_up_front(self, capsys):
         start = time.perf_counter()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from interpcat import karoubi
-from interpcat.diagrams import DIAGRAM_CLASSES, partition_diagram
+from interpcat.diagrams import partition_diagram
 from interpcat.homspaces import (
     compose,
     diagram_morphism,
@@ -13,16 +13,13 @@ from interpcat.homspaces import (
     sig_gl,
     sig_o,
     sig_s,
+    tensor,
     trace,
 )
 from interpcat.karoubi import (
     KaroubiObject,
-    NonGenericPointError,
     SizeBudgetError,
-    _certified,
     _hom_rank,
-    _symmetrizers,
-    _triangular_multiplicities,
     bipartition_symmetrizer,
     decompose,
     dim_simple,
@@ -36,7 +33,7 @@ from interpcat.karoubi import (
     young_symmetrizer,
 )
 from interpcat.partitions import partitions_of
-from interpcat.ratfunc import PoleError, RatFunc, RF_ONE, RF_T
+from interpcat.ratfunc import RatFunc, RF_ONE, RF_T
 from interpcat.selftest import gl_weyl_dimension, hook_content_dimension
 
 t = RF_T
@@ -46,6 +43,11 @@ PI = partition_diagram(1, 1, [(1,), (-1,)])
 def std_idempotent():
     """1 - pi/t: the complement of the trivial summand inside [1]."""
     return identity(sig_s(1)) - diagram_morphism(PI) / t
+
+
+# ([3], special_p(3)) is isomorphic to [2]: the block {2, 3, 2', 3'} factors
+# through one strand
+SPECIAL_P3 = {(): 2, (1,): 3, (2,): 1, (1, 1): 1}
 
 
 class TestIsIdempotent:
@@ -204,60 +206,31 @@ class TestMultiplicity:
         X = object_of_identity(sig_s(1))
         assert multiplicity(X, (2, 1)) == 0
 
-    def test_explicit_point_agrees(self):
-        X = KaroubiObject(sig_s(2), young_symmetrizer((2,)))
-        assert multiplicity(X, (1,), t0=Fraction(95, 7)) == 2
-
-    def test_pole_detected(self):
-        X = KaroubiObject(sig_s(1), std_idempotent())
-        with pytest.raises(PoleError):
-            multiplicity(X, (1,), t0=0)
-
-    def test_certification_retries_disagreement(self):
-        calls = []
-
-        def at_point(t0):
-            calls.append(t0)
-            # first pair of points disagrees, later pairs agree
-            return {(1,): 1} if len(calls) > 2 else {(1,): len(calls)}
-
-        assert _certified(at_point, seed_material="test") == {(1,): 1}
-        assert len(calls) >= 4
-
 
 class TestExactHomRank:
-    """_hom_rank with t0 = None: the same sandwich loop, over Q(t)."""
-
-    @pytest.mark.parametrize("sig", [sig_s(2), sig_o(2), sig_gl(1, 1)], ids=str)
-    def test_exact_multiplicities_match_point(self, sig):
-        X = object_of_identity(sig)
-        labels = DIAGRAM_CLASSES[sig.flavor]._labels(sig.data)
-        symmetrizers = _symmetrizers(sig.flavor, labels)
-        exact = _triangular_multiplicities(X, sig.flavor, symmetrizers, None)
-        assert exact == _triangular_multiplicities(X, sig.flavor, symmetrizers, Fraction(95, 7))
-        assert {lam: m for lam, m in exact.items() if m} == decompose(X)
+    """_hom_rank sums every sandwich over Q(t): there is no sample point."""
 
     def test_exact_rank_counts_t_powers(self):
         # End of (S[1], id - pi/t) is one-dimensional because pi o pi = t pi
         X = KaroubiObject(sig_s(1), std_idempotent())
-        assert _hom_rank(X, X, None) == 1 == _hom_rank(X, X, Fraction(95, 7))
-        assert _hom_rank(X, object_of_identity(sig_s(1)), None) == 1
+        assert _hom_rank(X, X) == 1
+        assert _hom_rank(X, object_of_identity(sig_s(1))) == 1
 
-    def test_certified_falls_back_to_exact(self, monkeypatch):
-        X = KaroubiObject(sig_s(2), young_symmetrizer((2,)))
-        expected = decompose(X)
-        point_rank = karoubi._hom_rank
-        exact_calls = []
+    def test_no_sample_point_is_used(self, monkeypatch):
+        # idempotents that carry t: a rank taken at a point would evaluate them
+        def sample_point_used(self, t0):
+            raise AssertionError(f"coefficient evaluated at t = {t0}")
 
-        def no_generic_point(X, Y, t0):
-            if t0 is not None:
-                raise NonGenericPointError(f"forced failure at {t0}")
-            exact_calls.append((X, Y))
-            return point_rank(X, Y, t0)
-
-        monkeypatch.setattr(karoubi, "_hom_rank", no_generic_point)
-        assert decompose(X) == expected == {(): 2, (1,): 2, (2,): 1}
-        assert exact_calls
+        std = std_idempotent()
+        gl_adjoint = promote(bipartition_symmetrizer(((1,), (1,))))
+        monkeypatch.setattr(RatFunc, "eval", sample_point_used)
+        assert decompose(KaroubiObject(sig_s(2), tensor(std, std))) == {
+            (): 1, (1,): 1, (1, 1): 1, (2,): 1,
+        }
+        assert decompose(KaroubiObject(gl_adjoint.source, gl_adjoint)) == {
+            ((), ()): 1, ((1,), (1,)): 1,
+        }
+        assert decompose(KaroubiObject(sig_s(3), special_p(3))) == SPECIAL_P3
 
 
 class TestDecompose:
@@ -313,11 +286,19 @@ class TestDecompose:
         assert decompose(X) == {(1,): 3, (3,): 1, (2, 1): 2, (1, 1, 1): 1}
 
     def test_accounting_identity(self):
+        # sum of m_lam dim L(lam) = tr(e), exactly in Q(t)
+        std = std_idempotent()
+        gl_adjoint = promote(bipartition_symmetrizer(((1,), (1,))))
         for X, flavor in [
             (KaroubiObject(sig_s(2), young_symmetrizer((2,))), "S"),
             (KaroubiObject(sig_s(2), young_symmetrizer((1, 1))), "S"),
             (object_of_identity(sig_gl(1, 1)), "GL"),
             (object_of_identity(sig_o(2)), "O"),
+            # idempotents that carry t, or whose Hom spaces close loops
+            (KaroubiObject(sig_s(2), tensor(std, std)), "S"),
+            (KaroubiObject(sig_s(3), tensor(std, young_symmetrizer((2,)))), "S"),
+            (KaroubiObject(gl_adjoint.source, gl_adjoint), "GL"),
+            (KaroubiObject(sig_s(3), special_p(3)), "S"),
         ]:
             total = RatFunc(0)
             for lam, mult in decompose(X).items():
@@ -367,13 +348,11 @@ class TestDimSimple:
             dim_simple((2, 1), "O")
 
     def test_exact_without_sample_points(self, monkeypatch):
-        # symmetrizer sandwiches carry no t, so K and dim_simple never need
-        # a sample point or the two-point certification
-        def sample_point_used(*args, **kwargs):
-            raise AssertionError("sample point used")
+        # K and dim_simple evaluate no coefficient at a point
+        def sample_point_used(self, t0):
+            raise AssertionError(f"coefficient evaluated at t = {t0}")
 
-        monkeypatch.setattr(karoubi, "_certified", sample_point_used)
-        monkeypatch.setattr(karoubi, "_sample_points", sample_point_used)
+        monkeypatch.setattr(RatFunc, "eval", sample_point_used)
         karoubi._symmetrizer_decomposition.cache_clear()
         karoubi._dim_simple.cache_clear()
         assert dim_simple((2, 1)) == t * (t - 2) * (t - 4) / 3
