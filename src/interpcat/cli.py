@@ -431,6 +431,8 @@ def cmd_char_search(args):
     payload = _load_payload(args.moments, "--moments")
     if not isinstance(payload, dict) or "flavor" not in payload or "values" not in payload:
         raise SchemaError("--moments: expected {flavor, values}")
+    if not isinstance(payload["values"], dict):
+        raise SchemaError("--moments: values must be an object mapping degrees to moments")
     try:
         values = {int(k): Fraction(str(v)) for k, v in payload["values"].items()}
         ms = symfun.MomentSequence(payload["flavor"], values)

@@ -1,19 +1,27 @@
 """Symmetric functions and central-character calculus.
 
 Littlewood-Richardson coefficients by direct lattice-word tableau
-enumeration (memoized); skew Schur Hall pairings; the stable multiplicity
-formulas for mixed GL tensors and for orthogonal/symplectic tensor products
-(stable-range semantics: no n parameter, values are the large-n constants);
-the [alpha, beta, gamma] triple encoding of partitions with its stabilized
-Harish-Chandra multiplicity sum; and the moment calculus of central
-characters built from P_k(x) = (x+1)^k - x^k.
+enumeration (one `lru_cache` on the tableau count); skew Schur Hall
+pairings; the stable multiplicity formulas for mixed GL tensors and for
+orthogonal/symplectic tensor products (stable-range semantics: no n
+parameter, values are the large-n constants); the [alpha, beta, gamma]
+triple encoding of partitions with its stabilized Harish-Chandra
+multiplicity sum; and the moment calculus of central characters built from
+P_k(x) = (x+1)^k - x^k, with a size budget on the integer search.
+
+Partitions are checked once, in the public functions and `ShiftData`;
+internal sums call the private kernels `_lr` and `_nl_inner` on partitions
+the library built.  Both stable flavors run one (eps, c, d) enumeration;
+its osp term and `osp_multiplicity` share the Newell-Littlewood inner sum.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from interpcat.partitions import (
     Partition,
@@ -28,23 +36,23 @@ from interpcat.partitions import (
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson coefficients
 
-_LR_CACHE: dict[tuple[Partition, Partition, Partition], int] = {}
-
 
 def lr_coefficient(lam, mu, nu) -> int:
     """c^lam_{mu,nu}: LR skew tableaux of shape lam/mu and content nu.
 
     Zero whenever |mu| + |nu| != |lam| or mu does not fit inside lam.
     """
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    return _lr(check_partition(lam), check_partition(mu), check_partition(nu))
+
+
+def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """lr_coefficient on partitions the library built: no validation."""
     if sum(mu) + sum(nu) != sum(lam) or not contains(lam, mu):
         return 0
-    key = (lam, mu, nu)
-    if key not in _LR_CACHE:
-        _LR_CACHE[key] = _count_lr_tableaux(lam, mu, nu)
-    return _LR_CACHE[key]
+    return _count_lr_tableaux(lam, mu, nu)
 
 
+@lru_cache(maxsize=None)
 def _count_lr_tableaux(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Backtracking fill in reading order (right-to-left within each row)."""
     rows = len(lam)
@@ -103,9 +111,9 @@ def skew_schur_pairing(lam, nu, mu, nubar) -> int:
         return 0
     total = 0
     for eta in partitions_of(weight):
-        left = lr_coefficient(lam, nu, eta)
+        left = _lr(lam, nu, eta)
         if left:
-            total += left * lr_coefficient(mu, nubar, eta)
+            total += left * _lr(mu, nubar, eta)
     return total
 
 
@@ -127,24 +135,27 @@ def osp_multiplicity(lam, mu, nu) -> int:
     doubled = sum(lam) + sum(mu) - sum(nu)
     if doubled < 0 or doubled % 2:
         return 0
-    zsize = doubled // 2
-    ssize = sum(lam) - zsize
-    tsize = sum(mu) - zsize
+    return sum(
+        _nl_inner(lam, zeta, mu, zeta, nu)
+        for zeta in partitions_of(doubled // 2)
+        if contains(lam, zeta) and contains(mu, zeta)
+    )
+
+
+def _nl_inner(lam, eta, mu, eta_bar, nu) -> int:
+    """sum_{sigma,tau} c^lam_{eta,sigma} c^mu_{eta_bar,tau} c^nu_{sigma,tau}."""
+    ssize, tsize = sum(lam) - sum(eta), sum(mu) - sum(eta_bar)
     if ssize < 0 or tsize < 0:
         return 0
     total = 0
-    for zeta in partitions_of(zsize):
-        if not (contains(lam, zeta) and contains(mu, zeta)):
+    for sigma in partitions_of(ssize):
+        left = _lr(lam, eta, sigma)
+        if not left:
             continue
-        for sigma in partitions_of(ssize):
-            left = lr_coefficient(lam, zeta, sigma)
-            if not left:
-                continue
-            for tau in partitions_of(tsize):
-                mid = lr_coefficient(mu, zeta, tau)
-                if not mid:
-                    continue
-                total += left * mid * lr_coefficient(nu, sigma, tau)
+        for tau in partitions_of(tsize):
+            mid = _lr(mu, eta_bar, tau)
+            if mid:
+                total += left * mid * _lr(nu, sigma, tau)
     return total
 
 
@@ -188,7 +199,7 @@ def triple_encode(lam, k: int, l: int) -> TriplePartition:
     gamma_len = (conj[l] if l < len(conj) else 0) - k
     gamma = tuple(lam[k + i] - l for i in range(max(0, gamma_len)))
     tp = TriplePartition(alpha, beta, gamma, k, l)
-    _validate_triple(tp)
+    triple_decode(tp)  # validates all five constraints
     return tp
 
 
@@ -206,21 +217,20 @@ def _rows_from_triple(alpha, beta, gamma, k: int, l: int) -> Partition:
     return tuple(rows)
 
 
-def _validate_triple(tp: TriplePartition):
+def triple_decode(tp: TriplePartition) -> Partition:
+    """Inverse of triple_encode; validates all five constraints."""
     alpha, beta, gamma = tp.alpha, tp.beta, tp.gamma
     if len(alpha) != tp.k:
         raise ValueError("constraint 1 violated: k must equal the length of alpha")
     if len(beta) != tp.l:
         raise ValueError("constraint 1 violated: l must equal the length of beta")
-    check_partition(alpha)
-    check_partition(beta)
-    check_partition(gamma)
+    for part in (alpha, beta, gamma):
+        check_partition(part)
     # the two inequalities are vacuous on a side whose cut is 0: everything
     # below (resp. right of) a zero cut belongs to gamma
     if gamma and tp.k and gamma[0] > alpha[-1]:
         raise ValueError("constraint 5 violated: gamma_1 must not exceed alpha_k")
-    gamma_conj = conjugate(gamma)
-    if gamma_conj and tp.l and gamma_conj[0] > beta[-1]:
+    if gamma and tp.l and len(gamma) > beta[-1]:
         raise ValueError("constraint 5 violated: gamma'_1 must not exceed beta_l")
     lam = _rows_from_triple(alpha, beta, gamma, tp.k, tp.l)
     conj = conjugate(lam)
@@ -232,12 +242,7 @@ def _validate_triple(tp: TriplePartition):
         )
     if tp.l > durfee(lam) or tp.k > durfee(lam):
         raise ValueError("constraint 1 violated: cuts must not exceed the diagonal")
-
-
-def triple_decode(tp: TriplePartition) -> Partition:
-    """Inverse of triple_encode; validates all five constraints."""
-    _validate_triple(tp)
-    return _rows_from_triple(tp.alpha, tp.beta, tp.gamma, tp.k, tp.l)
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -270,44 +275,30 @@ class ShiftData:
 
 def _vectors_with_sum(lowers: tuple[int, ...], total: int):
     """Integer vectors v >= lowers componentwise with sum(v) = total."""
-    if total < sum(lowers):
-        return
     if not lowers:
         if total == 0:
             yield ()
         return
-    head = lowers[0]
     rest = lowers[1:]
-    for v in range(head, total - sum(rest) + 1):
+    for v in range(lowers[0], total - sum(rest) + 1):
         for tail in _vectors_with_sum(rest, total - v):
             yield (v,) + tail
 
 
-def _tilde_partition(c, d, tail: Partition) -> Partition:
-    """lambda~(c, d, tail) = [alpha~, beta~, tail] with suffix-sum arms."""
+def _tilde(c, d, tail: Partition, eps: Partition) -> tuple[Partition, Partition]:
+    """(lam~, eta~) for the arms c, d over tail.
+
+    lam~ = [alpha~, beta~, tail] with suffix-sum arms alpha~_i = tail_1 +
+    c_i + ... + c_k and beta~_j = tail'_1 + d_j + ... + d_l; eta~ =
+    [alpha~ - c, beta~ - d, eps].
+    """
     k, l = len(c), len(d)
-    g1 = tail[0] if tail else 0
-    g1c = conjugate(tail)[0] if tail else 0
-    alpha = tuple(g1 + sum(c[i:]) for i in range(k))
-    beta = tuple(g1c + sum(d[i:]) for i in range(l))
-    return _rows_from_triple(alpha, beta, tail, k, l)
-
-
-def _tilde_inner(c, d, eps: Partition, tail: Partition) -> Partition:
-    """eta~(c, d, eps) = [alpha~ - c, beta~ - d, eps] built against tail."""
-    k, l = len(c), len(d)
-    g1 = tail[0] if tail else 0
-    g1c = conjugate(tail)[0] if tail else 0
-    alpha = tuple(g1 + sum(c[i + 1 :]) for i in range(k))
-    beta = tuple(g1c + sum(d[i + 1 :]) for i in range(l))
-    return _rows_from_triple(alpha, beta, eps, k, l)
-
-
-def _stable_term(c, d, tail, eps, content) -> int:
-    """LR coefficient of the reconstructed skew shape against `content`."""
-    lam = _tilde_partition(c, d, tail)
-    eta = _tilde_inner(c, d, eps, tail)
-    return lr_coefficient(lam, eta, content)
+    alpha = tuple((tail[0] if tail else 0) + sum(c[i:]) for i in range(k))
+    beta = tuple(len(tail) + sum(d[j:]) for j in range(l))
+    lam = _rows_from_triple(alpha, beta, tail, k, l)
+    alpha = tuple(x - y for x, y in zip(alpha, c))
+    beta = tuple(x - y for x, y in zip(beta, d))
+    return lam, _rows_from_triple(alpha, beta, eps, k, l)
 
 
 def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
@@ -316,78 +307,49 @@ def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
     flavor "gl": nu is a pair (nu, nubar) of partitions; flavor "osp": nu is
     a single partition.  The value equals the direct formula evaluated on
     any instantiation with row gaps above the stated threshold.
+
+    Both flavors sum one term over eps inside gamma and delta and over arms
+    (c, d) >= max(0, -(a, b)) of weight |c| + |d| = base + |eps|; the flavor
+    fixes base and the term.
     """
-    lows_c = tuple(max(0, -x) for x in shift.a)
-    lows_d = tuple(max(0, -x) for x in shift.b)
-    common = [
-        eps
-        for eps in sub_partitions(shift.gamma)
-        if contains(shift.delta, eps)
-    ]
+    a, b, gamma, delta = shift.a, shift.b, shift.gamma, shift.delta
     if flavor == "gl":
-        nu, nubar = (check_partition(nu[0]), check_partition(nu[1]))
-        total = 0
-        for eps in common:
-            weight = sum(nu) - sum(shift.gamma) + sum(eps)
-            other = (
-                sum(nubar)
-                - sum(shift.a)
-                - sum(shift.b)
-                - sum(shift.delta)
-                + sum(eps)
-            )
-            if weight < 0 or weight != other:
-                continue
-            for split in range(weight + 1):
-                for c in _vectors_with_sum(lows_c, split):
-                    for d in _vectors_with_sum(lows_d, weight - split):
-                        left = _stable_term(c, d, shift.gamma, eps, nu)
-                        if not left:
-                            continue
-                        c_shift = tuple(x + y for x, y in zip(c, shift.a))
-                        d_shift = tuple(x + y for x, y in zip(d, shift.b))
-                        total += left * _stable_term(
-                            c_shift, d_shift, shift.delta, eps, nubar
-                        )
-        return total
-    if flavor == "osp":
+        nu, nubar = check_partition(nu[0]), check_partition(nu[1])
+        # |c| + |d| = |nu| - |gamma| + |eps| = |nubar| - |a| - |b| - |delta| + |eps|
+        base = sum(nu) - sum(gamma)
+        if base != sum(nubar) - sum(a) - sum(b) - sum(delta):
+            return 0
+
+        def term(lam, eta, mu, eta_bar):
+            left = _lr(lam, eta, nu)
+            return left and left * _lr(mu, eta_bar, nubar)
+
+    elif flavor == "osp":
         nu = check_partition(nu)
-        total = 0
-        for eps in common:
-            # 2(|c|+|d|) + |a|+|b| + |gamma|+|delta| - 2|eps| = |nu|
-            doubled = (
-                sum(nu)
-                - sum(shift.a)
-                - sum(shift.b)
-                - sum(shift.gamma)
-                - sum(shift.delta)
-                + 2 * sum(eps)
-            )
-            if doubled < 0 or doubled % 2:
-                continue
-            weight = doubled // 2
-            for split in range(weight + 1):
-                for c in _vectors_with_sum(lows_c, split):
-                    for d in _vectors_with_sum(lows_d, weight - split):
-                        omega_size = weight + sum(shift.gamma) - sum(eps)
-                        xi_size = sum(nu) - omega_size
-                        if xi_size < 0:
-                            continue
-                        c_shift = tuple(x + y for x, y in zip(c, shift.a))
-                        d_shift = tuple(x + y for x, y in zip(d, shift.b))
-                        for omega in partitions_of(omega_size):
-                            left = _stable_term(c, d, shift.gamma, eps, omega)
-                            if not left:
-                                continue
-                            for xi in partitions_of(xi_size):
-                                mid = _stable_term(
-                                    c_shift, d_shift, shift.delta, eps, xi
-                                )
-                                if not mid:
-                                    continue
-                                total += left * mid * lr_coefficient(nu, omega, xi)
-        return total
-    raise ValueError(f"unknown flavor {flavor!r} (expected 'gl' or 'osp')")
+        # 2(|c| + |d|) + |a| + |b| + |gamma| + |delta| - 2|eps| = |nu|
+        doubled = sum(nu) - sum(a) - sum(b) - sum(gamma) - sum(delta)
+        if doubled % 2:
+            return 0
+        base = doubled // 2
+
+        def term(lam, eta, mu, eta_bar):
+            return _nl_inner(lam, eta, mu, eta_bar, nu)
+
+    else:
+        raise ValueError(f"unknown flavor {flavor!r} (expected 'gl' or 'osp')")
+    k, shifts = len(a), a + b
+    lows = tuple(max(0, -x) for x in shifts)
+    total = 0
+    for eps in sub_partitions(gamma):
+        weight = base + sum(eps)
+        if weight < 0 or not contains(delta, eps):
+            continue
+        for arms in _vectors_with_sum(lows, weight):
+            lam, eta = _tilde(arms[:k], arms[k:], gamma, eps)
+            moved = tuple(x + y for x, y in zip(arms, shifts))
+            mu, eta_bar = _tilde(moved[:k], moved[k:], delta, eps)
+            total += term(lam, eta, mu, eta_bar)
+    return total
 
 
 def shift_instance(shift: ShiftData, n: int) -> tuple[Partition, Partition]:
@@ -416,6 +378,8 @@ def shift_instance(shift: ShiftData, n: int) -> tuple[Partition, Partition]:
 # ---------------------------------------------------------------------------
 # central character moments
 
+MAX_SEARCH_BOX = 10**5
+
 
 def pk(x, k: int) -> Fraction:
     """P_k(x) = (x+1)^k - x^k."""
@@ -427,6 +391,11 @@ def pbark(x, k: int) -> Fraction:
     """P-bar_k(x) = (x-1)^k - x^k."""
     x = Fraction(x)
     return (x - 1) ** k - x**k
+
+
+def _moment(b, c, k: int) -> Fraction:
+    """sum_i P_k(b_i) + sum_j P-bar_k(c_j)."""
+    return sum(pk(x, k) for x in b) + sum(pbark(x, k) for x in c)
 
 
 @dataclass
@@ -443,6 +412,8 @@ class MomentSequence:
         for k, v in self.values.items():
             k = int(k)
             v = Fraction(v)
+            if k < 1:
+                raise ValueError(f"moment degrees start at 1 (k={k})")
             if self.flavor == "osp" and k % 2 and v != 0:
                 raise ValueError(f"osp moment sequences vanish in odd degree (k={k})")
             clean[k] = v
@@ -459,16 +430,10 @@ def char_difference_forward(b, c, flavor: str = "gl", K: int = 6) -> MomentSeque
     c = tuple(Fraction(x) for x in c)
     if flavor == "osp" and c:
         raise ValueError("osp central characters take no c parameters")
-    values: dict[int, Fraction] = {}
-    for k in range(1, K + 1):
-        if flavor == "osp":
-            values[k] = (
-                Fraction(0) if k % 2 else sum((pk(x, k) for x in b), Fraction(0))
-            )
-        else:
-            values[k] = sum((pk(x, k) for x in b), Fraction(0)) + sum(
-                (pbark(x, k) for x in c), Fraction(0)
-            )
+    values = {
+        k: Fraction(0) if flavor == "osp" and k % 2 else _moment(b, c, k)
+        for k in range(1, K + 1)
+    }
     return MomentSequence(flavor, values)
 
 
@@ -494,8 +459,7 @@ def weight_moment_difference(mu, moved_up, moved_down, K: int = 6) -> MomentSequ
         lam[i - 1] -= 1
     values: dict[int, Fraction] = {}
     for k in range(1, K + 1):
-        total = sum((pk(mu[i - 1], k) for i in up), Fraction(0))
-        total += sum((pbark(mu[i - 1], k) for i in down), Fraction(0))
+        total = _moment([mu[i - 1] for i in up], [mu[i - 1] for i in down], k)
         direct = sum(x**k for x in lam) - sum(x**k for x in mu)
         if total != direct:
             raise AssertionError(
@@ -512,25 +476,25 @@ def search_decomposition(
 
     Entries run over [-bound, bound]; vectors are returned sorted (the
     moments cannot see the order).  None means no integer solution in the
-    box, which is a valid answer.
+    box, which is a valid answer.  A box of more than MAX_SEARCH_BOX
+    candidate pairs, C(2 bound + r, r) C(2 bound + s, s), is refused up
+    front.
     """
     if m.flavor == "osp" and s:
         raise ValueError("osp searches take s = 0")
     needed = r + s + 2
     if len(m.values) < needed:
         raise ValueError(f"need at least r + s + 2 = {needed} moments, got {len(m.values)}")
+    if min(r, s) < 0:
+        raise ValueError("r and s must be non-negative")
+    side = 2 * max(bound, 0)
+    box = math.comb(side + r, r) * math.comb(side + s, s)
+    if box > MAX_SEARCH_BOX:
+        raise ValueError(f"search budget exceeded: {box} candidates > {MAX_SEARCH_BOX}")
     candidates = range(-bound, bound + 1)
-    ks = sorted(m.values)
+    ks = [k for k in sorted(m.values) if not (m.flavor == "osp" and k % 2)]
     for b in itertools.combinations_with_replacement(candidates, r):
         for c in itertools.combinations_with_replacement(candidates, s):
-            ok = True
-            for k in ks:
-                if m.flavor == "osp" and k % 2:
-                    continue
-                total = sum(pk(x, k) for x in b) + sum(pbark(x, k) for x in c)
-                if total != m.values[k]:
-                    ok = False
-                    break
-            if ok:
+            if all(_moment(b, c, k) == m.values[k] for k in ks):
                 return tuple(b), tuple(c)
     return None

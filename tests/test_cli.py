@@ -283,6 +283,25 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [[1, 2], "x"])
+    def test_char_search_non_object_values_exit_2(self, capsys, values):
+        moments = json.dumps({"flavor": "gl", "values": values})
+        assert main(["char-search", "--moments", moments, "-r", "1", "-s", "0"]) == 2
+        assert capsys.readouterr().err.startswith("schema error: --moments: ")
+
+    def test_char_search_degree_below_one_exit_2(self, capsys):
+        moments = json.dumps({"flavor": "gl", "values": {"-1": "1", "0": "0", "1": "1"}})
+        assert main(["char-search", "--moments", moments, "-r", "1", "-s", "0"]) == 2
+        assert "schema error: --moments: " in capsys.readouterr().err
+
+    def test_oversized_search_refused_up_front(self, capsys):
+        moments = json.dumps({"flavor": "gl", "values": {str(k): "1" for k in range(1, 9)}})
+        start = time.perf_counter()
+        code = main(["char-search", "--moments", moments, "-r", "3", "-s", "3", "-B", "60"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "budget" in capsys.readouterr().err
+
 
 class TestSubprocess:
     def test_entry_point_runs(self):

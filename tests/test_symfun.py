@@ -1,13 +1,18 @@
 """LR coefficients, pairings, triple encoding, stable multiplicities, moments."""
 
+import itertools
+import json
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from interpcat.partitions import partitions_of, sub_partitions
 from interpcat.selftest import hall_pairing_by_expansion, schur_products_expanded
 from interpcat.symfun import (
+    MAX_SEARCH_BOX,
     MomentSequence,
     ShiftData,
     TriplePartition,
@@ -184,6 +189,42 @@ class TestStableHC:
             ShiftData((0,), (), (1, 2), ())
 
 
+GRID_A = [(), (0,), (1,), (-1,), (2,), (0, 0), (1, -1)]
+GRID_B = [(), (0,), (1,), (-1,)]
+GRID_SMALL = [p for k in range(3) for p in partitions_of(k)]
+GRID_NL = [p for k in range(5) for p in partitions_of(k)]
+GRID_FILE = Path(__file__).parent / "data" / "stable_grid.json"
+
+
+def stable_grid():
+    """(key, value) over the whole grid; keys are [kind, *arguments] as JSON lists.
+
+    gl and osp: stable_hc_multiplicity for a in GRID_A, b in GRID_B and
+    gamma, delta, nu, nubar of size <= 2; nl: osp_multiplicity on every
+    triple of shapes of size <= 4.
+    """
+    for a, b, gamma, delta in itertools.product(GRID_A, GRID_B, GRID_SMALL, GRID_SMALL):
+        shift = ShiftData(a, b, gamma, delta)
+        for nu, nubar in itertools.product(GRID_SMALL, repeat=2):
+            value = stable_hc_multiplicity(shift, (nu, nubar), "gl")
+            yield ["gl", a, b, gamma, delta, nu, nubar], value
+        for nu in GRID_SMALL:
+            yield ["osp", a, b, gamma, delta, nu], stable_hc_multiplicity(shift, nu, "osp")
+    for lam, mu, nu in itertools.product(GRID_NL, repeat=3):
+        yield ["nl", lam, mu, nu], osp_multiplicity(lam, mu, nu)
+
+
+class TestStableGrid:
+    """Values recorded before the stable layer was rewritten: nonzero entries only."""
+
+    def test_grid_reproduced(self):
+        start = time.perf_counter()
+        got = {json.dumps(key): value for key, value in stable_grid() if value}
+        recorded = {json.dumps(key): value for key, value in json.loads(GRID_FILE.read_text())}
+        assert got == recorded
+        assert time.perf_counter() - start < 2.0
+
+
 class TestMoments:
     def test_pk_values(self):
         assert pk(3, 2) == 7
@@ -233,6 +274,11 @@ class TestMoments:
         with pytest.raises(ValueError):
             MomentSequence("osp", {1: Fraction(1)})
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_moment_degree_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k={k}"):
+            MomentSequence("gl", {k: Fraction(0), 1: Fraction(1)})
+
 
 class TestSearch:
     def test_all_ones(self):
@@ -257,3 +303,16 @@ class TestSearch:
     def test_osp_search(self):
         ms = char_difference_forward((3,), (), "osp", 6)
         assert search_decomposition(ms, 1, 0, 5) == ((3,), ())
+
+    def test_box_budget(self):
+        # C(2B + r, r) C(2B + s, s) candidate pairs: 286 * 1 at B = 5 for
+        # (r, s) = (3, 0) is searched; 12,341 * 41 at B = 20 for (3, 1) is
+        # refused up front
+        assert MAX_SEARCH_BOX == 10**5
+        ms = char_difference_forward((1, 2, -3), (), "gl", 5)
+        assert search_decomposition(ms, 3, 0, 5) == ((-3, 1, 2), ())
+        ms = char_difference_forward((1, 2, -3), (4,), "gl", 6)
+        with pytest.raises(ValueError, match=f"budget exceeded: 505981 candidates > {MAX_SEARCH_BOX}"):
+            search_decomposition(ms, 3, 1, 20)
+        with pytest.raises(ValueError, match="non-negative"):
+            search_decomposition(ms, -1, 1, 5)
