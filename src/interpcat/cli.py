@@ -24,6 +24,7 @@ from interpcat.homspaces import (
     morphism_to_json,
     trace,
 )
+from interpcat.partitions import check_partition, is_int
 from interpcat.ratfunc import PoleError, format_ratfunc
 from interpcat.selftest import run_selftest
 
@@ -60,11 +61,9 @@ def _load_payload(text: str, field: str):
 
 
 def _partition(payload, field: str) -> tuple[int, ...]:
-    if not isinstance(payload, list) or not all(isinstance(x, int) for x in payload):
+    if not isinstance(payload, list) or not all(is_int(x) for x in payload):
         raise SchemaError(f"{field}: expected a JSON array of integers")
     try:
-        from interpcat.partitions import check_partition
-
         return check_partition(payload)
     except ValueError as exc:
         raise SchemaError(f"{field}: {exc}") from exc
@@ -109,10 +108,10 @@ def _endpoint(text: str, flavor: str, field: str):
         if (
             not isinstance(payload, list)
             or len(payload) != 2
-            or not all(isinstance(x, int) and x >= 0 for x in payload)
+            or not all(is_int(x) and x >= 0 for x in payload)
         ):
             raise SchemaError(f"{field}: GL endpoints are [r, s] pairs")
-    elif not isinstance(payload, int) or payload < 0:
+    elif not is_int(payload) or payload < 0:
         raise SchemaError(f"{field}: expected a nonnegative integer")
     return as_signature(payload, flavor)
 
@@ -370,7 +369,7 @@ def cmd_triple(args):
 def cmd_hc_stable(args):
     def int_vector(text, field):
         payload = _load_payload(text, field)
-        if not isinstance(payload, list) or not all(isinstance(x, int) for x in payload):
+        if not isinstance(payload, list) or not all(is_int(x) for x in payload):
             raise SchemaError(f"{field}: expected a JSON array of integers")
         return tuple(payload)
 

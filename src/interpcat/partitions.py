@@ -3,16 +3,26 @@
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 Partition = tuple[int, ...]
 
 
+def is_int(x) -> bool:
+    """x is an integer: booleans and non-integral numbers are not."""
+    # the exact-type test keeps plain ints off the slow ABC check
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
 def check_partition(lam) -> Partition:
     try:
-        lam = tuple(int(x) for x in lam)
-    except (TypeError, ValueError) as exc:
+        parts = tuple(lam)
+    except TypeError as exc:
         raise ValueError(f"{lam!r} is not a partition (expected integers)") from exc
+    if not all(is_int(x) for x in parts):
+        raise ValueError(f"{lam!r} is not a partition (expected integers)")
+    lam = tuple(int(x) for x in parts)
     if any(a <= 0 for a in lam) or any(a < b for a, b in zip(lam, lam[1:])):
         raise ValueError(f"{lam} is not a partition (weakly decreasing, positive)")
     return lam
@@ -63,18 +73,28 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def sub_partitions(lam: Partition) -> list[Partition]:
-    """All partitions contained in lam, any size."""
+def sub_partitions(lam: Partition, size: int | None = None) -> list[Partition]:
+    """Partitions contained in lam: all of them, or only those of one size.
+
+    With a size, a row stops as soon as the rows below it cannot hold the
+    rest, and the partitions come in the order of partitions_of(size); a
+    negative size gives none.
+    """
     out: list[Partition] = []
 
-    def rec(row: int, cap: int, prefix: tuple[int, ...]):
-        out.append(prefix)
-        if row == len(lam):
+    def rec(row: int, cap: int, left: int, prefix: tuple[int, ...]):
+        if size is None or not left:
+            out.append(prefix)
+        if row == len(lam) or not left:
             return
-        for part in range(min(cap, lam[row]), 0, -1):
-            rec(row + 1, part, prefix + (part,))
+        below = lam[row + 1 :]
+        for part in range(min(cap, lam[row], left), 0, -1):
+            if size is not None and part + sum(min(part, x) for x in below) < left:
+                break
+            rec(row + 1, part, left - part, prefix + (part,))
 
-    rec(0, lam[0] if lam else 0, ())
+    # unsized, left = |lam| - |prefix| never binds: it is at least |lam[row:]|
+    rec(0, lam[0] if lam else 0, sum(lam) if size is None else size, ())
     return out
 
 

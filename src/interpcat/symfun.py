@@ -1,7 +1,7 @@
 """Symmetric functions and central-character calculus.
 
 Littlewood-Richardson coefficients by direct lattice-word tableau
-enumeration (one `lru_cache` on the tableau count); skew Schur Hall
+enumeration (one bounded `lru_cache` on the tableau count); skew Schur Hall
 pairings; the stable multiplicity formulas for mixed GL tensors and for
 orthogonal/symplectic tensor products (stable-range semantics: no n
 parameter, values are the large-n constants); the [alpha, beta, gamma]
@@ -13,6 +13,8 @@ Partitions are checked once, in the public functions and `ShiftData`;
 internal sums call the private kernels `_lr` and `_nl_inner` on partitions
 the library built.  Both stable flavors run one (eps, c, d) enumeration;
 its osp term and `osp_multiplicity` share the Newell-Littlewood inner sum.
+LR tableaux fill by the smaller side; sums run over shapes inside the meet
+of the shapes their factors need to contain.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from interpcat.partitions import (
     conjugate,
     contains,
     durfee,
-    partitions_of,
+    is_int,
     sub_partitions,
 )
 
@@ -46,15 +48,30 @@ def lr_coefficient(lam, mu, nu) -> int:
 
 
 def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """lr_coefficient on partitions the library built: no validation."""
-    if sum(mu) + sum(nu) != sum(lam) or not contains(lam, mu):
+    """lr_coefficient on partitions the library built: no validation.
+
+    By c^lam_{mu,nu} = c^lam_{nu,mu}, the fill is lam/(larger) with the
+    smaller content, so the cache sees one key per unordered pair.
+    """
+    if sum(mu) + sum(nu) != sum(lam) or not contains(lam, mu) or not contains(lam, nu):
         return 0
-    return _count_lr_tableaux(lam, mu, nu)
+    small, large = sorted((mu, nu), key=lambda p: (sum(p), p))
+    return _count_lr_tableaux(lam, large, small)
 
 
-@lru_cache(maxsize=None)
+def _meet(lam: Partition, mu: Partition) -> Partition:
+    """lam ∩ mu: the largest partition inside both."""
+    return tuple(min(a, b) for a, b in zip(lam, mu))
+
+
+@lru_cache(maxsize=1 << 16)
 def _count_lr_tableaux(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Backtracking fill in reading order (right-to-left within each row)."""
+    """Backtracking fill of lam/mu with content nu, in reading order
+    (right-to-left within each row).
+
+    The bound keeps the cache finite; one `stable` benchmark round fills
+    about a thousand keys.
+    """
     rows = len(lam)
     mu_pad = mu + (0,) * (rows - len(mu))
     nrows = len(nu)
@@ -107,10 +124,10 @@ def skew_schur_pairing(lam, nu, mu, nubar) -> int:
     lam, nu = check_partition(lam), check_partition(nu)
     mu, nubar = check_partition(mu), check_partition(nubar)
     weight = sum(lam) - sum(nu)
-    if weight < 0 or weight != sum(mu) - sum(nubar):
+    if weight != sum(mu) - sum(nubar):
         return 0
     total = 0
-    for eta in partitions_of(weight):
+    for eta in sub_partitions(_meet(lam, mu), weight):
         left = _lr(lam, nu, eta)
         if left:
             total += left * _lr(mu, nubar, eta)
@@ -133,26 +150,23 @@ def osp_multiplicity(lam, mu, nu) -> int:
     """
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     doubled = sum(lam) + sum(mu) - sum(nu)
-    if doubled < 0 or doubled % 2:
+    if doubled % 2:
         return 0
     return sum(
         _nl_inner(lam, zeta, mu, zeta, nu)
-        for zeta in partitions_of(doubled // 2)
-        if contains(lam, zeta) and contains(mu, zeta)
+        for zeta in sub_partitions(_meet(lam, mu), doubled // 2)
     )
 
 
 def _nl_inner(lam, eta, mu, eta_bar, nu) -> int:
     """sum_{sigma,tau} c^lam_{eta,sigma} c^mu_{eta_bar,tau} c^nu_{sigma,tau}."""
-    ssize, tsize = sum(lam) - sum(eta), sum(mu) - sum(eta_bar)
-    if ssize < 0 or tsize < 0:
-        return 0
     total = 0
-    for sigma in partitions_of(ssize):
+    taus = sub_partitions(_meet(mu, nu), sum(mu) - sum(eta_bar))
+    for sigma in sub_partitions(_meet(lam, nu), sum(lam) - sum(eta)):
         left = _lr(lam, eta, sigma)
         if not left:
             continue
-        for tau in partitions_of(tsize):
+        for tau in taus:
             mid = _lr(mu, eta_bar, tau)
             if mid:
                 total += left * mid * _lr(nu, sigma, tau)
@@ -259,8 +273,11 @@ class ShiftData:
     delta: Partition
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        for name in ("a", "b"):
+            shifts = tuple(getattr(self, name))
+            if not all(is_int(x) for x in shifts):
+                raise ValueError(f"shift {name} = {shifts!r} must be integers")
+            object.__setattr__(self, name, tuple(int(x) for x in shifts))
         object.__setattr__(self, "gamma", check_partition(self.gamma))
         object.__setattr__(self, "delta", check_partition(self.delta))
 
@@ -308,7 +325,7 @@ def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
     a single partition.  The value equals the direct formula evaluated on
     any instantiation with row gaps above the stated threshold.
 
-    Both flavors sum one term over eps inside gamma and delta and over arms
+    Both flavors sum one term over eps inside gamma ∩ delta and over arms
     (c, d) >= max(0, -(a, b)) of weight |c| + |d| = base + |eps|; the flavor
     fixes base and the term.
     """
@@ -340,11 +357,8 @@ def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
     k, shifts = len(a), a + b
     lows = tuple(max(0, -x) for x in shifts)
     total = 0
-    for eps in sub_partitions(gamma):
-        weight = base + sum(eps)
-        if weight < 0 or not contains(delta, eps):
-            continue
-        for arms in _vectors_with_sum(lows, weight):
+    for eps in sub_partitions(_meet(gamma, delta)):
+        for arms in _vectors_with_sum(lows, base + sum(eps)):
             lam, eta = _tilde(arms[:k], arms[k:], gamma, eps)
             moved = tuple(x + y for x, y in zip(arms, shifts))
             mu, eta_bar = _tilde(moved[:k], moved[k:], delta, eps)

@@ -294,6 +294,21 @@ class TestExitCodes:
         assert main(["char-search", "--moments", moments, "-r", "1", "-s", "0"]) == 2
         assert "schema error: --moments: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, argv",
+        [
+            ("--lambda", ["lr", "--lambda", "[true]", "--mu", "[]", "--nu", "[1]"]),
+            ("--lambda", ["simple-dim", "--lambda", "[true]"]),
+            ("--a", ["hc-stable", "--a", "[true]", "--b", "[]", "--gamma", "[]", "--delta", "[]",
+                     "--nu", "[1]", "--nubar", "[2]"]),
+            ("-l", ["quotient-dim", "-l", "true", "-m", "1", "--n", "3"]),
+            ("-l", ["gram", "--flavor", "GL", "-l", "[true, 0]", "-m", "[1, 0]", "--t", "2"]),
+        ],
+    )
+    def test_booleans_are_not_integers(self, capsys, field, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"schema error: {field}: ")
+
     def test_oversized_search_refused_up_front(self, capsys):
         moments = json.dumps({"flavor": "gl", "values": {str(k): "1" for k in range(1, 9)}})
         start = time.perf_counter()

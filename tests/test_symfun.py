@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from interpcat.partitions import partitions_of, sub_partitions
+from interpcat.partitions import check_partition, contains, partitions_of, sub_partitions
 from interpcat.selftest import hall_pairing_by_expansion, schur_products_expanded
 from interpcat.symfun import (
     MAX_SEARCH_BOX,
@@ -30,6 +30,24 @@ from interpcat.symfun import (
     triple_encode,
     weight_moment_difference,
 )
+
+
+class TestSubPartitions:
+    def test_sized_matches_filtered_partitions_of(self):
+        bounds = [p for k in range(9) for p in partitions_of(k)]
+        for bound in bounds:
+            every_size = []
+            for n in range(11):
+                expected = [p for p in partitions_of(n) if contains(bound, p)]
+                assert sub_partitions(bound, n) == expected, (bound, n)
+                every_size += expected
+            assert sorted(sub_partitions(bound)) == sorted(every_size)
+
+
+@pytest.mark.parametrize("bad", [[2.5, 1], [True], [2, False], ["2"], 3])
+def test_partition_entries_must_be_integers(bad):
+    with pytest.raises(ValueError, match="expected integers"):
+        check_partition(bad)
 
 
 class TestLR:
@@ -112,6 +130,76 @@ class TestMultiplicities:
                 assert osp_multiplicity(lam, mu, ()) == (1 if lam == mu else 0)
 
 
+def pairing_by_definition(lam, nu, mu, nubar):
+    """sum over every eta of the right size, without pruning."""
+    weight = sum(lam) - sum(nu)
+    if weight < 0 or weight != sum(mu) - sum(nubar):
+        return 0
+    return sum(
+        lr_coefficient(lam, nu, eta) * lr_coefficient(mu, nubar, eta)
+        for eta in partitions_of(weight)
+    )
+
+
+def nl_by_definition(lam, mu, nu):
+    """sum_{zeta,sigma,tau} c^lam_{zeta,sigma} c^mu_{zeta,tau} c^nu_{sigma,tau}, unpruned."""
+    total = 0
+    for z in range(min(sum(lam), sum(mu)) + 1):
+        for zeta, sigma, tau in itertools.product(
+            partitions_of(z), partitions_of(sum(lam) - z), partitions_of(sum(mu) - z)
+        ):
+            total += (
+                lr_coefficient(lam, zeta, sigma)
+                * lr_coefficient(mu, zeta, tau)
+                * lr_coefficient(nu, sigma, tau)
+            )
+    return total
+
+
+class TestPrunedSums:
+    """The sums over shapes inside the meet against the sums over all shapes."""
+
+    def test_random_small_shapes(self):
+        rng = random.Random(10)
+
+        def shape(top):
+            return rng.choice(partitions_of(rng.randint(0, top)))
+
+        for _ in range(60):
+            lam, mu, nu = shape(6), shape(6), shape(6)
+            assert osp_multiplicity(lam, mu, nu) == nl_by_definition(lam, mu, nu)
+            sub, subbar = rng.choice(sub_partitions(lam)), rng.choice(sub_partitions(mu))
+            expected = pairing_by_definition(lam, sub, mu, subbar)
+            assert skew_schur_pairing(lam, sub, mu, subbar) == expected
+            assert gl_mixed_multiplicity(lam, mu, sub, subbar) == expected
+
+    @pytest.mark.parametrize(
+        "lam, nu, mu, nubar",
+        [
+            ((4, 3, 2, 1), (1,), (5, 3, 2), (1,)),
+            ((4, 3, 2, 1), (3, 2, 1), (3, 1), ()),
+            ((3, 1), (), (4, 3, 2, 1), (3, 2, 1)),
+            ((5, 3, 1), (4, 2), (2, 1), ()),
+        ],
+    )
+    def test_asymmetric_pairings(self, lam, nu, mu, nubar):
+        expected = pairing_by_definition(lam, nu, mu, nubar)
+        assert skew_schur_pairing(lam, nu, mu, nubar) == expected
+        assert gl_mixed_multiplicity(lam, mu, nu, nubar) == expected
+
+    @pytest.mark.parametrize(
+        "lam, mu, nu",
+        [
+            ((1,), (4, 3, 2), (4, 3, 1)),
+            ((4, 3, 2), (1,), (4, 3, 2, 1)),
+            ((3, 2, 1), (2,), (2, 1)),
+            ((1, 1), (3, 3, 2), (3, 3)),
+        ],
+    )
+    def test_asymmetric_newell_littlewood(self, lam, mu, nu):
+        assert osp_multiplicity(lam, mu, nu) == nl_by_definition(lam, mu, nu)
+
+
 class TestTriple:
     def test_spec_example(self):
         tp = triple_encode((5, 4, 2, 1), 1, 1)
@@ -184,9 +272,32 @@ class TestStableHC:
             lam, mu = shift_instance(shift, n)
             assert osp_multiplicity(lam, mu, (1, 1)) == stable
 
+    def test_two_row_cuts(self):
+        # k = 2: the direct side fills shapes of 35 to 44 boxes
+        cases = [
+            (ShiftData((1, -1), (), (), ()), ((1,), (1,)), "gl", 1),
+            (ShiftData((1, -1), (), (), ()), (2,), "osp", 1),
+            (ShiftData((0, 0), (), (1,), (1,)), ((1,), (1,)), "gl", 3),
+        ]
+        start = time.perf_counter()
+        for shift, nu, flavor, expected in cases:
+            assert stable_hc_multiplicity(shift, nu, flavor) == expected
+            for n in (11, 14):
+                lam, mu = shift_instance(shift, n)
+                if flavor == "gl":
+                    assert gl_mixed_multiplicity(lam, mu, *nu) == expected
+                else:
+                    assert osp_multiplicity(lam, mu, nu) == expected
+        assert time.perf_counter() - start < 2.0
+
     def test_malformed_shift(self):
         with pytest.raises(ValueError):
             ShiftData((0,), (), (1, 2), ())
+
+    @pytest.mark.parametrize("a", [(1.7,), (True,), (0, 2.0)])
+    def test_shift_entries_must_be_integers(self, a):
+        with pytest.raises(ValueError, match="must be integers"):
+            ShiftData(a, (), (), ())
 
 
 GRID_A = [(), (0,), (1,), (-1,), (2,), (0, 0), (1, -1)]
