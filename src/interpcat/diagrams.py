@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from interpcat.partitions import bell_number, double_factorial_odd, partitions_of
+from interpcat.partitions import bell_number, double_factorial_odd, is_int, partitions_of
 
 
 def _endpoint_key(x: int) -> tuple[int, int]:
@@ -93,8 +93,14 @@ def _pretty(block: Iterable[int]) -> str:
 
 
 def _as_data(x) -> tuple[int, ...]:
-    """Signature data of an endpoint argument: m -> (m,), (r, s) -> (r, s)."""
-    return (x,) if isinstance(x, int) else tuple(x)
+    """Signature data of an endpoint argument: m -> (m,), (r, s) -> (r, s).
+    Anything else, a boolean included, raises ValueError."""
+    if is_int(x):
+        return (x,)
+    data = tuple(x) if isinstance(x, (tuple, list)) else None
+    if data is None or not all(is_int(v) for v in data):
+        raise ValueError(f"object endpoint {x!r} is not an integer or a tuple of integers")
+    return data
 
 
 def _components(n: int, layers: Iterable[tuple[Iterable[Sequence[int]], int, int]]) -> list[int]:
@@ -634,4 +640,10 @@ def diagram_from_json(obj: dict) -> Diagram:
         if field not in obj:
             raise ValueError(f"diagram JSON missing field '{field}'")
     cls = _diagram_class(obj["flavor"])
-    return cls._from_json(obj, [tuple(b) for b in obj["blocks"]])
+    blocks = [tuple(b) for b in obj["blocks"]]
+    for field in ("top", "bottom"):
+        if not is_int(obj[field]):
+            raise ValueError(f"diagram JSON field '{field}' must be an integer")
+    if not all(is_int(x) for b in blocks for x in b):
+        raise ValueError("diagram JSON block endpoints must be integers")
+    return cls._from_json(obj, blocks)

@@ -4,13 +4,15 @@ Indecomposables are indexed by partitions (S, O) or bipartitions (GL).  The
 library never materializes a primitive idempotent for L(lambda); instead it
 works with the symmetrizer objects Y_lambda = ([|lambda|], y_lambda), whose
 decomposition matrix K(lambda, mu) = [Y_lambda : L(mu)] is unitriangular with
-respect to size.  Every multiplicity comes from one exact elimination over
-Q(t) per Hom space: [X : L(lambda)] is dim Hom(X, Y_lambda), the rank of the
+respect to size.  Every multiplicity comes from one exact elimination per
+Hom space: [X : L(lambda)] is dim Hom(X, Y_lambda), the rank of the
 sandwiches e_Y o d o e_X, minus the K-weighted multiplicities of the smaller
-simples, by induction on size.  No rank is taken at a sample point, so every
-generic-t answer is exact and independent of any seed.  K itself is the case
-X = Y_lambda, and the generic dimensions of simples follow by the trace
-accounting dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
+simples, by induction on size.  A Hom space whose sandwiches carry no t (both
+idempotents have constant coefficients and no composition closes a loop) is
+eliminated over Q; any other over Q(t).  No rank is taken at a sample point,
+so every generic-t answer is exact and independent of any seed.  K itself is
+the case X = Y_lambda, and the generic dimensions of simples follow by the
+trace accounting dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from interpcat.homspaces import (
 )
 from interpcat.linalg import SparseEchelon
 from interpcat.partitions import check_partition, sn_irrep_dimension
-from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, RF_ZERO, t_power
+from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, t_power
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -304,34 +306,53 @@ def symmetrizer_object(lam: Label, flavor: str = "S") -> KaroubiObject:
 # generic multiplicities
 
 
-def _hom_rank(X: KaroubiObject, Y: KaroubiObject) -> int:
-    """dim Hom(X, Y) at generic t: the rank over Q(t) of the sandwiches
-    {e_Y o d o e_X : d basis diagram}."""
+def _scalar(c: RatFunc) -> Fraction | RatFunc:
+    """A nonzero morphism coefficient c as a Fraction when it carries no t,
+    else c itself."""
+    num, den = c.num.coeffs, c.den.coeffs
+    if len(num) == 1 and len(den) == 1:  # den is monic, so it is 1
+        return num[0]
+    return c
+
+
+def _hom_rank(X: KaroubiObject, Y: KaroubiObject, table: dict | None = None) -> int:
+    """dim Hom(X, Y) at generic t: the rank of the sandwiches
+    {e_Y o d o e_X : d basis diagram}.
+
+    An entry stays a Fraction until a t enters it, from a closed loop or a
+    non-constant idempotent coefficient, and becomes a RatFunc from then on.
+    The elimination mixes the two, so a Hom space whose sandwiches carry no
+    t is eliminated over Q, and any other over Q(t); either way the rank is
+    exact.  `table` memoizes compose_diagrams across calls that share it."""
     basis = hom_basis(X.sig, Y.sig)
     if not basis:
         return 0
-    ech = SparseEchelon()
-    pair_cache: dict = {}
+    if table is None:
+        table = {}
 
     def composed(a, b):
         key = (a, b)
-        hit = pair_cache.get(key)
+        hit = table.get(key)
         if hit is None:
-            hit = pair_cache[key] = compose_diagrams(a, b)
+            hit = table[key] = compose_diagrams(a, b)
         return hit
 
+    ex = [(d, _scalar(c)) for d, c in X.idem.terms.items()]
+    ey = [(d, _scalar(c)) for d, c in Y.idem.terms.items()]
+    ech = SparseEchelon()
     for d in basis:
         through: dict = {}
-        for dx, cx in X.idem.terms.items():
+        for dx, cx in ex:
             dd, power = composed(d, dx)
-            through[dd] = through.get(dd, RF_ZERO) + cx * t_power(power)
+            through[dd] = through.get(dd, 0) + (cx * t_power(power) if power else cx)
         row: dict = {}
         for dm, cm in through.items():
             if not cm:
                 continue
-            for dy, cy in Y.idem.terms.items():
+            for dy, cy in ey:
                 dd, power = composed(dy, dm)
-                row[dd] = row.get(dd, RF_ZERO) + cy * cm * t_power(power)
+                c = cy * cm
+                row[dd] = row.get(dd, 0) + (c * t_power(power) if power else c)
         ech.add(row)
     return ech.rank
 
@@ -358,7 +379,8 @@ def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
     y_lam and every y_mu are Q-combinations of permutation diagrams, and
     composing a permutation diagram with any diagram closes no loop and no
     middle component.  So every sandwich y_lam o d o y_mu has constant
-    coefficients, and one exact elimination gives K with no sample point.
+    coefficients, and one exact elimination over Q gives K with no sample
+    point.
     """
     Y = symmetrizer_object(lam, flavor)
     symmetrizers = _symmetrizers(flavor, _labels_below(flavor, lam))
@@ -376,8 +398,9 @@ def _triangular_multiplicities(
     """Invert the unitriangular K system over the labels of `symmetrizers`
     (size order)."""
     mult: dict[Label, int] = {}
+    table: dict = {}  # diagram compositions, shared by this computation's Hom spaces
     for lam, Y in symmetrizers.items():
-        h = _hom_rank(X, Y)
+        h = _hom_rank(X, Y, table)
         corr = 0
         for mu in symmetrizers:
             if mult.get(mu):
@@ -412,7 +435,7 @@ def decompose(X: KaroubiObject, seed: int = 0) -> dict[Label, int]:
     """Multiset {label: multiplicity} with all zero entries dropped.
 
     `seed` is accepted for compatibility and has no effect: every rank is
-    exact over Q(t)."""
+    exact, over Q or Q(t) (see _hom_rank)."""
     return {lam: m for lam, m in _multiplicities_of(X).items() if m}
 
 

@@ -303,6 +303,10 @@ class TestExitCodes:
                      "--nu", "[1]", "--nubar", "[2]"]),
             ("-l", ["quotient-dim", "-l", "true", "-m", "1", "--n", "3"]),
             ("-l", ["gram", "--flavor", "GL", "-l", "[true, 0]", "-m", "[1, 0]", "--t", "2"]),
+            ("-P", ["compose", "-P", '{"flavor":"S","top":true,"bottom":1,"blocks":[[1,-1]]}',
+                    "-Q", '{"flavor":"S","top":1,"bottom":1,"blocks":[[1,-1]]}']),
+            ("-P", ["compose", "-P", '{"flavor":"S","top":1,"bottom":1,"blocks":[[true,-1]]}',
+                    "-Q", '{"flavor":"S","top":1,"bottom":1,"blocks":[[1,-1]]}']),
         ],
     )
     def test_booleans_are_not_integers(self, capsys, field, argv):

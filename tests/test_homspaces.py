@@ -7,6 +7,8 @@ import pytest
 from interpcat.diagrams import brauer_diagram, partition_diagram, walled_diagram
 from interpcat.homspaces import (
     Morphism,
+    ObjectSignature,
+    as_signature,
     compose,
     coev,
     delta_to_e,
@@ -230,6 +232,18 @@ class TestWireFormat:
         assert "basis" not in blob
         blob = morphism_to_json(identity(sig_s(1)))
         assert blob["basis"] == "e"
+
+
+class TestAsSignature:
+    def test_endpoints(self):
+        assert as_signature(2, "S") == sig_s(2)
+        assert as_signature((1, 0), "GL") == sig_gl(1, 0)
+        assert as_signature(sig_o(3), "S") == ObjectSignature("O", (3,))
+
+    @pytest.mark.parametrize("x, flavor", [(True, "S"), ((True, 0), "GL"), ("2", "O"), (1.0, "S")])
+    def test_non_integers_are_refused(self, x, flavor):
+        with pytest.raises(ValueError, match="not an integer or a tuple of integers"):
+            as_signature(x, flavor)
 
 
 class TestHomBasis:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from interpcat import karoubi
-from interpcat.diagrams import partition_diagram
+from interpcat.diagrams import DIAGRAM_CLASSES, compose_diagrams, partition_diagram
 from interpcat.homspaces import (
     compose,
     diagram_morphism,
@@ -33,7 +33,7 @@ from interpcat.karoubi import (
     young_symmetrizer,
 )
 from interpcat.partitions import partitions_of
-from interpcat.ratfunc import RatFunc, RF_ONE, RF_T
+from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, t_power
 from interpcat.selftest import gl_weyl_dimension, hook_content_dimension
 
 t = RF_T
@@ -232,6 +232,58 @@ class TestExactHomRank:
         }
         assert decompose(KaroubiObject(sig_s(3), special_p(3))) == SPECIAL_P3
 
+    def test_constant_sandwiches_take_no_q_t_arithmetic(self, monkeypatch):
+        # symmetrizers and identities have constant coefficients and their
+        # sandwiches close no loop, so every rank is taken over Q
+        cases = []
+        for X in (symmetrizer_object((2, 1)), object_of_identity(sig_o(2))):
+            flavor = X.sig.flavor
+            labels = DIAGRAM_CLASSES[flavor]._labels(X.sig.data)
+            cases.append((X, karoubi._symmetrizers(flavor, labels)))
+
+        def q_t_arithmetic(self, other):
+            raise AssertionError("RatFunc arithmetic on constant coefficients")
+
+        for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+            monkeypatch.setattr(RatFunc, op, q_t_arithmetic)
+        ranks = [{lam: _hom_rank(X, Y) for lam, Y in ys.items()} for X, ys in cases]
+        assert ranks == [
+            {(): 1, (1,): 4, (2,): 10, (1, 1): 5, (3,): 21, (2, 1): 19, (1, 1, 1): 2},
+            {(): 1, (2,): 2, (1, 1): 1},
+        ]
+
+    def test_constant_idempotent_that_closes_loops(self, monkeypatch):
+        # coefficient 1, but the block {1, 2, 1'} and the singleton {2'} make
+        # some sandwiches close loops, so those ranks are taken over Q(t)
+        e = diagram_morphism(partition_diagram(2, 2, [(1, 2, -1), (-2,)]))
+        assert is_idempotent(e) and trace(e) == t
+        powers = []
+
+        def recorded(k):
+            powers.append(k)
+            return t_power(k)
+
+        monkeypatch.setattr(karoubi, "t_power", recorded)
+        X = KaroubiObject(sig_s(2), e)
+        found = decompose(X)
+        assert found == {(): 1, (1,): 1}
+        assert any(powers)
+        total = sum((m * dim_simple(lam) for lam, m in found.items()), RatFunc(0))
+        assert total == trace(e) == t
+
+    def test_one_composition_table_per_computation(self, monkeypatch):
+        X = object_of_identity(sig_s(3))
+        decompose(X)  # warms the symmetrizer decompositions, which use their own tables
+        pairs = []
+
+        def counted(a, b):
+            pairs.append((a, b))
+            return compose_diagrams(a, b)
+
+        monkeypatch.setattr(karoubi, "compose_diagrams", counted)
+        decompose(X)
+        assert pairs and len(pairs) == len(set(pairs))
+
 
 class TestDecompose:
     def test_symmetric_square(self):
@@ -374,7 +426,7 @@ class TestSymmetrizerObjects:
 
 @pytest.mark.slow
 def test_dim_simple_full_size_four_row():
-    """The whole |lam| = 4 ladder against the hook-length oracle (about 20 s)."""
+    """The whole |lam| = 4 ladder against the hook-length oracle (about 8 s)."""
     from interpcat.selftest import hook_content_dimension
 
     for lam in partitions_of(4):
