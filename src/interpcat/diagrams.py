@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from interpcat.partitions import bell_number, double_factorial_odd, is_int, partitions_of
@@ -140,6 +140,16 @@ class Diagram:
 
     flavor: str
 
+    # Diagrams are dict keys throughout, so each stores its hash once: the
+    # value the generated dataclass hash would give, hash of the compared
+    # fields.  Each class binds __hash__ to this method, as a dataclass
+    # otherwise replaces it.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.top, self.bottom, self._blocks)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def _signature(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(source data, target data)."""
         return (self.top,), (self.bottom,)
@@ -226,6 +236,8 @@ class PartitionDiagram(Diagram):
     top: int
     bottom: int
     blocks: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = Diagram.__hash__
 
     flavor = "S"
     _blocks = property(lambda self: self.blocks)
@@ -262,6 +274,8 @@ class BrauerDiagram(Diagram):
     top: int
     bottom: int
     pairs: tuple[tuple[int, int], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = Diagram.__hash__
 
     flavor = "O"
     _blocks = property(lambda self: self.pairs)
@@ -305,6 +319,8 @@ class WalledDiagram(Diagram):
     source: tuple[int, int]
     target: tuple[int, int]
     pairs: tuple[tuple[int, int], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = Diagram.__hash__
 
     flavor = "GL"
     _blocks = property(lambda self: self.pairs)
@@ -317,6 +333,9 @@ class WalledDiagram(Diagram):
 
     def __str__(self) -> str:
         return f"W[{self.source}->{self.target}: {', '.join(map(_pretty, self.pairs))}]"
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.source, self.target, self.pairs)))
 
     def _signature(self):
         return self.source, self.target

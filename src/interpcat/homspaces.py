@@ -29,6 +29,7 @@ from interpcat.diagrams import (
     tensor_diagram,
     walled_diagram,
 )
+from interpcat.partitions import is_int
 from interpcat.ratfunc import RF_ONE, RatFunc, t_power
 
 FLAVORS = ("S", "GL", "O")
@@ -340,6 +341,8 @@ def signature_from_json(obj: dict) -> ObjectSignature:
     for field in fields:
         if field not in obj:
             raise ValueError(f"signature JSON missing field '{field}'")
+        if not is_int(obj[field]):
+            raise ValueError(f"signature JSON field '{field}' is not an integer: {obj[field]!r}")
     return ObjectSignature(flavor, tuple(obj[field] for field in fields))
 
 

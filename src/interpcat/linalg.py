@@ -1,14 +1,20 @@
-"""Exact linear algebra over a field (Fraction or RatFunc entries).
+"""Exact linear algebra: three primitives.
 
-Only the handful of primitives the library needs: incremental sparse row
-echelon for ranks of morphism spans, and one dense forward elimination that
-gives ranks, determinants and (with back-substitution) nullspaces of Gram
-matrices.  Entries may be any field elements supporting +, -, *, / and
-truthiness as a zero test.
+- SparseEchelon: incremental sparse row echelon, for ranks of morphism spans.
+- One dense forward elimination, which gives ranks, determinants and (with
+  back-substitution) nullspaces of Gram matrices.  Its entries may be any
+  field elements supporting +, -, *, / and truthiness as a zero test
+  (Fraction or RatFunc).
+- integer_rank: the rank of a matrix of Python ints, computed mod the prime
+  2^61 - 1 and proved over Z by kernel vectors, with the Fraction
+  elimination as its one exact fallback.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from operator import mul
 from typing import Hashable, Iterator, Sequence
 
 
@@ -136,3 +142,98 @@ def right_nullspace(matrix: Sequence[Sequence]) -> list[list]:
             vec[pcol] = -prow[free]
         basis.append(vec)
     return basis
+
+
+_P = (1 << 61) - 1  # a Mersenne prime
+_LIFT_BOUND = math.isqrt(_P // 2)  # numerator and denominator bound of a lifted residue
+
+
+def _lift(u: int) -> tuple[int, int] | None:
+    """(n, d) with n = u d mod p, |n| <= _LIFT_BOUND and 0 < d <= _LIFT_BOUND,
+    by rational reconstruction (Wang 1981); None if the bound is missed."""
+    r0, r1, s0, s1 = _P, u, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > _LIFT_BOUND:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _eliminate_mod_p(rows: list[list[int]]) -> list[int]:
+    """Bring rows of residues mod p to row echelon form in place, each pivot
+    scaled to 1; returns the pivot column of row 0, 1, ..."""
+    pivots: list[int] = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][col], -1, _P)
+        tail = [x * inv % _P for x in rows[r][col:]]
+        rows[r][col:] = tail
+        for row in rows[r + 1 :]:
+            x = row[col]
+            if x:
+                row[col:] = [(a - x * b) % _P for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+    return pivots
+
+
+def _kernel_checks(rows: list[list[int]], residues: list[list[int]], pivots: list[int]) -> bool:
+    """True if every free column's kernel vector, read off the echelon form
+    mod p and lifted to Z, satisfies A v = 0 over Z."""
+    r = len(pivots)
+    pivot_set = set(pivots)
+    free = [c for c in range(len(rows[0])) if c not in pivot_set]
+    # back-substitution on the free columns only: afterwards pivot row i reads
+    # 1 at pivots[i], 0 at the other pivot columns and blocks[i] at the free ones
+    blocks = [[row[f] for f in free] for row in residues[:r]]
+    for k in reversed(range(r)):
+        col, below = pivots[k], blocks[k]
+        for i in range(k):
+            x = residues[i][col]
+            if x:
+                blocks[i] = [(a - x * b) % _P for a, b in zip(blocks[i], below)]
+    for j, f in enumerate(free):
+        # v[f] = 1, v[pivots[i]] = -blocks[i][j], 0 elsewhere
+        lifted = {f: (1, 1)}
+        for i, col in enumerate(pivots):
+            if blocks[i][j]:
+                entry = _lift(_P - blocks[i][j])
+                if entry is None:
+                    return False
+                lifted[col] = entry
+        denom = math.lcm(*(d for _, d in lifted.values()))
+        cols = list(lifted)
+        vec = [n * (denom // d) for n, d in lifted.values()]
+        if any(sum(map(mul, map(row.__getitem__, cols), vec)) for row in rows):
+            return False
+    return True
+
+
+def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact rank of a matrix of Python ints, certified over Z.
+
+    The matrix is turned to have no more columns than rows.  Elimination mod
+    p = 2^61 - 1 gives r pivots, and r <= rank over Q, because a minor that is
+    nonzero mod p is nonzero over Z.  Each free column gets the kernel vector
+    with a 1 there and 0 in the other free columns; its residues are lifted to
+    rationals, its denominators cleared, and A v = 0 is checked over Z, on the
+    nonzero entries of v.  The vectors are independent, so when every check
+    passes the rank is at most r, hence exactly r.  If a lift or a check
+    fails, the rank comes from Fraction elimination instead: the prime alone
+    never decides it.
+    """
+    rows = [list(row) for row in matrix]
+    if not rows or not rows[0]:
+        return 0
+    if len(rows[0]) > len(rows):
+        rows = [list(col) for col in zip(*rows)]
+    residues = [[x % _P for x in row] for row in rows]
+    pivots = _eliminate_mod_p(residues)
+    if _kernel_checks(rows, residues, pivots):
+        return len(pivots)
+    return dense_rank([[Fraction(x) for x in row] for row in rows])

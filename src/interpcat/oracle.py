@@ -12,20 +12,21 @@ Diagram matrices are numpy int64 within an explicit size budget: their
 entries are 0/1 and the entries of their products are bounded by
 n^l <= 10^6, far below overflow.  A morphism's matrix sums diagram matrices
 with arbitrary integer scales, so it is accumulated in Python ints
-(dtype=object).  Ranks over Q are computed by exact Fraction elimination.
+(dtype=object).  Ranks over Q are linalg.integer_rank of these integer
+matrices: a rank mod 2^61 - 1, proved over Z by kernel vectors, with exact
+Fraction elimination as the fallback.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from interpcat.diagrams import Diagram, PartitionDiagram, compose_diagrams
 from interpcat.homspaces import Morphism, as_signature, hom_basis
 from interpcat.karoubi import KaroubiObject
-from interpcat.linalg import dense_rank
+from interpcat.linalg import integer_rank
 from interpcat.ratfunc import PoleError
 
 MAX_ENTRIES = 10**6
@@ -125,11 +126,6 @@ def morphism_matrix(f: Morphism, n: int) -> tuple[np.ndarray, int]:
     return mat, denom
 
 
-def _exact_matrix_rank(mat: np.ndarray) -> int:
-    rows = [[Fraction(int(v)) for v in row] for row in mat]
-    return dense_rank(rows)
-
-
 def verify_structure_constants(l, m, k, n: int, flavor: str = "S") -> dict:
     """Check matrix fidelity of the composition law on Hom(l,m) x Hom(m,k).
 
@@ -168,14 +164,8 @@ def hom_dim_classical(l, m, n: int, flavor: str = "S") -> int:
     sl = as_signature(l, flavor)
     sm = as_signature(m, flavor)
     _check_budget(n, sl.size, sm.size)
-    basis = hom_basis(sl, sm)
-    if not basis:
-        return 0
-    rows = []
-    for d in basis:
-        mat = diagram_matrix(d, n, basis="delta")
-        rows.append([Fraction(int(v)) for v in mat.reshape(-1)])
-    return dense_rank(rows)
+    rows = [diagram_matrix(d, n, basis="delta").reshape(-1).tolist() for d in hom_basis(sl, sm)]
+    return integer_rank(rows)
 
 
 def functor_image_rank(X: KaroubiObject, n: int) -> int:
@@ -186,4 +176,4 @@ def functor_image_rank(X: KaroubiObject, n: int) -> int:
     matrix rank (exact, over Q).
     """
     mat, _ = morphism_matrix(X.idem, n)
-    return _exact_matrix_rank(mat)
+    return integer_rank(mat.tolist())

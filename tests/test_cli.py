@@ -307,6 +307,16 @@ class TestExitCodes:
                     "-Q", '{"flavor":"S","top":1,"bottom":1,"blocks":[[1,-1]]}']),
             ("-P", ["compose", "-P", '{"flavor":"S","top":1,"bottom":1,"blocks":[[true,-1]]}',
                     "-Q", '{"flavor":"S","top":1,"bottom":1,"blocks":[[1,-1]]}']),
+            ("-f", ["idem-check", "-f", json.dumps({
+                "source": {"flavor": "S", "m": True}, "target": {"flavor": "S", "m": 1},
+                "terms": [{"diagram": {"flavor": "S", "top": 1, "bottom": 1, "blocks": [[1, -1]]},
+                           "coeff": "1"}]})]),
+            ("-f", ["idem-check", "-f", json.dumps({
+                "source": {"flavor": "GL", "r": True, "s": 0},
+                "target": {"flavor": "GL", "r": 1, "s": 0},
+                "terms": [{"diagram": {"flavor": "GL", "top": 1, "bottom": 1, "blocks": [[1, -1]],
+                                       "top_colors": "1", "bottom_colors": "1"},
+                           "coeff": "1"}]})]),
         ],
     )
     def test_booleans_are_not_integers(self, capsys, field, argv):

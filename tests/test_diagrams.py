@@ -1,5 +1,6 @@
 """Diagram kernels: canonical forms, composition counts, bases, wire format."""
 
+import dataclasses
 import itertools
 import json
 
@@ -61,6 +62,37 @@ class TestCanonical:
             walled_diagram((2, 0), (0, 2), [(1, 2), (-1, -2)])
         # the cup-cap endomorphism of [1, 1] is fine
         walled_diagram((1, 1), (1, 1), [(1, 2), (-1, -2)])
+
+
+class TestStoredHash:
+    """Each diagram stores the hash the dataclass computed from its fields, so
+    dict and set orders, repr and equality are as before."""
+
+    @pytest.mark.parametrize(
+        "d, fields, text",
+        [
+            (partition_diagram(2, 1, [(2,), (-1, 1)]), (2, 1, ((1, -1), (2,))),
+             "PartitionDiagram(top=2, bottom=1, blocks=((1, -1), (2,)))"),
+            (brauer_diagram(1, 1, [(-1, 1)]), (1, 1, ((1, -1),)),
+             "BrauerDiagram(top=1, bottom=1, pairs=((1, -1),))"),
+            (walled_diagram((1, 1), (1, 1), [(-2, -1), (2, 1)]), ((1, 1), (1, 1), ((1, 2), (-1, -2))),
+             "WalledDiagram(source=(1, 1), target=(1, 1), pairs=((1, 2), (-1, -2)))"),
+        ],
+    )
+    def test_value_repr_and_equality(self, d, fields, text):
+        assert hash(d) == hash(fields)
+        assert repr(d) == text
+        twin = type(d)(*fields)
+        assert twin == d and hash(twin) == hash(d)
+        assert d != type(d)(*fields[:2], ())
+
+    @pytest.mark.parametrize("flavor, data", [("S", (2,)), ("O", (2,)), ("GL", (1, 1))])
+    def test_bases_and_composites(self, flavor, data):
+        basis = enumerate_basis(flavor, data, data)
+        composites = [compose_diagrams(p, q)[0] for p in basis for q in basis]
+        for d in basis + composites:
+            compared = tuple(getattr(d, f.name) for f in dataclasses.fields(d) if f.compare)
+            assert hash(d) == hash(compared)
 
 
 class TestCompose:

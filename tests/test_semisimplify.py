@@ -16,6 +16,7 @@ from interpcat.homspaces import (
     tensor,
     zero_morphism,
 )
+from interpcat.linalg import dense_rank
 from interpcat.partitions import bell_number
 from interpcat.ratfunc import RF_T
 from interpcat.selftest import random_morphism
@@ -128,10 +129,20 @@ class TestPairingTableSharing:
     def test_rank_is_stirling_sum(self):
         # at t = n the S Gram rank of Hom([l], [m]) is dim Hom_{S_n}(V^l, V^m)
         cases = [(l, k - l, n) for k in range(6) for l in range(k + 1) for n in range(7)]
-        cases += [(3, 3, 1), (3, 3, 2)]
+        cases += [(3, 3, n) for n in range(8)]
         for l, m, n in cases:
             expected = sum(_stirling2(l + m, j) for j in range(n + 1))
             assert gram(l, m, n).rank == expected, (l, m, n)
+
+
+    @pytest.mark.parametrize("flavor, l, m", PAIRED_SPACES)
+    def test_integer_rank_matches_fraction_elimination(self, flavor, l, m):
+        # the rank of the cleared integer matrix is the rank of the report's
+        # Fraction matrix, at integer, negative and non-integer points
+        for t0 in (0, 1, 2, 3, Fraction(5, 2), -3, Fraction(7, 3)):
+            report = gram(l, m, t0, flavor)
+            assert report.rank == dense_rank(report.gram), t0
+            assert all(isinstance(x, Fraction) for row in report.gram for x in row)
 
 
 class TestNegligible:
