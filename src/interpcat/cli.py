@@ -33,10 +33,6 @@ class SchemaError(ValueError):
     """Payload violates the wire format; reported with the field path."""
 
 
-class DomainError(ValueError):
-    """Well-formed input outside an operation's domain."""
-
-
 def _load_payload(text: str, field: str):
     if text.startswith("@"):
         path = text[1:]
@@ -69,9 +65,12 @@ def _partition(payload, field: str) -> tuple[int, ...]:
         raise SchemaError(f"{field}: {exc}") from exc
 
 
-def _label(payload, field: str):
-    """Partition array, or {"black": [...], "white": [...]} bipartition."""
-    if isinstance(payload, dict):
+def _label(payload, field: str, flavor: str):
+    """Partition array for S and O, {"black": [...], "white": [...]}
+    bipartition for GL."""
+    if isinstance(payload, dict) != (flavor == "GL"):
+        raise SchemaError(f"{field}: flavor GL takes a bipartition, S/O a partition")
+    if flavor == "GL":
         for sub in ("black", "white"):
             if sub not in payload:
                 raise SchemaError(f"{field}.{sub}: missing bipartition component")
@@ -80,25 +79,23 @@ def _label(payload, field: str):
     return _partition(payload, field)
 
 
-def _morphism(text: str, field: str):
-    payload = _load_payload(text, field)
+def _from_json(parse, payload, field: str):
+    """parse(payload), reporting a malformed payload as a schema error."""
     try:
-        return morphism_from_json(payload)
+        return parse(payload)
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"{field}: {exc}") from exc
+
+
+def _morphism(text: str, field: str):
+    return _from_json(morphism_from_json, _load_payload(text, field), field)
 
 
 def _diagram_or_morphism(text: str, field: str):
     payload = _load_payload(text, field)
     if isinstance(payload, dict) and "terms" in payload:
-        try:
-            return ("morphism", morphism_from_json(payload))
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(f"{field}: {exc}") from exc
-    try:
-        return ("diagram", diagrams.diagram_from_json(payload))
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{field}: {exc}") from exc
+        return ("morphism", _from_json(morphism_from_json, payload, field))
+    return ("diagram", _from_json(diagrams.diagram_from_json, payload, field))
 
 
 def _endpoint(text: str, flavor: str, field: str):
@@ -128,8 +125,8 @@ def _emit(obj):
     print(text)
 
 
-def _label_to_json(lam):
-    if lam and isinstance(lam[0], tuple):
+def _label_to_json(lam, flavor: str):
+    if flavor == "GL":
         return {"black": list(lam[0]), "white": list(lam[1])}
     return list(lam)
 
@@ -178,13 +175,11 @@ def cmd_trace(args):
     kind, f = _diagram_or_morphism(args.morphism, "-f")
     if kind == "diagram":
         f = diagram_morphism(f)
-    if args.flavor not in (None, "Sp"):
-        _check_flavor(args.flavor, f, "-f")
-    value = trace(f)
     if args.flavor == "Sp":
-        if f.source.flavor != "O":
-            raise DomainError("Sp traces read O-flavor morphisms with t -> -t")
-        value = value.at_minus_t()
+        value = homspaces.sp_trace(f)
+    else:
+        _check_flavor(args.flavor, f, "-f")
+        value = trace(f)
     return {"trace": format_ratfunc(value)}
 
 
@@ -198,9 +193,10 @@ def cmd_dim(args):
         if args.m is None:
             raise SchemaError("--m: required for flavors S, O, Sp")
         endpoint = args.m
-    value = dimension(as_signature(endpoint, "O" if flavor == "Sp" else flavor))
     if flavor == "Sp":
-        value = value.at_minus_t()
+        value = homspaces.sp_dimension(endpoint)
+    else:
+        value = dimension(as_signature(endpoint, flavor))
     return {"dimension": format_ratfunc(value)}
 
 
@@ -214,20 +210,11 @@ def cmd_basis_change(args):
 
 
 def cmd_idem_check(args):
-    f = _morphism(args.morphism, "-f")
-    if f.source != f.target:
-        raise DomainError("idempotency is only defined for endomorphisms")
-    return {"idempotent": karoubi.is_idempotent(f)}
+    return {"idempotent": karoubi.is_idempotent(_morphism(args.morphism, "-f"))}
 
 
 def cmd_young(args):
-    lam = _label(_load_payload(args.lam, "--lambda"), "--lambda")
-    if isinstance(lam[0] if lam else 0, tuple):
-        if args.flavor != "GL":
-            raise SchemaError("--lambda: bipartitions require --flavor GL")
-        return morphism_to_json(karoubi.bipartition_symmetrizer(lam))
-    if args.flavor == "GL":
-        raise SchemaError("--lambda: flavor GL needs a bipartition object")
+    lam = _label(_load_payload(args.lam, "--lambda"), "--lambda", args.flavor)
     return morphism_to_json(karoubi.young_symmetrizer(lam, args.flavor))
 
 
@@ -237,10 +224,7 @@ def cmd_promote(args):
 
 
 def cmd_simple_dim(args):
-    lam = _label(_load_payload(args.lam, "--lambda"), "--lambda")
-    is_bipartition = bool(lam) and isinstance(lam[0], tuple)
-    if is_bipartition != (args.flavor == "GL"):
-        raise SchemaError("--lambda: flavor GL takes a bipartition, S/O a partition")
+    lam = _label(_load_payload(args.lam, "--lambda"), "--lambda", args.flavor)
     return format_ratfunc(karoubi.dim_simple(lam, args.flavor))
 
 
@@ -248,7 +232,7 @@ def cmd_decompose(args):
     e = _morphism(args.morphism, "-f")
     X = karoubi.KaroubiObject(e.source, e)
     out = [
-        {"lambda": _label_to_json(lam), "mult": m}
+        {"lambda": _label_to_json(lam, e.source.flavor), "mult": m}
         for lam, m in sorted(karoubi.decompose(X, seed=args.seed).items())
     ]
     return {"terms": out}
@@ -416,10 +400,7 @@ def cmd_char_moments(args):
 
     b = rational_vector(args.b, "--b")
     c = rational_vector(args.c, "--c") if args.c is not None else ()
-    try:
-        ms = symfun.char_difference_forward(b, c, args.flavor, args.K)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    ms = symfun.char_difference_forward(b, c, args.flavor, args.K)
     return {
         "flavor": ms.flavor,
         "values": {str(k): str(v) for k, v in sorted(ms.values.items())},
@@ -614,7 +595,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, PoleError, ValueError, ZeroDivisionError) as exc:
+    except (PoleError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(result)

@@ -4,7 +4,10 @@ Indecomposables are indexed by partitions (S, O) or bipartitions (GL).  The
 library never materializes a primitive idempotent for L(lambda); instead it
 works with the symmetrizer objects Y_lambda = ([|lambda|], y_lambda), whose
 decomposition matrix K(lambda, mu) = [Y_lambda : L(mu)] is unitriangular with
-respect to size.  Every multiplicity comes from one exact elimination per
+respect to size.  One routine builds y_lambda for every flavor: the tensor
+product of the normalized Young symmetrizers of the label's parts (lambda
+itself for S and O; the black and then the white partition for GL), each
+part's permutations on its own block of strands.  Every multiplicity comes from one exact elimination per
 Hom space: [X : L(lambda)] is dim Hom(X, Y_lambda), the rank of the
 sandwiches e_Y o d o e_X, minus the K-weighted multiplicities of the smaller
 simples, by induction on size.  A Hom space whose sandwiches carry no t (both
@@ -37,7 +40,6 @@ from interpcat.homspaces import (
     diagram_morphism,
     hom_basis,
     identity,
-    sig_gl,
     trace,
 )
 from interpcat.linalg import SparseEchelon
@@ -106,8 +108,8 @@ def permutation_morphism(sigma: tuple[int, ...], flavor: str = "S") -> Morphism:
 
 
 def _symmetrizer_terms(lam: Partition) -> list[tuple[tuple[int, ...], int]]:
-    """(permutation, sign) pairs of the normalized Young symmetrizer y_lam."""
-    lam = check_partition(lam)
+    """(permutation, sign) pairs of the normalized Young symmetrizer y_lam,
+    for a checked partition lam."""
     n = sum(lam)
     rows = _row_fill(lam)
     cols = [[rows[i][j] for i in range(len(lam)) if lam[i] > j] for j in range(lam[0] if lam else 0)]
@@ -118,42 +120,41 @@ def _symmetrizer_terms(lam: Partition) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def young_symmetrizer(lam: Partition, flavor: str = "S") -> Morphism:
+def _symmetrizer(flavor: str, lam) -> Morphism:
+    """y_lam as the tensor product of the parts' Young symmetrizers, each
+    part's permutations shifted onto its own block of strands.  Terms come
+    part by part (GL: blacks, then whites), each in _symmetrizer_terms order."""
+    parts = _parts(flavor, _normalize_label(flavor, lam))
+    data = tuple(sum(p) for p in parts)
+    sig = ObjectSignature(flavor, data)
+    norm = math.prod(Fraction(sn_irrep_dimension(p), math.factorial(sum(p))) for p in parts)
+    build = DIAGRAM_CLASSES[flavor]._build
+    terms: dict = {}
+    for choice in itertools.product(*(_symmetrizer_terms(p) for p in parts)):
+        blocks, offset, sign = [], 0, 1
+        for sigma, part_sign in choice:
+            blocks += [(offset + i, -(offset + j)) for i, j in enumerate(sigma, 1)]
+            offset += len(sigma)
+            sign *= part_sign
+        # a row permutation times a column permutation is never repeated,
+        # so each diagram gets exactly one term
+        terms[build(data, data, blocks)] = RatFunc(sign * norm)
+    return Morphism(sig, sig, terms)
+
+
+def young_symmetrizer(lam: Label, flavor: str = "S") -> Morphism:
     """The idempotent (dim/n!) a_lam b_lam in End([n]), n = |lam|.
 
     For flavor O, the same group-algebra element embedded in the Brauer
-    algebra via permutation matchings.
+    algebra via permutation matchings.  For flavor GL, lam is a bipartition
+    (black, white) and y_lam = y_black (x) y_white on [|black|, |white|].
     """
-    lam = check_partition(lam)
-    n = sum(lam)
-    norm = RatFunc(Fraction(sn_irrep_dimension(lam), math.factorial(n)))
-    sig = as_signature(n, flavor)
-    terms: dict = {}
-    for sigma, sign in _symmetrizer_terms(lam):
-        d = next(iter(permutation_morphism(sigma, flavor).terms))
-        terms[d] = terms.get(d, RatFunc(0)) + norm * sign
-    return Morphism(sig, sig, terms)
+    return _symmetrizer(flavor, lam)
 
 
 def bipartition_symmetrizer(bip: Bipartition) -> Morphism:
     """y_black (x) y_white on [r, s] = [|black|, |white|], GL flavor."""
-    black, white = check_partition(bip[0]), check_partition(bip[1])
-    r, s = sum(black), sum(white)
-    norm = Fraction(
-        sn_irrep_dimension(black) * sn_irrep_dimension(white),
-        math.factorial(r) * math.factorial(s),
-    )
-    sig = sig_gl(r, s)
-    terms: dict = {}
-    black_terms = _symmetrizer_terms(black) if r else [((), 1)]
-    white_terms = _symmetrizer_terms(white) if s else [((), 1)]
-    for sb, sgb in black_terms:
-        for sw, sgw in white_terms:
-            pairs = [(i, -sb[i - 1]) for i in range(1, r + 1)]
-            pairs += [(r + j, -(r + sw[j - 1])) for j in range(1, s + 1)]
-            d = walled_diagram((r, s), (r, s), pairs)
-            terms[d] = terms.get(d, RatFunc(0)) + RatFunc(Fraction(sgb * sgw) * norm)
-    return Morphism(sig, sig, terms)
+    return _symmetrizer("GL", bip)
 
 
 def is_idempotent(f: Morphism) -> bool:
@@ -275,11 +276,18 @@ def object_of_identity(sig: ObjectSignature) -> KaroubiObject:
 Label = tuple  # Partition for S/O, Bipartition for GL
 
 
+def _parts(flavor: str, lam: Label) -> tuple[Partition, ...]:
+    """The partitions a label is made of: (lam,) for S and O, and
+    (black, white) for GL."""
+    if flavor == "GL":
+        black, white = lam
+        return black, white
+    return (lam,)
+
+
 def _label_data(flavor: str, lam: Label) -> tuple[int, ...]:
     """Signature data of Y_lam: (|lam|,), or (|black|, |white|) for GL."""
-    if flavor == "GL":
-        return (sum(lam[0]), sum(lam[1]))
-    return (sum(lam),)
+    return tuple(sum(p) for p in _parts(flavor, lam))
 
 
 def _label_size(flavor: str, lam: Label) -> int:
@@ -295,10 +303,7 @@ def _labels_below(flavor: str, lam: Label) -> list[Label]:
 
 def symmetrizer_object(lam: Label, flavor: str = "S") -> KaroubiObject:
     """Y_lam = ([|lam|], y_lam): contains L(lam) once plus smaller simples."""
-    if flavor == "GL":
-        y = bipartition_symmetrizer(lam)
-    else:
-        y = young_symmetrizer(lam, flavor)
+    y = young_symmetrizer(lam, flavor)
     return KaroubiObject(y.source, y)
 
 
@@ -426,9 +431,8 @@ def multiplicity(X: KaroubiObject, lam: Label) -> int:
 
 
 def _normalize_label(flavor: str, lam) -> Label:
-    if flavor == "GL":
-        return (check_partition(lam[0]), check_partition(lam[1]))
-    return check_partition(lam)
+    parts = tuple(check_partition(p) for p in _parts(flavor, lam))
+    return parts if flavor == "GL" else parts[0]
 
 
 def decompose(X: KaroubiObject, seed: int = 0) -> dict[Label, int]:

@@ -37,19 +37,23 @@ Partition = tuple[int, ...]
 # about 0.08 to 0.15 s on a 2-CPU VM.  gram(4, 4) would be 4140 x 4140.
 MAX_GRAM_BASIS = 300
 
+# Largest Hom basis whose symbolic Gram determinant is expanded over Q(t).
+MAX_SYMBOLIC_DET_BASIS = 15
 
-def _gram_space(l, m, flavor: str):
-    """Signatures of [l] and [m], refusing spaces over the size budget
-    before any diagram is enumerated."""
+
+def _gram_space(l, m, flavor: str, limit: int = MAX_GRAM_BASIS):
+    """Signatures of [l] and [m], refusing mixed flavors and spaces over
+    `limit` basis diagrams before any diagram is enumerated."""
     src = as_signature(l, flavor)
     tgt = as_signature(m, flavor)
-    size = basis_size(src.flavor, src.data, tgt.data)
-    if size > MAX_GRAM_BASIS:
-        raise ValueError(
-            f"Gram budget exceeded: Hom({src}, {tgt}) has {size} > {MAX_GRAM_BASIS} diagrams"
-        )
     if src.flavor != tgt.flavor:
         raise ValueError("Hom between different flavors")
+    size = basis_size(src.flavor, src.data, tgt.data)
+    if size > limit:
+        raise ValueError(
+            f"Gram budget exceeded: at most {limit} basis diagrams, and Hom({src}, {tgt})"
+            f" has {size}"
+        )
     return src, tgt
 
 
@@ -117,20 +121,10 @@ def gram(l, m, t0: Fraction | int | None, flavor: str = "S") -> GramReport:
     )
 
 
-# Largest Hom basis whose symbolic Gram determinant is expanded over Q(t).
-MAX_SYMBOLIC_DET_BASIS = 15
-
-
 def gram_determinant_symbolic(l, m, flavor: str = "S") -> RatFunc:
     """Determinant of the symbolic Gram matrix (small Hom spaces only),
     refusing spaces over the budget before building the matrix."""
-    src, tgt = as_signature(l, flavor), as_signature(m, flavor)
-    size = basis_size(src.flavor, src.data, tgt.data)
-    if size > MAX_SYMBOLIC_DET_BASIS:
-        raise ValueError(
-            f"symbolic Gram determinant supported up to {MAX_SYMBOLIC_DET_BASIS} basis"
-            f" diagrams: Hom({src}, {tgt}) has {size}"
-        )
+    _gram_space(l, m, flavor, MAX_SYMBOLIC_DET_BASIS)
     return determinant(gram_matrix_symbolic(l, m, flavor))
 
 

@@ -246,6 +246,32 @@ class TestAsSignature:
             as_signature(x, flavor)
 
 
+class TestSignatureData:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sig_s(True),
+            lambda: sig_o(False),
+            lambda: sig_gl(1.5, 0),
+            lambda: sig_gl(1, True),
+            lambda: ObjectSignature("S", [2]),
+            lambda: ObjectSignature("GL", [1, 0]),
+            lambda: ObjectSignature("S", ("2",)),
+            lambda: ObjectSignature("S", (-1,)),
+        ],
+        ids=["S-bool", "O-bool", "GL-float", "GL-bool", "S-list", "GL-list", "S-str", "S-negative"],
+    )
+    def test_non_integer_data_is_refused(self, make):
+        with pytest.raises(ValueError, match="bad signature data"):
+            make()
+
+    def test_booleans_do_not_reach_tensor(self):
+        # True == 1 once let S[True] (x) S[1] read as S[2]
+        with pytest.raises(ValueError):
+            sig_s(True).tensor(sig_s(1))
+        assert sig_s(1).tensor(sig_s(1)) == sig_s(2)
+
+
 class TestHomBasis:
     def test_gl_zero_space(self):
         assert hom_basis(sig_gl(1, 0), sig_gl(0, 1)) == []

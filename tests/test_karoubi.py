@@ -1,12 +1,14 @@
 """Idempotents, promotion, multiplicities, generic dimensions of simples."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from interpcat import karoubi
-from interpcat.diagrams import DIAGRAM_CLASSES, compose_diagrams, partition_diagram
+from interpcat.diagrams import DIAGRAM_CLASSES, compose_diagrams, partition_diagram, walled_diagram
 from interpcat.homspaces import (
+    Morphism,
     compose,
     diagram_morphism,
     identity,
@@ -32,7 +34,7 @@ from interpcat.karoubi import (
     symmetrizer_object,
     young_symmetrizer,
 )
-from interpcat.partitions import partitions_of
+from interpcat.partitions import partitions_of, sn_irrep_dimension
 from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, t_power
 from interpcat.selftest import gl_weyl_dimension, hook_content_dimension
 
@@ -110,6 +112,77 @@ class TestYoungSymmetrizer:
         assert y == identity(sig_gl(1, 1))
         y2 = bipartition_symmetrizer(((2,), ()))
         assert is_idempotent(y2)
+
+
+def reference_young_symmetrizer(lam, flavor):
+    """S and O: one permutation_morphism diagram per symmetrizer term."""
+    n = sum(lam)
+    norm = RatFunc(Fraction(sn_irrep_dimension(lam), math.factorial(n)))
+    sig = sig_s(n) if flavor == "S" else sig_o(n)
+    terms: dict = {}
+    for sigma, sign in karoubi._symmetrizer_terms(lam):
+        d = next(iter(permutation_morphism(sigma, flavor).terms))
+        terms[d] = terms.get(d, RatFunc(0)) + norm * sign
+    return Morphism(sig, sig, terms)
+
+
+def reference_bipartition_symmetrizer(bip):
+    """GL: walled diagrams pairing the black and the white permutations."""
+    black, white = bip
+    r, s = sum(black), sum(white)
+    norm = Fraction(
+        sn_irrep_dimension(black) * sn_irrep_dimension(white),
+        math.factorial(r) * math.factorial(s),
+    )
+    terms: dict = {}
+    black_terms = karoubi._symmetrizer_terms(black) if r else [((), 1)]
+    white_terms = karoubi._symmetrizer_terms(white) if s else [((), 1)]
+    for sb, sgb in black_terms:
+        for sw, sgw in white_terms:
+            pairs = [(i, -sb[i - 1]) for i in range(1, r + 1)]
+            pairs += [(r + j, -(r + sw[j - 1])) for j in range(1, s + 1)]
+            d = walled_diagram((r, s), (r, s), pairs)
+            terms[d] = terms.get(d, RatFunc(0)) + RatFunc(Fraction(sgb * sgw) * norm)
+    return Morphism(sig_gl(r, s), sig_gl(r, s), terms)
+
+
+SMALL_PARTITIONS = [lam for n in range(5) for lam in partitions_of(n)]
+SMALL_BIPARTITIONS = [
+    (black, white)
+    for n in range(5)
+    for r in range(n + 1)
+    for black in partitions_of(r)
+    for white in partitions_of(n - r)
+]
+
+
+def same_terms(f, g):
+    """Equal morphisms whose terms also come in the same order."""
+    return f == g and list(f.terms.items()) == list(g.terms.items())
+
+
+class TestOneSymmetrizerBuilder:
+    """young_symmetrizer, bipartition_symmetrizer and symmetrizer_object build
+    y_lam through one routine; each must give the terms of the two separate
+    loops it replaced, in the same order."""
+
+    @pytest.mark.parametrize("flavor", ["S", "O"])
+    def test_partitions_match_permutation_loop(self, flavor):
+        for lam in SMALL_PARTITIONS:
+            ref = reference_young_symmetrizer(lam, flavor)
+            assert same_terms(young_symmetrizer(lam, flavor), ref), lam
+            assert same_terms(symmetrizer_object(lam, flavor).idem, ref), lam
+
+    def test_bipartitions_match_walled_loop(self):
+        for bip in SMALL_BIPARTITIONS:
+            ref = reference_bipartition_symmetrizer(bip)
+            assert same_terms(bipartition_symmetrizer(bip), ref), bip
+            assert same_terms(young_symmetrizer(bip, "GL"), ref), bip
+            assert same_terms(symmetrizer_object(bip, "GL").idem, ref), bip
+
+    def test_gl_needs_a_bipartition(self):
+        with pytest.raises(ValueError):
+            young_symmetrizer((2, 1), "GL")
 
 
 class TestSpecialP:

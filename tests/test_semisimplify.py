@@ -55,6 +55,14 @@ class TestGram:
         with pytest.raises(ValueError, match="15 basis diagrams.* has 24"):
             gram_determinant_symbolic(sig_gl(2, 2), sig_gl(2, 2), "GL")
 
+    @pytest.mark.parametrize("l, m", [(sig_gl(1, 0), sig_s(1)), (sig_s(1), sig_gl(1, 0))])
+    def test_mixed_flavors_refused(self, l, m):
+        # the flavor check runs before the basis is sized
+        with pytest.raises(ValueError, match="Hom between different flavors"):
+            gram(l, m, 2, "GL")
+        with pytest.raises(ValueError, match="Hom between different flavors"):
+            gram_determinant_symbolic(l, m, "GL")
+
     def test_rank_at_1(self):
         rep = gram(1, 1, 1)
         assert (rep.rank, rep.nullity) == (1, 1)
