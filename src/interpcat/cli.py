@@ -108,9 +108,15 @@ def _endpoint(text: str, flavor: str, field: str):
             or not all(is_int(x) and x >= 0 for x in payload)
         ):
             raise SchemaError(f"{field}: GL endpoints are [r, s] pairs")
-    elif not is_int(payload) or payload < 0:
-        raise SchemaError(f"{field}: expected a nonnegative integer")
+    else:
+        _nonnegative(payload, field)
     return as_signature(payload, flavor)
+
+
+def _nonnegative(value, field: str) -> int:
+    if not is_int(value) or value < 0:
+        raise SchemaError(f"{field}: expected a nonnegative integer")
+    return value
 
 
 def _rational(text: str, field: str) -> Fraction:
@@ -188,11 +194,11 @@ def cmd_dim(args):
     if flavor == "GL":
         if args.r is None or args.s is None:
             raise SchemaError("--r/--s: required for flavor GL")
-        endpoint = (args.r, args.s)
+        endpoint = (_nonnegative(args.r, "--r"), _nonnegative(args.s, "--s"))
     else:
         if args.m is None:
             raise SchemaError("--m: required for flavors S, O, Sp")
-        endpoint = args.m
+        endpoint = _nonnegative(args.m, "--m")
     if flavor == "Sp":
         value = homspaces.sp_dimension(endpoint)
     else:

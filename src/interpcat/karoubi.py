@@ -7,15 +7,17 @@ decomposition matrix K(lambda, mu) = [Y_lambda : L(mu)] is unitriangular with
 respect to size.  One routine builds y_lambda for every flavor: the tensor
 product of the normalized Young symmetrizers of the label's parts (lambda
 itself for S and O; the black and then the white partition for GL), each
-part's permutations on its own block of strands.  Every multiplicity comes from one exact elimination per
-Hom space: [X : L(lambda)] is dim Hom(X, Y_lambda), the rank of the
-sandwiches e_Y o d o e_X, minus the K-weighted multiplicities of the smaller
-simples, by induction on size.  A Hom space whose sandwiches carry no t (both
-idempotents have constant coefficients and no composition closes a loop) is
-eliminated over Q; any other over Q(t).  No rank is taken at a sample point,
-so every generic-t answer is exact and independent of any seed.  K itself is
-the case X = Y_lambda, and the generic dimensions of simples follow by the
-trace accounting dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
+part's permutations on its own block of strands.  Every multiplicity comes
+from one exact elimination per Hom space: [X : L(lambda)] is
+dim Hom(X, Y_lambda), the rank of the sandwiches e_Y o d o e_X, minus the
+K-weighted multiplicities of the smaller simples, by induction on size.  A
+Hom space whose sandwiches carry no t (both idempotents have constant
+coefficients and no composition closes a loop) is eliminated over Z,
+fraction-free, after clearing the idempotents' denominators; any other over
+Q(t).  No rank is taken at a sample point, so every generic-t answer is
+exact and independent of any seed.  K itself is the case X = Y_lambda, and
+the generic dimensions of simples follow by the trace accounting
+dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
 """
 
 from __future__ import annotations
@@ -280,7 +282,12 @@ def _parts(flavor: str, lam: Label) -> tuple[Partition, ...]:
     """The partitions a label is made of: (lam,) for S and O, and
     (black, white) for GL."""
     if flavor == "GL":
-        black, white = lam
+        try:
+            black, white = lam
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{lam!r} is not a bipartition (expected a (black, white) pair)"
+            ) from None
         return black, white
     return (lam,)
 
@@ -311,24 +318,34 @@ def symmetrizer_object(lam: Label, flavor: str = "S") -> KaroubiObject:
 # generic multiplicities
 
 
-def _scalar(c: RatFunc) -> Fraction | RatFunc:
-    """A nonzero morphism coefficient c as a Fraction when it carries no t,
-    else c itself."""
+def _scalar(c: RatFunc) -> int | Fraction | RatFunc:
+    """A nonzero morphism coefficient c as its constant (an int or a
+    Fraction, as the Poly stores it) when it carries no t, else c itself."""
     num, den = c.num.coeffs, c.den.coeffs
     if len(num) == 1 and len(den) == 1:  # den is monic, so it is 1
         return num[0]
     return c
 
 
+def _cleared(terms: list[tuple]) -> list[tuple]:
+    """Constant coefficients scaled by the lcm of their denominators: ints."""
+    lcm = math.lcm(*(c.denominator for _, c in terms))
+    return [(d, c.numerator * (lcm // c.denominator)) for d, c in terms]
+
+
 def _hom_rank(X: KaroubiObject, Y: KaroubiObject, table: dict | None = None) -> int:
     """dim Hom(X, Y) at generic t: the rank of the sandwiches
     {e_Y o d o e_X : d basis diagram}.
 
-    An entry stays a Fraction until a t enters it, from a closed loop or a
+    An entry stays a constant until a t enters it, from a closed loop or a
     non-constant idempotent coefficient, and becomes a RatFunc from then on.
-    The elimination mixes the two, so a Hom space whose sandwiches carry no
-    t is eliminated over Q, and any other over Q(t); either way the rank is
-    exact.  `table` memoizes compose_diagrams across calls that share it."""
+    When both idempotents have constant coefficients, each coefficient list
+    is first scaled by the lcm of its denominators.  That scales every
+    sandwich by the same nonzero constant, so the rank is unchanged, and a
+    sandwich that closes no loop is a row of ints.  So a Hom space whose
+    sandwiches carry no t is eliminated over Z, fraction-free, and any other
+    over Q(t); either way the rank is exact.  `table` memoizes
+    compose_diagrams across calls that share it."""
     basis = hom_basis(X.sig, Y.sig)
     if not basis:
         return 0
@@ -344,6 +361,8 @@ def _hom_rank(X: KaroubiObject, Y: KaroubiObject, table: dict | None = None) -> 
 
     ex = [(d, _scalar(c)) for d, c in X.idem.terms.items()]
     ey = [(d, _scalar(c)) for d, c in Y.idem.terms.items()]
+    if not any(isinstance(c, RatFunc) for _, c in ex + ey):
+        ex, ey = _cleared(ex), _cleared(ey)
     ech = SparseEchelon()
     for d in basis:
         through: dict = {}

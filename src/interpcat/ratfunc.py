@@ -29,8 +29,13 @@ trusts them.  Each shortcut stays exact because of a coprimality fact:
     inverse, scaled to a monic denominator;
   * negation and t -> -t keep num and den coprime.
 
-Coefficients are Fractions throughout; Poly arithmetic builds its results
-from Fractions without re-wrapping them.
+A coefficient is a Python int when it is integral and a Fraction only when
+it is a true fraction, so the common cases (diagram signs, powers of t,
+cleared symmetrizer coefficients) never touch Fraction arithmetic.  The
+trusted constructor `_poly` turns integral Fractions into ints, and every
+coefficient division goes through `_div`, which stays exact: int / int never
+yields a float.  Fraction(n) == n and the two hash alike, so equality and
+hashing stay structural.  Poly.leading() still returns a Fraction.
 
 Text format (used by the CLI): ``(num)/(den)`` where each side is a sparse
 sum of terms ``c``, ``c*t``, ``c*t^k``.  Bare integers, ``a/b`` rationals and
@@ -46,8 +51,6 @@ from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, "RatFunc"]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _new = object.__new__
 
 
@@ -56,15 +59,15 @@ class PoleError(ZeroDivisionError):
 
 
 class Poly:
-    """Polynomial in t with Fraction coefficients, stored low degree first."""
+    """Polynomial in t with rational coefficients, stored low degree first:
+    ints when integral, Fractions otherwise."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[int | Fraction, ...] = _poly(
+            [c if type(c) is int else Fraction(c) for c in coeffs]
+        ).coeffs
 
     # -- basic structure ---------------------------------------------------
 
@@ -77,9 +80,7 @@ class Poly:
         return not self.coeffs
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.coeffs[-1]) if self.coeffs else Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -107,7 +108,7 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         out = list(a)
-        out += [_ZERO] * (len(b) - len(a))
+        out += [0] * (len(b) - len(a))
         for i, c in enumerate(b):
             out[i] -= c
         return _poly(out)
@@ -118,7 +119,7 @@ class Poly:
             if not a or not b:
                 return POLY_ZERO
             return other.scale(a[0]) if len(a) == 1 else self.scale(b[0])
-        out = [_ZERO] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -126,7 +127,7 @@ class Poly:
         return _poly(out)
 
     def scale(self, c: Fraction | int) -> "Poly":
-        if type(c) is not Fraction:
+        if type(c) is not int and type(c) is not Fraction:
             c = Fraction(c)
         if c == 1:
             return self
@@ -140,12 +141,12 @@ class Poly:
         d = other.degree
         lower, lead = other.coeffs[:d], other.coeffs[d]
         rem = list(self.coeffs)
-        q = [_ZERO] * max(0, len(rem) - d)
+        q = [0] * max(0, len(rem) - d)
         for shift in range(len(rem) - 1 - d, -1, -1):
             factor = rem[shift + d]
             if factor:
                 if lead != 1:
-                    factor = factor / lead
+                    factor = _div(factor, lead)
                 q[shift] = factor
                 for i, c in enumerate(lower):
                     rem[shift + i] -= factor * c
@@ -154,8 +155,8 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.leading()
-        return self if lead == 1 else self.scale(1 / lead)
+        lead = self.coeffs[-1]
+        return self if lead == 1 else self.scale(_div(1, lead))
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd; the zero polynomial only for gcd(0, 0)."""
@@ -205,6 +206,20 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
+def _poly(cs: list[int | Fraction]) -> Poly:
+    """Trusted Poly constructor: cs holds ints and Fractions; trailing zeros
+    are dropped and integral Fractions become ints."""
+    while cs and not cs[-1]:
+        cs.pop()
+    for x in cs:
+        if type(x) is not int:
+            cs = [c.numerator if type(c) is not int and c.denominator == 1 else c for c in cs]
+            break
+    p = _new(Poly)
+    p.coeffs = tuple(cs)
+    return p
+
+
 POLY_ZERO = Poly()
 POLY_ONE = Poly((1,))
 POLY_T = Poly((0, 1))
@@ -213,16 +228,17 @@ POLY_T = Poly((0, 1))
 def poly_t_power(k: int) -> Poly:
     if k < 0:
         raise ValueError("negative power of t is not a polynomial")
-    return _poly([_ZERO] * k + [_ONE])
+    return _poly([0] * k + [1])
 
 
-def _poly(cs: list[Fraction]) -> Poly:
-    """Trusted Poly constructor: cs holds Fractions; trailing zeros are dropped."""
-    while cs and not cs[-1]:
-        cs.pop()
-    p = _new(Poly)
-    p.coeffs = tuple(cs)
-    return p
+def _div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """The exact coefficient quotient a / b: an int when it is integral, a
+    Fraction otherwise, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def _exquo(a: Poly, b: Poly) -> Poly:
@@ -236,7 +252,7 @@ def _exquo(a: Poly, b: Poly) -> Poly:
     if d == 0:
         return a
     rem = list(a.coeffs)
-    q = [_ZERO] * (len(rem) - d)
+    q = [0] * (len(rem) - d)
     for shift in range(len(rem) - 1 - d, -1, -1):
         factor = rem[shift + d]
         if factor:
@@ -271,7 +287,8 @@ class RatFunc:
             num, den = _exquo(num, g), _exquo(den, g)
         lead = den.coeffs[-1]
         if lead != 1:
-            num, den = num.scale(1 / lead), den.scale(1 / lead)
+            inv = _div(1, lead)
+            num, den = num.scale(inv), den.scale(inv)
         self.num, self.den = num, den
 
     def is_zero(self) -> bool:
@@ -406,7 +423,8 @@ def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
     num, den = a * c, b * d
     lead = den.coeffs[-1]
     if lead != 1:
-        num, den = num.scale(1 / lead), den.scale(1 / lead)
+        inv = _div(1, lead)
+        num, den = num.scale(inv), den.scale(inv)
     return _make(num, den)
 
 

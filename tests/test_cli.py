@@ -323,6 +323,20 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"schema error: {field}: ")
 
+    @pytest.mark.parametrize(
+        "field, argv",
+        [
+            ("--m", ["--flavor", "S", "--m", "-1"]),
+            ("--m", ["--flavor", "Sp", "--m", "-1"]),
+            ("--r", ["--flavor", "GL", "--r", "-1", "--s", "0"]),
+            ("--s", ["--flavor", "GL", "--r", "1", "--s", "-2"]),
+        ],
+    )
+    def test_negative_dim_endpoint_exit_2(self, capsys, field, argv):
+        # the text _endpoint gives; Sp no longer reaches flavor O
+        assert main(["dim", *argv]) == 2
+        assert capsys.readouterr().err == f"schema error: {field}: expected a nonnegative integer\n"
+
     def test_oversized_search_refused_up_front(self, capsys):
         moments = json.dumps({"flavor": "gl", "values": {str(k): "1" for k in range(1, 9)}})
         start = time.perf_counter()

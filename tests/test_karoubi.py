@@ -34,6 +34,7 @@ from interpcat.karoubi import (
     symmetrizer_object,
     young_symmetrizer,
 )
+from interpcat.linalg import SparseEchelon
 from interpcat.partitions import partitions_of, sn_irrep_dimension
 from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, t_power
 from interpcat.selftest import gl_weyl_dimension, hook_content_dimension
@@ -183,6 +184,25 @@ class TestOneSymmetrizerBuilder:
     def test_gl_needs_a_bipartition(self):
         with pytest.raises(ValueError):
             young_symmetrizer((2, 1), "GL")
+
+
+class TestGlLabelNotAPair:
+    """A GL label that is not a (black, white) pair is a ValueError naming it."""
+
+    def test_dim_simple(self):
+        with pytest.raises(ValueError, match="5 is not a bipartition"):
+            dim_simple(5, "GL")
+
+    def test_young_symmetrizer(self):
+        with pytest.raises(ValueError, match="5 is not a bipartition"):
+            young_symmetrizer(5, "GL")
+
+    def test_multiplicity(self):
+        X = object_of_identity(sig_gl(1, 0))
+        with pytest.raises(ValueError, match=r"\(\(1,\),\) is not a bipartition"):
+            multiplicity(X, ((1,),))
+        with pytest.raises(ValueError, match="5 is not a bipartition"):
+            multiplicity(X, 5)
 
 
 class TestSpecialP:
@@ -344,6 +364,23 @@ class TestExactHomRank:
         total = sum((m * dim_simple(lam) for lam, m in found.items()), RatFunc(0))
         assert total == trace(e) == t
 
+    def test_symmetrizer_k_spaces_reach_the_echelon_as_int_rows(self, monkeypatch):
+        # symmetrizer coefficients are cleared by their lcm, so the sandwiches
+        # of every K space are rows of ints, reduced fraction-free
+        rows = []
+        add = SparseEchelon.add
+
+        def spy(self, row):
+            rows.append(row)
+            return add(self, row)
+
+        monkeypatch.setattr(SparseEchelon, "add", spy)
+        cases = [("S", lam) for lam in partitions_of(3)] + [("O", (2,)), ("O", (1, 1))]
+        cases += [("GL", ((1,), (1,))), ("GL", ((2,), (1,))), ("GL", ((1, 1), (1,)))]
+        for flavor, lam in cases:
+            karoubi._symmetrizer_decomposition.__wrapped__(flavor, lam)
+        assert rows and all(type(v) is int for row in rows for v in row.values())
+
     def test_one_composition_table_per_computation(self, monkeypatch):
         X = object_of_identity(sig_s(3))
         decompose(X)  # warms the symmetrizer decompositions, which use their own tables
@@ -499,7 +536,7 @@ class TestSymmetrizerObjects:
 
 @pytest.mark.slow
 def test_dim_simple_full_size_four_row():
-    """The whole |lam| = 4 ladder against the hook-length oracle (about 8 s)."""
+    """The whole |lam| = 4 ladder against the hook-length oracle (about 5 s)."""
     from interpcat.selftest import hook_content_dimension
 
     for lam in partitions_of(4):

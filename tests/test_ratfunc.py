@@ -14,6 +14,7 @@ from interpcat.ratfunc import (
     RF_ONE,
     RF_T,
     RF_ZERO,
+    _make,
     format_ratfunc,
     interpolate,
     parse_poly,
@@ -283,3 +284,182 @@ class TestText:
             parse_poly("")
         with pytest.raises(ValueError):
             parse_poly("2 x")
+
+
+# -- int coefficients ---------------------------------------------------------
+#
+# The reference below is Fraction-only textbook arithmetic on coefficient
+# lists, wrapped in Polys that hold Fractions, as every coefficient was stored
+# before ints were: results must agree with it in ==, hash, str and value.
+
+
+def _trim(cs: list) -> list:
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_poly(cs: list) -> Poly:
+    p = object.__new__(Poly)
+    p.coeffs = tuple(_trim(cs))
+    return p
+
+
+def _ref_add(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _ref_neg(a: list) -> list:
+    return [-c for c in a]
+
+
+def _ref_mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a: list, b: list) -> tuple[list, list]:
+    rem, q = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        factor = rem[shift + len(b) - 1] / b[-1]
+        q[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+    return _trim(q), _trim(rem)
+
+
+def _ref_at_minus_t(a: list) -> list:
+    return [c if i % 2 == 0 else -c for i, c in enumerate(a)]
+
+
+def _ref_monic(a: list) -> list:
+    return [c / a[-1] for c in a] if a else []
+
+
+def _ref_gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_monic(a)
+
+
+def _ref_ratfunc(num: list, den: list) -> RatFunc:
+    g = _ref_gcd(num, den)
+    num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    lead = den[-1]
+    return _make(_ref_poly([c / lead for c in num]), _ref_poly([c / lead for c in den]))
+
+
+_REF_OPS = {
+    operator.add: lambda a, b, c, d: (_ref_add(_ref_mul(a, d), _ref_mul(c, b)), _ref_mul(b, d)),
+    operator.sub: lambda a, b, c, d: _REF_OPS[operator.add](a, b, _ref_neg(c), d),
+    operator.mul: lambda a, b, c, d: (_ref_mul(a, c), _ref_mul(b, d)),
+    operator.truediv: lambda a, b, c, d: (_ref_mul(a, d), _ref_mul(b, c)),
+}
+
+
+def _mixed_coeffs(rng: random.Random, n: int) -> list:
+    """Coefficients of every kind the arithmetic meets: ints, integral and
+    true Fractions, and ints above 2^64."""
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(rng.randint(-6, 6))
+        elif kind == 1:
+            out.append(Fraction(2 * rng.randint(-4, 4), 2))
+        elif kind == 2:
+            out.append(Fraction(rng.randint(-7, 7), rng.choice([2, 3, 4, 6])))
+        else:
+            out.append(rng.choice([-1, 1]) * (2**64 + rng.randint(0, 9)))
+    if not out[-1]:
+        out[-1] = rng.choice([1, Fraction(3, 2), -2])
+    return out
+
+
+def _assert_int_coefficients(p: Poly):
+    for c in p.coeffs:
+        assert type(c) in (int, Fraction), (p, c)
+        assert type(c) is int or c.denominator != 1, (p, c)
+    if p.coeffs:
+        assert type(p.leading()) is Fraction
+
+
+_POINTS = (-3, 0, Fraction(1, 2), 2, 7)
+
+
+def _assert_poly_matches(got: Poly, ref: list):
+    expected = _ref_poly(ref)
+    _assert_int_coefficients(got)
+    assert got == expected and hash(got) == hash(expected)
+    assert str(got) == str(expected)
+    assert all(got(x) == expected(x) for x in _POINTS)
+
+
+def _assert_ratfunc_matches(got: RatFunc, expected: RatFunc):
+    _assert_int_coefficients(got.num)
+    _assert_int_coefficients(got.den)
+    assert got == expected and hash(got) == hash(expected)
+    assert str(got) == str(expected)
+    for x in _POINTS:
+        if expected.den(x):
+            assert got.eval(x) == expected.eval(x)
+
+
+class TestIntCoefficients:
+    """Integral coefficients are ints, true fractions Fractions, never floats."""
+
+    def test_poly_operations(self):
+        rng = random.Random("int coefficients poly")
+        for _ in range(80):
+            a_cs = _mixed_coeffs(rng, rng.randint(1, 4))
+            b_cs = _mixed_coeffs(rng, rng.randint(1, 3))
+            a, b = Poly(a_cs), Poly(b_cs)
+            ra, rb = _trim(a_cs), _trim(b_cs)
+            _assert_poly_matches(a, ra)
+            _assert_poly_matches(a + b, _ref_add(ra, rb))
+            _assert_poly_matches(a - b, _ref_add(ra, _ref_neg(rb)))
+            _assert_poly_matches(a * b, _ref_mul(ra, rb))
+            q, r = divmod(a, b)
+            ref_q, ref_r = _ref_divmod(ra, rb)
+            _assert_poly_matches(q, ref_q)
+            _assert_poly_matches(r, ref_r)
+            _assert_poly_matches(a.gcd(b), _ref_gcd(ra, rb))
+            _assert_poly_matches(a.monic(), _ref_monic(ra))
+            _assert_poly_matches(a.at_minus_t(), _ref_at_minus_t(ra))
+            k = rng.choice([3, -1, Fraction(2, 3), Fraction(4, 2)])
+            _assert_poly_matches(a.scale(k), [c * k for c in ra])
+
+    def test_ratfunc_operations(self):
+        rng = random.Random("int coefficients ratfunc")
+        for _ in range(60):
+            parts = [_mixed_coeffs(rng, rng.randint(1, 3)) for _ in range(4)]
+            refs = [_trim(cs) for cs in parts]
+            x = RatFunc(Poly(parts[0]), Poly(parts[1]))
+            y = RatFunc(Poly(parts[2]), Poly(parts[3]))
+            rx, ry = _ref_ratfunc(*refs[:2]), _ref_ratfunc(*refs[2:])
+            _assert_ratfunc_matches(x, rx)
+            _assert_ratfunc_matches(y, ry)
+            k = rng.choice([2, -5, Fraction(6, 3), Fraction(-3, 4)])
+            a, b, c, d = (list(p.coeffs) for p in (rx.num, rx.den, ry.num, ry.den))
+            for op, raw in _REF_OPS.items():
+                if y or op is not operator.truediv:
+                    _assert_ratfunc_matches(op(x, y), _ref_ratfunc(*raw(a, b, c, d)))
+                _assert_ratfunc_matches(op(x, k), _ref_ratfunc(*raw(a, b, _trim([k]), [1])))
+            _assert_ratfunc_matches(-x, _ref_ratfunc(_ref_neg(refs[0]), refs[1]))
+            minus = [_ref_at_minus_t(r) for r in refs[:2]]
+            _assert_ratfunc_matches(x.at_minus_t(), _ref_ratfunc(*minus))
+
+    def test_integral_results_are_ints(self):
+        half = Fraction(1, 2)
+        assert Poly((half, half)).scale(2).coeffs == (1, 1)
+        assert all(type(c) is int for c in Poly((Fraction(4, 2), True, 3)).coeffs)
+        assert type(RatFunc(Poly((3,)), Poly((Fraction(3, 2),))).num.coeffs[0]) is int
+        assert (t / 3 + t / 3 + t / 3).num.coeffs == (0, 1)
+        assert type((RF_ONE / 4).num.coeffs[0]) is Fraction
+        assert Poly((2, 4)).monic().coeffs == (Fraction(1, 2), 1)
+        assert Poly(()).leading() == 0 and type(Poly(()).leading()) is Fraction
