@@ -39,6 +39,11 @@ Composition convention: compose_diagrams(p, q) is "p after q" -- q maps
 [k] -> [l], p maps [l] -> [m], and the second return value is the exponent
 of t produced by components lying in the middle row only, which for
 matchings (GL, O) are the closed loops.
+
+compose_diagrams, the one composition kernel, is memoized for the process
+(lru_cache of 1 << 16 pairs; see compose_diagrams.cache_info()).  A hit
+returns what the kernel computed, so results stay exact, and each composite
+goes through the bounded _interned, so equal composites share one object.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from interpcat.partitions import bell_number, double_factorial_odd, is_int, partitions_of
@@ -489,15 +495,23 @@ def identity_diagram(flavor: str, x) -> Diagram:
 # composition, tensor, flip, refinement, closure
 
 
+@lru_cache(maxsize=1 << 16)
+def _interned(d: Diagram) -> Diagram:
+    """The first diagram seen equal to d, so equal composites share one object."""
+    return d
+
+
+@lru_cache(maxsize=1 << 16)
 def compose_diagrams(p: Diagram, q: Diagram) -> tuple[Diagram, int]:
     """p after q: q maps [k] -> [l], p maps [l] -> [m].
 
     Returns (p * q, N) with N the exponent of t: middle-only components (S)
-    or closed loops (O, GL).
+    or closed loops (O, GL).  A call that raises caches nothing.
     """
     if type(p) is not type(q):
         raise TypeError(f"cannot compose diagrams of different flavors: {p!r}, {q!r}")
-    return p._compose(q)
+    d, power = p._compose(q)
+    return _interned(d), power
 
 
 def pairing_table(fs: Sequence[Diagram], gs: Sequence[Diagram]) -> list[bytes]:

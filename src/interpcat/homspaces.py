@@ -192,7 +192,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     for df, cf in f.terms.items():
         for dg, cg in g.terms.items():
             d, power = compose_diagrams(df, dg)
-            c = cf * cg * t_power(power)
+            c = cf * cg * t_power(power) if power else cf * cg
             prev = out.get(d)
             out[d] = c if prev is None else prev + c
     return Morphism(g.source, f.target, out)

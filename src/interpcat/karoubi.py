@@ -333,7 +333,7 @@ def _cleared(terms: list[tuple]) -> list[tuple]:
     return [(d, c.numerator * (lcm // c.denominator)) for d, c in terms]
 
 
-def _hom_rank(X: KaroubiObject, Y: KaroubiObject, table: dict | None = None) -> int:
+def _hom_rank(X: KaroubiObject, Y: KaroubiObject) -> int:
     """dim Hom(X, Y) at generic t: the rank of the sandwiches
     {e_Y o d o e_X : d basis diagram}.
 
@@ -344,21 +344,11 @@ def _hom_rank(X: KaroubiObject, Y: KaroubiObject, table: dict | None = None) -> 
     sandwich by the same nonzero constant, so the rank is unchanged, and a
     sandwich that closes no loop is a row of ints.  So a Hom space whose
     sandwiches carry no t is eliminated over Z, fraction-free, and any other
-    over Q(t); either way the rank is exact.  `table` memoizes
-    compose_diagrams across calls that share it."""
+    over Q(t); either way the rank is exact.  Compositions that an earlier
+    Hom space already made are hits of the compose_diagrams memo."""
     basis = hom_basis(X.sig, Y.sig)
     if not basis:
         return 0
-    if table is None:
-        table = {}
-
-    def composed(a, b):
-        key = (a, b)
-        hit = table.get(key)
-        if hit is None:
-            hit = table[key] = compose_diagrams(a, b)
-        return hit
-
     ex = [(d, _scalar(c)) for d, c in X.idem.terms.items()]
     ey = [(d, _scalar(c)) for d, c in Y.idem.terms.items()]
     if not any(isinstance(c, RatFunc) for _, c in ex + ey):
@@ -367,14 +357,14 @@ def _hom_rank(X: KaroubiObject, Y: KaroubiObject, table: dict | None = None) -> 
     for d in basis:
         through: dict = {}
         for dx, cx in ex:
-            dd, power = composed(d, dx)
+            dd, power = compose_diagrams(d, dx)
             through[dd] = through.get(dd, 0) + (cx * t_power(power) if power else cx)
         row: dict = {}
         for dm, cm in through.items():
             if not cm:
                 continue
             for dy, cy in ey:
-                dd, power = composed(dy, dm)
+                dd, power = compose_diagrams(dy, dm)
                 c = cy * cm
                 row[dd] = row.get(dd, 0) + (c * t_power(power) if power else c)
         ech.add(row)
@@ -422,9 +412,8 @@ def _triangular_multiplicities(
     """Invert the unitriangular K system over the labels of `symmetrizers`
     (size order)."""
     mult: dict[Label, int] = {}
-    table: dict = {}  # diagram compositions, shared by this computation's Hom spaces
     for lam, Y in symmetrizers.items():
-        h = _hom_rank(X, Y, table)
+        h = _hom_rank(X, Y)
         corr = 0
         for mu in symmetrizers:
             if mult.get(mu):

@@ -227,22 +227,14 @@ def check_interpolation_roundtrip(rng: random.Random, full: bool):
 def check_composition_associativity(rng: random.Random, full: bool):
     # exhaustive over all chains [a]->[b]->[c]->[d] with a..d <= 2, S flavor
     limit = 2
-    compose_cache: dict = {}
-
-    def cached(p, q):
-        key = (p, q)
-        if key not in compose_cache:
-            compose_cache[key] = diagrams.compose_diagrams(p, q)
-        return compose_cache[key]
-
     for a, b, c, d in itertools.product(range(limit + 1), repeat=4):
         for h in diagrams.enumerate_basis("S", a, b):
             for g in diagrams.enumerate_basis("S", b, c):
-                gh, n1 = cached(g, h)
+                gh, n1 = diagrams.compose_diagrams(g, h)
                 for f in diagrams.enumerate_basis("S", c, d):
-                    fg, n2 = cached(f, g)
-                    left = cached(f, gh)
-                    right = cached(fg, h)
+                    fg, n2 = diagrams.compose_diagrams(f, g)
+                    left = diagrams.compose_diagrams(f, gh)
+                    right = diagrams.compose_diagrams(fg, h)
                     assert left[0] == right[0]
                     assert left[1] + n1 == right[1] + n2
     # randomized GL / O triples

@@ -1,11 +1,15 @@
 """Diagram kernels: canonical forms, composition counts, bases, wire format."""
 
 import dataclasses
+import importlib
 import itertools
 import json
+import pkgutil
+import random
 
 import pytest
 
+import interpcat
 from interpcat.diagrams import (
     brauer_diagram,
     closure_components,
@@ -378,3 +382,79 @@ class TestPairingTable:
     def test_mixed_flavors_raise(self):
         with pytest.raises(TypeError):
             pairing_table(enumerate_basis("S", 1, 1), enumerate_basis("O", 1, 1))
+
+
+def _random_pairs(flavor: str, rng: random.Random, count: int) -> list:
+    """count composable (p, q) pairs of random diagrams, q: [k] -> [l], p: [l] -> [m]."""
+    sides = _signatures(flavor, 2 if flavor == "GL" else 3)
+    out = []
+    while len(out) < count:
+        k, l, m = (rng.choice(sides) for _ in range(3))
+        qs, ps = enumerate_basis(flavor, k, l), enumerate_basis(flavor, l, m)
+        if qs and ps:
+            out.append((rng.choice(ps), rng.choice(qs)))
+    return out
+
+
+@pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+class TestCompositionMemo:
+    """compose_diagrams memoizes the kernel for the process and interns its composites."""
+
+    def test_memo_returns_what_the_kernel_computes(self, flavor):
+        pairs = _random_pairs(flavor, random.Random(f"memo {flavor}"), 80)
+        fresh = [p._compose(q) for p, q in pairs]
+        compose_diagrams.cache_clear()
+        cold = [compose_diagrams(p, q) for p, q in pairs]
+        warm = [compose_diagrams(p, q) for p, q in pairs]
+        assert cold == fresh and warm == fresh
+        assert compose_diagrams.cache_info().hits >= len(pairs)
+        compose_diagrams.cache_clear()
+        assert [compose_diagrams(p, q) for p, q in pairs] == fresh
+
+    def test_equal_composites_are_one_object(self, flavor):
+        pairs = _random_pairs(flavor, random.Random(f"intern {flavor}"), 80)
+        first: dict = {}
+        for clear in (False, True):
+            if clear:
+                compose_diagrams.cache_clear()
+            for p, q in pairs:
+                d, _ = compose_diagrams(p, q)
+                assert first.setdefault(d, d) is d, (p, q)
+        assert len(first) < len(pairs)
+
+    def test_failed_calls_raise_every_time(self, flavor):
+        # S[2] and O[2] identities have equal fields and hashes but differ in type
+        d = identity_diagram(flavor, (1, 1) if flavor == "GL" else 2)
+        stranger = identity_diagram("O" if flavor == "S" else "S", 2)
+        wide = identity_diagram(flavor, (2, 1) if flavor == "GL" else 4)
+        compose_diagrams.cache_clear()
+        for _ in range(3):
+            for p, q in ((d, stranger), (stranger, d)):
+                with pytest.raises(TypeError, match="different flavors"):
+                    compose_diagrams(p, q)
+            with pytest.raises(ValueError, match="cannot compose"):
+                compose_diagrams(d, wide)
+        assert compose_diagrams.cache_info().currsize == 0
+
+
+# lru_caches left unbounded, each with why its keys stay few
+UNBOUNDED_CACHES = {
+    "interpcat.karoubi._dim_simple": "keys are normalized labels within _SIZE_BUDGET",
+    "interpcat.partitions.partitions_of": "one key per n, bounded by the input size",
+}
+
+
+class TestBoundedCaches:
+    def test_every_lru_cache_has_a_finite_maxsize(self):
+        sizes = {}
+        for info in pkgutil.iter_modules(interpcat.__path__, "interpcat."):
+            if info.name == "interpcat.__main__":
+                continue  # importing it runs the CLI
+            module = importlib.import_module(info.name)
+            for obj in vars(module).values():
+                members = list(vars(obj).values()) if isinstance(obj, type) else []
+                for f in [obj] + members:
+                    if hasattr(f, "cache_parameters") and f.__module__ == info.name:
+                        sizes[f"{info.name}.{f.__qualname__}"] = f.cache_parameters()["maxsize"]
+        assert sizes["interpcat.diagrams.compose_diagrams"] == 1 << 16
+        assert {name for name, size in sizes.items() if size is None} == set(UNBOUNDED_CACHES)

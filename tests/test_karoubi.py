@@ -381,18 +381,27 @@ class TestExactHomRank:
             karoubi._symmetrizer_decomposition.__wrapped__(flavor, lam)
         assert rows and all(type(v) is int for row in rows for v in row.values())
 
-    def test_one_composition_table_per_computation(self, monkeypatch):
+    def test_each_composition_reaches_the_kernel_once(self, monkeypatch):
+        # the compose_diagrams memo is process-wide: across two decompositions
+        # no pair is composed twice, and the repeat composes nothing
+        compose_diagrams.cache_clear()
+        runs = []
+        for cls in DIAGRAM_CLASSES.values():
+            kernel = cls._compose
+
+            def spy(p, q, kernel=kernel):
+                runs.append((p, q))
+                return kernel(p, q)
+
+            monkeypatch.setattr(cls, "_compose", spy)
         X = object_of_identity(sig_s(3))
-        decompose(X)  # warms the symmetrizer decompositions, which use their own tables
-        pairs = []
-
-        def counted(a, b):
-            pairs.append((a, b))
-            return compose_diagrams(a, b)
-
-        monkeypatch.setattr(karoubi, "compose_diagrams", counted)
         decompose(X)
-        assert pairs and len(pairs) == len(set(pairs))
+        first = len(runs)
+        assert decompose(X) == {
+            (): 5, (1,): 10, (2,): 6, (1, 1): 6, (3,): 1, (2, 1): 2, (1, 1, 1): 1,
+        }
+        assert first and len(runs) == first
+        assert len(runs) == len(set(runs))
 
 
 class TestDecompose:
