@@ -44,6 +44,8 @@ compose_diagrams, the one composition kernel, is memoized for the process
 (lru_cache of 1 << 16 pairs; see compose_diagrams.cache_info()).  A hit
 returns what the kernel computed, so results stay exact, and each composite
 goes through the bounded _interned, so equal composites share one object.
+enumerate_basis is memoized the same way (lru_cache of 128 bases), and
+returns a fresh list of the shared diagrams on every call.
 """
 
 from __future__ import annotations
@@ -100,12 +102,15 @@ def _pretty(block: Iterable[int]) -> str:
 
 def _as_data(x) -> tuple[int, ...]:
     """Signature data of an endpoint argument: m -> (m,), (r, s) -> (r, s).
-    Anything else, a boolean included, raises ValueError."""
+    Anything else, a boolean or a negative count included, raises ValueError."""
     if is_int(x):
-        return (x,)
-    data = tuple(x) if isinstance(x, (tuple, list)) else None
-    if data is None or not all(is_int(v) for v in data):
-        raise ValueError(f"object endpoint {x!r} is not an integer or a tuple of integers")
+        data = (x,)
+    else:
+        data = tuple(x) if isinstance(x, (tuple, list)) else None
+        if data is None or not all(is_int(v) for v in data):
+            raise ValueError(f"object endpoint {x!r} is not an integer or a tuple of integers")
+    if min(data, default=0) < 0:
+        raise ValueError(f"object endpoint {x!r} has a negative count")
     return data
 
 
@@ -641,9 +646,18 @@ def enumerate_basis(flavor: str, source, target) -> list[Diagram]:
     """Complete diagram basis of Hom(source, target), in deterministic order.
 
     Bell(l+m) diagrams for S, (l+m-1)!! for O, (r1+s2)! for GL; empty when
-    no diagram fits the two signatures.
+    no diagram fits the two signatures.  Each basis is enumerated once per
+    process (_cached_basis); every call returns a fresh list of the shared
+    diagrams.  The endpoints are checked on every call, so a bad one raises
+    and caches nothing.
     """
-    return _diagram_class(flavor)._basis(_as_data(source), _as_data(target))
+    return list(_cached_basis(_diagram_class(flavor), _as_data(source), _as_data(target)))
+
+
+# bounded: a classify round asks for 36 distinct bases
+@lru_cache(maxsize=128)
+def _cached_basis(cls: type[Diagram], source, target) -> tuple[Diagram, ...]:
+    return tuple(cls._basis(source, target))
 
 
 def basis_size(flavor: str, source, target) -> int:

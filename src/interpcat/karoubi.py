@@ -7,17 +7,23 @@ decomposition matrix K(lambda, mu) = [Y_lambda : L(mu)] is unitriangular with
 respect to size.  One routine builds y_lambda for every flavor: the tensor
 product of the normalized Young symmetrizers of the label's parts (lambda
 itself for S and O; the black and then the white partition for GL), each
-part's permutations on its own block of strands.  Every multiplicity comes
-from one exact elimination per Hom space: [X : L(lambda)] is
-dim Hom(X, Y_lambda), the rank of the sandwiches e_Y o d o e_X, minus the
-K-weighted multiplicities of the smaller simples, by induction on size.  A
-Hom space whose sandwiches carry no t (both idempotents have constant
-coefficients and no composition closes a loop) is eliminated over Z,
-fraction-free, after clearing the idempotents' denominators; any other over
-Q(t).  No rank is taken at a sample point, so every generic-t answer is
-exact and independent of any seed.  K itself is the case X = Y_lambda, and
-the generic dimensions of simples follow by the trace accounting
-dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
+part's permutations on its own block of strands.
+
+Each Y_lambda is built once per process and shared (symmetrizer_object).
+y_lambda is idempotent by construction, so Y_lambda is the one object that
+skips the exact check f o f = f; every other KaroubiObject runs it, and so do
+promote and the idem-check command.
+
+Every multiplicity comes from one exact elimination per Hom space:
+[X : L(lambda)] is dim Hom(X, Y_lambda), the rank of the sandwiches
+e_Y o d o e_X, minus the K-weighted multiplicities of the smaller simples,
+by induction on size.  A Hom space whose sandwiches carry no t (both
+idempotents have constant coefficients and no composition closes a loop) is
+eliminated over Z, fraction-free, after clearing the idempotents'
+denominators; any other over Q(t).  No rank is taken at a sample point, so
+every generic-t answer is exact and independent of any seed.  K itself is
+the case X = Y_lambda, and the generic dimensions of simples follow by the
+trace accounting dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
 """
 
 from __future__ import annotations
@@ -268,6 +274,14 @@ class KaroubiObject:
         if not is_idempotent(self.idem):
             raise ValueError("KaroubiObject needs an exactly idempotent morphism")
 
+    @classmethod
+    def _trusted(cls, idem: Morphism) -> KaroubiObject:
+        """(idem.source, idem) without the idempotency check, for an idem
+        that is idempotent by construction (y_lam only)."""
+        obj = cls.__new__(cls)
+        obj.sig, obj.idem = idem.source, idem
+        return obj
+
 
 def object_of_identity(sig: ObjectSignature) -> KaroubiObject:
     return KaroubiObject(sig, identity(sig))
@@ -309,9 +323,21 @@ def _labels_below(flavor: str, lam: Label) -> list[Label]:
 
 
 def symmetrizer_object(lam: Label, flavor: str = "S") -> KaroubiObject:
-    """Y_lam = ([|lam|], y_lam): contains L(lam) once plus smaller simples."""
-    y = young_symmetrizer(lam, flavor)
-    return KaroubiObject(y.source, y)
+    """Y_lam = ([|lam|], y_lam): contains L(lam) once plus smaller simples.
+
+    The object is built once per process and shared by every caller, as the
+    compose_diagrams composites are, so it must not be mutated."""
+    return _symmetrizer_object(flavor, _normalize_label(flavor, lam))
+
+
+# bounded: one object per normalized label, and a classify round asks for 52
+@lru_cache(maxsize=256)
+def _symmetrizer_object(flavor: str, lam: Label) -> KaroubiObject:
+    """Y_lam for a normalized label.  y_lam = (f^lam / n!) a_lam b_lam, or a
+    tensor product of two such for GL, is idempotent by construction, so it
+    is not checked again; the tests check every y_lam of S and O up to size 5
+    and of GL up to total size 4."""
+    return KaroubiObject._trusted(young_symmetrizer(lam, flavor))
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +422,15 @@ def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
     coefficients, and one exact elimination over Q gives K with no sample
     point.
     """
-    Y = symmetrizer_object(lam, flavor)
+    Y = _symmetrizer_object(flavor, lam)
     symmetrizers = _symmetrizers(flavor, _labels_below(flavor, lam))
     return _triangular_multiplicities(Y, flavor, symmetrizers)
 
 
 def _symmetrizers(flavor: str, labels: list[Label]) -> dict[Label, KaroubiObject]:
-    """Y_lam for each label, in the given order; built once per computation."""
-    return {lam: symmetrizer_object(lam, flavor) for lam in labels}
+    """Y_lam for each normalized label, in the given order; each is built
+    once per process (_symmetrizer_object)."""
+    return {lam: _symmetrizer_object(flavor, lam) for lam in labels}
 
 
 def _triangular_multiplicities(
@@ -476,7 +503,7 @@ def dim_simple(lam: Label, flavor: str = "S") -> RatFunc:
 def _dim_simple(flavor: str, lam: Label) -> RatFunc:
     if _label_size(flavor, lam) == 0:
         return RF_ONE
-    result = trace(symmetrizer_object(lam, flavor).idem)
+    result = trace(_symmetrizer_object(flavor, lam).idem)
     for mu in _labels_below(flavor, lam):
         k = _decomposition_matrix(flavor, lam, mu)
         if k:

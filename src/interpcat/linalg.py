@@ -9,7 +9,8 @@
   (Fraction or RatFunc).
 - integer_rank: the rank of a matrix of Python ints, computed mod the prime
   2^61 - 1 and proved over Z by kernel vectors, with the Fraction
-  elimination as its one exact fallback.
+  elimination as its one exact fallback.  right_nullspace returns the same
+  kernel vectors for a matrix of ints.
 """
 
 from __future__ import annotations
@@ -24,16 +25,18 @@ class SparseEchelon:
     """Incremental row echelon over sparse dict rows with hashable keys.
 
     Each row's pivot is its key with the smallest repr, so the elimination
-    path depends only on the keys' reprs.  A basis row of ints is stored
-    primitive (divided by the gcd of its entries) with a positive pivot;
-    any other basis row (Fraction or RatFunc entries) is stored with pivot
-    1.  A row is reduced against a basis row with pivot value bp as
-    row * bp - factor * basis_row, which keeps a row of ints integral
-    (fraction-free elimination, Bareiss 1968) and is exact in any field.
+    path depends only on the keys' reprs; each key's repr is built once per
+    echelon.  A basis row of ints is stored primitive (divided by the gcd of
+    its entries) with a positive pivot; any other basis row (Fraction or
+    RatFunc entries) is stored with pivot 1.  A row is reduced against a
+    basis row with pivot value bp as row * bp - factor * basis_row, which
+    keeps a row of ints integral (fraction-free elimination, Bareiss 1968)
+    and is exact in any field.
     """
 
     def __init__(self):
         self._rows: dict[Hashable, dict] = {}  # pivot key -> basis row
+        self._reprs = _Reprs()
 
     @property
     def rank(self) -> int:
@@ -42,8 +45,9 @@ class SparseEchelon:
     def add(self, row: dict) -> bool:
         """Reduce a row against the basis; returns True if the rank grew."""
         row = {k: v for k, v in row.items() if v}
+        pivot_order = self._reprs.__getitem__
         while row:
-            pivot = min(row, key=repr)
+            pivot = min(row, key=pivot_order)
             basis_row = self._rows.get(pivot)
             if basis_row is None:
                 self._rows[pivot] = _normalized(row, pivot)
@@ -63,6 +67,14 @@ class SparseEchelon:
                     new_row.pop(k, None)
             row = new_row
         return False
+
+
+class _Reprs(dict):
+    """key -> repr(key), each repr built on first lookup."""
+
+    def __missing__(self, key):
+        self[key] = value = repr(key)
+        return value
 
 
 def _normalized(row: dict, pivot: Hashable) -> dict:
@@ -137,14 +149,31 @@ def determinant(matrix: Sequence[Sequence]):
 
 
 def right_nullspace(matrix: Sequence[Sequence]) -> list[list]:
-    """Basis of {v : A v = 0} for a dense matrix over a field.
+    """Basis of {v : A v = 0} for a dense matrix over a field, or of ints.
 
     One vector per free column, in increasing column order, with a 1 in its
-    free column and zeros in the other free columns.
+    free column and zeros in the other free columns.  A matrix of Python ints
+    gets the same vectors, as Fractions, from its elimination mod p: they are
+    the kernel vectors integer_rank lifts and checks over Z.  If every check
+    passes, the pivot columns mod p are those over Q, and a kernel vector is
+    fixed by its entries in the free columns, so each lifted vector is the
+    one Fraction elimination gives.  If a lift or a check fails, the vectors
+    come from Fraction elimination instead.
     """
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
         return []
+    if all(type(x) is int for row in rows for x in row):
+        _, kernel = _lifted_kernel(rows)
+        if kernel is None:
+            return right_nullspace([[Fraction(x) for x in row] for row in rows])
+        basis = []
+        for lifted in kernel:
+            vec = [Fraction(0)] * len(rows[0])
+            for col, (num, den) in lifted.items():
+                vec[col] = Fraction(num, den)
+            basis.append(vec)
+        return basis
     ncols = len(rows[0])
     zero = rows[0][0] - rows[0][0]
     one = type(zero)(1)
@@ -207,9 +236,15 @@ def _eliminate_mod_p(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _kernel_checks(rows: list[list[int]], residues: list[list[int]], pivots: list[int]) -> bool:
-    """True if every free column's kernel vector, read off the echelon form
-    mod p and lifted to Z, satisfies A v = 0 over Z."""
+def _lifted_kernel(rows: list[list[int]]) -> tuple[int, list[dict] | None]:
+    """(r, kernel) for a matrix of ints: r pivots of its elimination mod p,
+    and for each free column in increasing order the kernel vector read off
+    the echelon form, with 1 there and 0 in the other free columns, lifted to
+    rationals as {column: (numerator, denominator)} on its nonzero entries.
+    kernel is None as soon as a lift fails or a vector, its denominators
+    cleared, misses A v = 0 over Z."""
+    residues = [[x % _P for x in row] for row in rows]
+    pivots = _eliminate_mod_p(residues)
     r = len(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(len(rows[0])) if c not in pivot_set]
@@ -222,6 +257,7 @@ def _kernel_checks(rows: list[list[int]], residues: list[list[int]], pivots: lis
             x = residues[i][col]
             if x:
                 blocks[i] = [(a - x * b) % _P for a, b in zip(blocks[i], below)]
+    kernel = []
     for j, f in enumerate(free):
         # v[f] = 1, v[pivots[i]] = -blocks[i][j], 0 elsewhere
         lifted = {f: (1, 1)}
@@ -229,14 +265,15 @@ def _kernel_checks(rows: list[list[int]], residues: list[list[int]], pivots: lis
             if blocks[i][j]:
                 entry = _lift(_P - blocks[i][j])
                 if entry is None:
-                    return False
+                    return r, None
                 lifted[col] = entry
         denom = math.lcm(*(d for _, d in lifted.values()))
         cols = list(lifted)
         vec = [n * (denom // d) for n, d in lifted.values()]
         if any(sum(map(mul, map(row.__getitem__, cols), vec)) for row in rows):
-            return False
-    return True
+            return r, None
+        kernel.append(lifted)
+    return r, kernel
 
 
 def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -257,8 +294,7 @@ def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
         return 0
     if len(rows[0]) > len(rows):
         rows = [list(col) for col in zip(*rows)]
-    residues = [[x % _P for x in row] for row in rows]
-    pivots = _eliminate_mod_p(residues)
-    if _kernel_checks(rows, residues, pivots):
-        return len(pivots)
+    rank, kernel = _lifted_kernel(rows)
+    if kernel is not None:
+        return rank
     return dense_rank([[Fraction(x) for x in row] for row in rows])

@@ -15,7 +15,9 @@ an lru_cache of 32 tables of bytes, at most 300 x 300 bytes each under
 MAX_GRAM_BASIS (about 2.9 MB in all).  Each call maps the exponents through
 one list of the powers of its t0 into fresh rows.  At t0 = a/b the rank is
 taken of the integer rows a^p b^(l + m - p) by linalg.integer_rank, which is
-certified over Z; the report keeps the Fraction entries t0^p.
+certified over Z; the report keeps the Fraction entries t0^p.  The negligible
+basis is read off the same integer rows, transposed, by
+linalg.right_nullspace, which lifts its kernel vectors from Z the same way.
 """
 
 from __future__ import annotations
@@ -145,13 +147,15 @@ def is_negligible(f: Morphism, t0: Fraction | int) -> bool:
 
 
 def negligible_basis(l, m, t0: Fraction | int, flavor: str = "S") -> list[Morphism]:
-    """Basis of the negligible subspace of Hom([l], [m]) at t = t0."""
+    """Basis of the negligible subspace of Hom([l], [m]) at t = t0: the
+    right_nullspace vectors of the transposed Gram matrix, taken over Z."""
     src, tgt = _gram_space(l, m, flavor)
     fs = hom_basis(src, tgt)
     out = []
     # f = sum a_i f_i is negligible iff a^T G = 0, i.e. a in the right
-    # nullspace of G^T
-    transpose = [list(col) for col in zip(*_gram_entries(src, tgt, Fraction(t0)))]
+    # nullspace of G^T; G with its denominators cleared has the same one
+    cleared = _gram_entries(src, tgt, Fraction(t0), cleared=True)
+    transpose = [list(col) for col in zip(*cleared)]
     for vec in right_nullspace(transpose):
         terms = {d: RatFunc(a) for d, a in zip(fs, vec) if a}
         out.append(Morphism(src, tgt, terms))

@@ -10,7 +10,9 @@ import random
 import pytest
 
 import interpcat
+from interpcat import diagrams
 from interpcat.diagrams import (
+    DIAGRAM_CLASSES,
     brauer_diagram,
     closure_components,
     coarsenings,
@@ -259,6 +261,43 @@ class TestBases:
         assert enumerate_basis("S", 1, 1) == enumerate_basis("S", 1, 1)
 
 
+BASIS_SPACES = [("S", 2, 2), ("S", 1, 3), ("O", 2, 4), ("O", 1, 2), ("GL", (2, 1), (1, 0))]
+
+
+class TestBasisMemo:
+    """enumerate_basis is memoized per process; callers get fresh lists."""
+
+    @pytest.mark.parametrize("flavor, source, target", BASIS_SPACES)
+    def test_cold_and_warm_match_a_fresh_enumeration(self, flavor, source, target):
+        cls = DIAGRAM_CLASSES[flavor]
+        data = [(x,) if isinstance(x, int) else x for x in (source, target)]
+        fresh = cls._basis(*data)
+        diagrams._cached_basis.cache_clear()
+        cold = enumerate_basis(flavor, source, target)
+        warm = enumerate_basis(flavor, source, target)
+        assert cold == warm == fresh
+        assert diagrams._cached_basis.cache_info().hits == 1
+
+    @pytest.mark.parametrize("flavor, source, target", BASIS_SPACES)
+    def test_mutating_a_result_leaves_the_memo(self, flavor, source, target):
+        first = enumerate_basis(flavor, source, target)
+        expected = list(first)
+        first.append(None)
+        first.reverse()
+        assert enumerate_basis(flavor, source, target) == expected
+
+    @pytest.mark.parametrize(
+        "flavor, source, target",
+        [("S", True, 1), ("S", -1, 1), ("O", 2, -2), ("GL", (1, False), (1, 1)), ("GL", (-1, 0), (0, 1))],
+    )
+    def test_bad_endpoints_raise_every_time_and_cache_nothing(self, flavor, source, target):
+        diagrams._cached_basis.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                enumerate_basis(flavor, source, target)
+        assert diagrams._cached_basis.cache_info().currsize == 0
+
+
 class TestWireFormat:
     def test_roundtrip_all_flavors(self):
         samples = (
@@ -457,4 +496,6 @@ class TestBoundedCaches:
                     if hasattr(f, "cache_parameters") and f.__module__ == info.name:
                         sizes[f"{info.name}.{f.__qualname__}"] = f.cache_parameters()["maxsize"]
         assert sizes["interpcat.diagrams.compose_diagrams"] == 1 << 16
+        assert sizes["interpcat.diagrams._cached_basis"] == 128
+        assert sizes["interpcat.karoubi._symmetrizer_object"] == 256
         assert {name for name, size in sizes.items() if size is None} == set(UNBOUNDED_CACHES)

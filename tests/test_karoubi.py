@@ -1,17 +1,20 @@
 """Idempotents, promotion, multiplicities, generic dimensions of simples."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from interpcat import karoubi
+from interpcat import diagrams, karoubi
+from interpcat.cli import main
 from interpcat.diagrams import DIAGRAM_CLASSES, compose_diagrams, partition_diagram, walled_diagram
 from interpcat.homspaces import (
     Morphism,
     compose,
     diagram_morphism,
     identity,
+    morphism_to_json,
     sig_gl,
     sig_o,
     sig_s,
@@ -542,10 +545,89 @@ class TestSymmetrizerObjects:
             Y = symmetrizer_object(lam, "S")
             assert multiplicity(Y, lam) == 1
 
+    def test_normalized_labels_share_one_object(self):
+        assert symmetrizer_object([2, 1]) is symmetrizer_object((2, 1), "S")
+        assert symmetrizer_object(([1], []), "GL") is symmetrizer_object(((1,), ()), "GL")
+
+
+# every label _labels yields for the objects the tests, selftest and the
+# benchmark decompose: S and O up to size 5, GL up to total size 4
+TRUSTED_LABELS = [
+    (flavor, lam) for flavor in ("S", "O") for k in range(6) for lam in partitions_of(k)
+] + [
+    ("GL", (black, white))
+    for a in range(5)
+    for b in range(5 - a)
+    for black in partitions_of(a)
+    for white in partitions_of(b)
+]
+
+
+class TestTrustedSymmetrizers:
+    """The memoized Y_lam skip the idempotency check, so every y_lam it can
+    serve is checked here, and every other object is still checked."""
+
+    @pytest.mark.parametrize("flavor, lam", TRUSTED_LABELS, ids=str)
+    def test_exactly_idempotent(self, flavor, lam):
+        y = karoubi._symmetrizer_object(flavor, lam).idem
+        assert compose(y, y) == y
+
+    @pytest.mark.parametrize("flavor, lam", TRUSTED_LABELS, ids=str)
+    def test_memo_matches_a_fresh_build_term_for_term(self, flavor, lam):
+        Y = karoubi._symmetrizer_object(flavor, lam)
+        fresh = karoubi._symmetrizer(flavor, lam)
+        assert Y.sig == fresh.source == fresh.target
+        assert list(Y.idem.terms.items()) == list(fresh.terms.items())
+
+    def test_other_objects_are_still_checked(self, capsys):
+        twice = identity(sig_s(2)) * RatFunc(2)
+        with pytest.raises(ValueError, match="exactly idempotent"):
+            KaroubiObject(sig_s(2), twice)
+        with pytest.raises(ValueError, match="needs an idempotent"):
+            promote(twice)
+        assert main(["idem-check", "-f", json.dumps(morphism_to_json(twice))]) == 0
+        assert json.loads(capsys.readouterr().out) == {"idempotent": False}
+
+
+class TestSymmetrizerMemo:
+    def test_each_label_is_built_once(self, monkeypatch):
+        for cache in (
+            karoubi._symmetrizer_object,
+            karoubi._symmetrizer_decomposition,
+            karoubi._dim_simple,
+            diagrams._cached_basis,
+        ):
+            cache.cache_clear()
+        built, checked = [], []
+        build, check = karoubi._symmetrizer, karoubi.is_idempotent
+
+        def build_spy(flavor, lam):
+            y = build(flavor, lam)
+            built.append(((flavor, lam), y))
+            return y
+
+        def check_spy(f):
+            checked.append(f)
+            return check(f)
+
+        monkeypatch.setattr(karoubi, "_symmetrizer", build_spy)
+        monkeypatch.setattr(karoubi, "is_idempotent", check_spy)
+        X = object_of_identity(sig_s(3))
+        first = decompose(X)
+        after_first = len(built)
+        second = decompose(X)
+        assert len(built) == after_first
+        assert dim_simple((2, 1)) == t * (t - 2) * (t - 4) / 3
+        labels = [label for label, _ in built]
+        assert labels and len(labels) == len(set(labels))
+        assert not any(f is y for f in checked for _, y in built)
+        assert first == second
+        assert sum(m * m for m in second.values()) == 203  # Bell(6) = dim End([3])
+
 
 @pytest.mark.slow
 def test_dim_simple_full_size_four_row():
-    """The whole |lam| = 4 ladder against the hook-length oracle (about 5 s)."""
+    """The whole |lam| = 4 ladder against the hook-length oracle (about 2 s)."""
     from interpcat.selftest import hook_content_dimension
 
     for lam in partitions_of(4):

@@ -116,6 +116,38 @@ class TestIntegerRank:
         assert len(fallbacks) == 1
 
 
+class TestIntegerNullspace:
+    """right_nullspace of a matrix of ints: lifted from Z, else over Fraction."""
+
+    def test_planted_kernels_match_fraction_elimination(self, monkeypatch):
+        fallbacks = []
+        nullspace = linalg.right_nullspace
+
+        def spy(matrix):
+            fallbacks.append(matrix)
+            return nullspace(matrix)
+
+        monkeypatch.setattr(linalg, "right_nullspace", spy)
+        rng = random.Random("planted nullspace")
+        for _ in range(60):
+            k, n, r = rng.randint(1, 10), rng.randint(1, 10), rng.randint(0, 6)
+            left = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(k)]
+            right = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+            matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+            basis = right_nullspace(matrix)
+            assert basis == right_nullspace([[F(x) for x in row] for row in matrix])
+            assert all(type(x) is F for vec in basis for x in vec)
+        # every kernel is certified, as in test_planted_rank_matches_fraction_elimination
+        assert fallbacks == []
+
+    def test_failed_check_falls_back(self):
+        # 2^61 - 1 is 0 mod p: the kernel vector (1, 0) read mod p fails over Z
+        p = 2**61 - 1
+        assert right_nullspace([[p, 1]]) == [[F(-1, p), F(1)]]
+        assert right_nullspace([[2, 4], [1, 2]]) == [[F(-2), F(1)]]
+        assert right_nullspace([[1, 0], [0, 3]]) == []
+
+
 def _fraction_rank(rows: list[dict], keys: list) -> int:
     return dense_rank([[F(row.get(k, 0)) for k in keys] for row in rows])
 

@@ -6,22 +6,25 @@ from fractions import Fraction
 
 import pytest
 
-from interpcat.diagrams import partition_diagram
+from interpcat.diagrams import basis_size, partition_diagram
 from interpcat.homspaces import (
+    as_signature,
     compose,
     diagram_morphism,
+    hom_basis,
     identity,
     sig_gl,
     sig_s,
     tensor,
     zero_morphism,
 )
-from interpcat.linalg import dense_rank
+from interpcat.linalg import dense_rank, right_nullspace
 from interpcat.partitions import bell_number
-from interpcat.ratfunc import RF_T
+from interpcat.ratfunc import RatFunc, RF_T
 from interpcat.selftest import random_morphism
-from interpcat import semisimplify
+from interpcat import linalg, semisimplify
 from interpcat.semisimplify import (
+    MAX_GRAM_BASIS,
     annihilated_simples,
     gram,
     gram_determinant_symbolic,
@@ -183,6 +186,88 @@ class TestNegligible:
                 assert is_negligible(compose(h, f), t0)
                 w = random_morphism(rng, sig_s(1), sig_s(1))
                 assert is_negligible(tensor(f, w), t0)
+
+
+def _gram_spaces(size: int) -> list:
+    """Every nonzero Hom space of l + m (S, O) or r1 + s2 (GL) equal to size."""
+    spaces = [("S", l, size - l) for l in range(size + 1)]
+    if size % 2 == 0:
+        spaces += [("O", l, size - l) for l in range(size + 1)]
+    return spaces + [
+        ("GL", (r1, size - r2), (r2, size - r1))
+        for r1 in range(size + 1)
+        for r2 in range(size + 1)
+    ]
+
+
+# every space under MAX_GRAM_BASIS, split at 52 basis diagrams: the Fraction
+# reference takes about 2 s for all the smaller ones and 160 s for the rest
+GRAM_SPACES = [sp for size in range(11) for sp in _gram_spaces(size)]
+BUDGET_SPACES = [sp for sp in GRAM_SPACES if basis_size(*sp) <= MAX_GRAM_BASIS]
+SMALL_SPACES = [sp for sp in BUDGET_SPACES if basis_size(*sp) <= 52]
+LARGE_SPACES = [sp for sp in BUDGET_SPACES if basis_size(*sp) > 52]
+
+
+def _fraction_negligible_basis(flavor, l, m, t0) -> list[list]:
+    """The negligible basis as elimination over Fraction finds it: the right
+    nullspace of the transposed Fraction Gram matrix, as morphism terms."""
+    report = gram(l, m, t0, flavor)
+    fs = hom_basis(as_signature(l, flavor), as_signature(m, flavor))
+    return [
+        [(d, RatFunc(a)) for d, a in zip(fs, vec) if a]
+        for vec in right_nullspace([list(col) for col in zip(*report.gram)])
+    ]
+
+
+def _assert_integer_basis_matches(flavor, l, m, t0):
+    got = [list(f.terms.items()) for f in negligible_basis(l, m, t0, flavor)]
+    assert got == _fraction_negligible_basis(flavor, l, m, t0), (flavor, l, m, t0)
+
+
+class TestIntegerNegligibleBasis:
+    """negligible_basis lifts its kernel vectors from Z; they are the vectors
+    Fraction elimination gives, entry for entry."""
+
+    def test_spaces_cover_the_gram_budget(self):
+        assert len(BUDGET_SPACES) == 144
+        largest = {sp[0]: basis_size(*sp) for sp in BUDGET_SPACES}
+        assert largest == {"S": 203, "O": 105, "GL": 120}
+        for flavor, l, m in GRAM_SPACES:
+            if basis_size(flavor, l, m) > MAX_GRAM_BASIS:
+                with pytest.raises(ValueError, match="Gram budget"):
+                    negligible_basis(l, m, 0, flavor)
+
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_small_spaces_match_fraction_elimination(self, flavor):
+        for _, l, m in [sp for sp in SMALL_SPACES if sp[0] == flavor]:
+            for t0 in (0, 1, 2, 3):
+                _assert_integer_basis_matches(flavor, l, m, t0)
+
+    def test_s_three_three_at_two(self):
+        # the largest S space under the budget; 1.1 s over Fraction alone
+        _assert_integer_basis_matches("S", 3, 3, 2)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("flavor, l, m", LARGE_SPACES)
+    def test_large_spaces_match_fraction_elimination(self, flavor, l, m):
+        for t0 in (0, 1, 2, 3):
+            _assert_integer_basis_matches(flavor, l, m, t0)
+
+    def test_failed_lift_falls_back_to_fraction_elimination(self, monkeypatch):
+        expected = [list(f.terms.items()) for f in negligible_basis(2, 2, 1)]
+        fallbacks = []
+        nullspace = linalg.right_nullspace
+
+        def spy(matrix):
+            fallbacks.append(matrix)
+            return nullspace(matrix)
+
+        monkeypatch.setattr(linalg, "_lift", lambda u: None)
+        monkeypatch.setattr(linalg, "right_nullspace", spy)
+        got = [list(f.terms.items()) for f in negligible_basis(2, 2, 1)]
+        assert got == expected
+        assert len(fallbacks) == 1
+        assert all(isinstance(x, Fraction) for row in fallbacks[0] for x in row)
 
 
 class TestQuotientDim:
