@@ -14,16 +14,17 @@ y_lambda is idempotent by construction, so Y_lambda is the one object that
 skips the exact check f o f = f; every other KaroubiObject runs it, and so do
 promote and the idem-check command.
 
-Every multiplicity comes from one exact elimination per Hom space:
-[X : L(lambda)] is dim Hom(X, Y_lambda), the rank of the sandwiches
-e_Y o d o e_X, minus the K-weighted multiplicities of the smaller simples,
-by induction on size.  A Hom space whose sandwiches carry no t (both
-idempotents have constant coefficients and no composition closes a loop) is
-eliminated over Z, fraction-free, after clearing the idempotents'
-denominators; any other over Q(t).  No rank is taken at a sample point, so
-every generic-t answer is exact and independent of any seed.  K itself is
-the case X = Y_lambda, and the generic dimensions of simples follow by the
-trace accounting dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
+Every multiplicity comes from one exact trace per Hom space:
+[X : L(lambda)] is dim Hom(X, Y_lambda), minus the K-weighted multiplicities
+of the smaller simples, by induction on size.  Hom(X, Y) is the image of the
+idempotent P(d) = e_Y o d o e_X on the diagram space, so its dimension is
+the trace of P: the sum over basis diagrams d of the coefficient of d in
+e_Y o d o e_X.  That sum is a constant of Q(t); constant coefficients are
+multiplied as ints and Fractions, and no dimension is taken at a sample
+point, so every generic-t answer is exact and independent of any seed.  K
+itself is the case X = Y_lambda, and the generic dimensions of simples
+follow by the trace accounting
+dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from interpcat.homspaces import (
     identity,
     trace,
 )
-from interpcat.linalg import SparseEchelon
 from interpcat.partitions import check_partition, sn_irrep_dimension
 from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, t_power
 
@@ -353,48 +353,40 @@ def _scalar(c: RatFunc) -> int | Fraction | RatFunc:
     return c
 
 
-def _cleared(terms: list[tuple]) -> list[tuple]:
-    """Constant coefficients scaled by the lcm of their denominators: ints."""
-    lcm = math.lcm(*(c.denominator for _, c in terms))
-    return [(d, c.numerator * (lcm // c.denominator)) for d, c in terms]
+def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
+    """dim Hom(X, Y) at generic t: the trace of the idempotent
+    P(d) = e_Y o d o e_X on the diagram space Hom(x, y).
 
-
-def _hom_rank(X: KaroubiObject, Y: KaroubiObject) -> int:
-    """dim Hom(X, Y) at generic t: the rank of the sandwiches
-    {e_Y o d o e_X : d basis diagram}.
-
-    An entry stays a constant until a t enters it, from a closed loop or a
-    non-constant idempotent coefficient, and becomes a RatFunc from then on.
-    When both idempotents have constant coefficients, each coefficient list
-    is first scaled by the lcm of its denominators.  That scales every
-    sandwich by the same nonzero constant, so the rank is unchanged, and a
-    sandwich that closes no loop is a row of ints.  So a Hom space whose
-    sandwiches carry no t is eliminated over Z, fraction-free, and any other
-    over Q(t); either way the rank is exact.  Compositions that an earlier
-    Hom space already made are hits of the compose_diagrams memo."""
+    Over a field of characteristic 0 the trace of an idempotent is its rank,
+    so dim Hom(X, Y) is the sum over basis diagrams d of the coefficient of d
+    in e_Y o d o e_X: an exact constant of Q(t), with no elimination and no
+    sample point.  A coefficient stays a constant until a t enters it, from a
+    closed loop or a non-constant idempotent coefficient.  A sum that is not
+    an integer in [0, |basis|] means an idempotent was wrong, and raises
+    ArithmeticError.  Compositions that an earlier Hom space already made
+    are hits of the compose_diagrams memo."""
     basis = hom_basis(X.sig, Y.sig)
-    if not basis:
-        return 0
     ex = [(d, _scalar(c)) for d, c in X.idem.terms.items()]
     ey = [(d, _scalar(c)) for d, c in Y.idem.terms.items()]
-    if not any(isinstance(c, RatFunc) for _, c in ex + ey):
-        ex, ey = _cleared(ex), _cleared(ey)
-    ech = SparseEchelon()
+    total = 0
     for d in basis:
         through: dict = {}
         for dx, cx in ex:
             dd, power = compose_diagrams(d, dx)
             through[dd] = through.get(dd, 0) + (cx * t_power(power) if power else cx)
-        row: dict = {}
         for dm, cm in through.items():
             if not cm:
                 continue
             for dy, cy in ey:
                 dd, power = compose_diagrams(dy, dm)
-                c = cy * cm
-                row[dd] = row.get(dd, 0) + (c * t_power(power) if power else c)
-        ech.add(row)
-    return ech.rank
+                if dd == d:
+                    c = cy * cm
+                    total += c * t_power(power) if power else c
+    if isinstance(total, RatFunc):
+        total = _scalar(total) if total else 0
+    if isinstance(total, RatFunc) or total % 1 or not 0 <= total <= len(basis):
+        raise ArithmeticError(f"the trace {total} of e_Y o - o e_X is not a dimension")
+    return int(total)
 
 
 def _decomposition_matrix(flavor: str, lam: Label, mu: Label) -> int:
@@ -419,8 +411,8 @@ def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
     y_lam and every y_mu are Q-combinations of permutation diagrams, and
     composing a permutation diagram with any diagram closes no loop and no
     middle component.  So every sandwich y_lam o d o y_mu has constant
-    coefficients, and one exact elimination over Q gives K with no sample
-    point.
+    coefficients, and each Hom dimension is a trace summed over Q, with no
+    sample point.
     """
     Y = _symmetrizer_object(flavor, lam)
     symmetrizers = _symmetrizers(flavor, _labels_below(flavor, lam))
@@ -440,7 +432,7 @@ def _triangular_multiplicities(
     (size order)."""
     mult: dict[Label, int] = {}
     for lam, Y in symmetrizers.items():
-        h = _hom_rank(X, Y)
+        h = _hom_dim(X, Y)
         corr = 0
         for mu in symmetrizers:
             if mult.get(mu):
@@ -473,8 +465,8 @@ def _normalize_label(flavor: str, lam) -> Label:
 def decompose(X: KaroubiObject, seed: int = 0) -> dict[Label, int]:
     """Multiset {label: multiplicity} with all zero entries dropped.
 
-    `seed` is accepted for compatibility and has no effect: every rank is
-    exact, over Q or Q(t) (see _hom_rank)."""
+    `seed` is accepted for compatibility and has no effect: every Hom
+    dimension is an exact trace (see _hom_dim)."""
     return {lam: m for lam, m in _multiplicities_of(X).items() if m}
 
 

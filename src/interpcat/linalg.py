@@ -1,8 +1,5 @@
-"""Exact linear algebra: three primitives.
+"""Exact linear algebra: two primitives.
 
-- SparseEchelon: incremental sparse row echelon, for ranks of morphism spans.
-  Rows of ints are reduced fraction-free and stay ints; rows holding a
-  Fraction or a RatFunc are reduced over Q or Q(t).
 - One dense forward elimination, which gives ranks, determinants and (with
   back-substitution) nullspaces of Gram matrices.  Its entries may be any
   field elements supporting +, -, *, / and truthiness as a zero test
@@ -18,79 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Hashable, Iterator, Sequence
-
-
-class SparseEchelon:
-    """Incremental row echelon over sparse dict rows with hashable keys.
-
-    Each row's pivot is its key with the smallest repr, so the elimination
-    path depends only on the keys' reprs; each key's repr is built once per
-    echelon.  A basis row of ints is stored primitive (divided by the gcd of
-    its entries) with a positive pivot; any other basis row (Fraction or
-    RatFunc entries) is stored with pivot 1.  A row is reduced against a
-    basis row with pivot value bp as row * bp - factor * basis_row, which
-    keeps a row of ints integral (fraction-free elimination, Bareiss 1968)
-    and is exact in any field.
-    """
-
-    def __init__(self):
-        self._rows: dict[Hashable, dict] = {}  # pivot key -> basis row
-        self._reprs = _Reprs()
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def add(self, row: dict) -> bool:
-        """Reduce a row against the basis; returns True if the rank grew."""
-        row = {k: v for k, v in row.items() if v}
-        pivot_order = self._reprs.__getitem__
-        while row:
-            pivot = min(row, key=pivot_order)
-            basis_row = self._rows.get(pivot)
-            if basis_row is None:
-                self._rows[pivot] = _normalized(row, pivot)
-                return True
-            factor, bp = row[pivot], basis_row[pivot]  # bp is an int
-            if type(factor) is int:
-                g = math.gcd(factor, bp)
-                factor, bp = factor // g, bp // g
-            new_row = row if bp == 1 else {k: v * bp for k, v in row.items()}
-            for k, v in basis_row.items():
-                delta = factor * v
-                cur = new_row.get(k)
-                val = (cur - delta) if cur is not None else -delta
-                if val:
-                    new_row[k] = val
-                else:
-                    new_row.pop(k, None)
-            row = new_row
-        return False
-
-
-class _Reprs(dict):
-    """key -> repr(key), each repr built on first lookup."""
-
-    def __missing__(self, key):
-        self[key] = value = repr(key)
-        return value
-
-
-def _normalized(row: dict, pivot: Hashable) -> dict:
-    """A new basis row: primitive with a positive pivot if every entry is an
-    int, else scaled so that the pivot is the int 1.  An int pivot is
-    inverted as a Fraction, so no entry becomes a float."""
-    pval = row[pivot]
-    if all(type(v) is int for v in row.values()):
-        g = math.gcd(*row.values())
-        if pval < 0:
-            g = -g
-        return {k: v // g for k, v in row.items()}
-    inv = Fraction(1, pval) if type(pval) is int else 1 / pval
-    out = {k: v * inv for k, v in row.items()}
-    out[pivot] = 1
-    return out
+from typing import Iterator, Sequence
 
 
 def _forward_eliminate(rows: list[list]) -> Iterator[tuple[int, bool]]:

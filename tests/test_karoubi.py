@@ -13,6 +13,7 @@ from interpcat.homspaces import (
     Morphism,
     compose,
     diagram_morphism,
+    hom_basis,
     identity,
     morphism_to_json,
     sig_gl,
@@ -24,7 +25,7 @@ from interpcat.homspaces import (
 from interpcat.karoubi import (
     KaroubiObject,
     SizeBudgetError,
-    _hom_rank,
+    _hom_dim,
     bipartition_symmetrizer,
     decompose,
     dim_simple,
@@ -37,7 +38,7 @@ from interpcat.karoubi import (
     symmetrizer_object,
     young_symmetrizer,
 )
-from interpcat.linalg import SparseEchelon
+from interpcat.linalg import dense_rank
 from interpcat.partitions import partitions_of, sn_irrep_dimension
 from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, t_power
 from interpcat.selftest import gl_weyl_dimension, hook_content_dimension
@@ -87,16 +88,17 @@ class TestYoungSymmetrizer:
         y = young_symmetrizer((2, 1))
         assert is_idempotent(y)
         assert trace(y) == (t * t * t - t) / 3
-        # primitive in the embedded group algebra: y FS_3 y is 1-dimensional
+        # primitive in the embedded group algebra: y FS_3 y is the image of
+        # the idempotent x -> y x y, so its dimension is the trace
+        # sum_sigma [sigma](y sigma y), and it is 1
         import itertools
 
-        from interpcat.linalg import SparseEchelon
-
-        ech = SparseEchelon()
+        total = RatFunc(0)
         for sigma in itertools.permutations(range(1, 4)):
-            f = compose(y, compose(permutation_morphism(sigma), y))
-            ech.add({d: c.eval(Fraction(101, 7)) for d, c in f.terms.items()})
-        assert ech.rank == 1
+            perm = permutation_morphism(sigma)
+            (d,) = perm.terms
+            total += compose(y, compose(perm, y)).terms.get(d, 0)
+        assert total == 1
 
     def test_all_size_4_idempotent(self):
         for lam in partitions_of(4):
@@ -303,14 +305,26 @@ class TestMultiplicity:
         assert multiplicity(X, (2, 1)) == 0
 
 
+def sandwich_rank(X, Y):
+    """dim Hom(X, Y) by elimination: dense_rank over Q(t) of the sandwiches
+    e_Y o d o e_X, one row per basis diagram d, on the union of their keys."""
+    rows = [
+        compose(Y.idem, compose(diagram_morphism(d), X.idem)).terms
+        for d in hom_basis(X.sig, Y.sig)
+    ]
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    return dense_rank([[RatFunc(row.get(k, 0)) for k in keys] for row in rows])
+
+
 class TestExactHomRank:
-    """_hom_rank sums every sandwich over Q(t): there is no sample point."""
+    """_hom_dim is the trace of d -> e_Y o d o e_X, an exact constant of Q(t):
+    there is no elimination and no sample point."""
 
     def test_exact_rank_counts_t_powers(self):
         # End of (S[1], id - pi/t) is one-dimensional because pi o pi = t pi
         X = KaroubiObject(sig_s(1), std_idempotent())
-        assert _hom_rank(X, X) == 1
-        assert _hom_rank(X, object_of_identity(sig_s(1))) == 1
+        assert _hom_dim(X, X) == 1
+        assert _hom_dim(X, object_of_identity(sig_s(1))) == 1
 
     def test_no_sample_point_is_used(self, monkeypatch):
         # idempotents that carry t: a rank taken at a point would evaluate them
@@ -330,22 +344,40 @@ class TestExactHomRank:
 
     def test_constant_sandwiches_take_no_q_t_arithmetic(self, monkeypatch):
         # symmetrizers and identities have constant coefficients and their
-        # sandwiches close no loop, so every rank is taken over Q
+        # sandwiches close no loop, so every trace is summed over Q; so are
+        # the K spaces of the symmetrizer objects
         cases = []
         for X in (symmetrizer_object((2, 1)), object_of_identity(sig_o(2))):
             flavor = X.sig.flavor
             labels = DIAGRAM_CLASSES[flavor]._labels(X.sig.data)
             cases.append((X, karoubi._symmetrizers(flavor, labels)))
+        k_cases = [("S", lam) for n in range(1, 4) for lam in partitions_of(n)]
+        k_cases += [("O", (2,)), ("O", (1, 1))]
+        k_cases += [("GL", ((1,), (1,))), ("GL", ((2,), (1,))), ("GL", ((1, 1), (1,)))]
 
         def q_t_arithmetic(self, other):
             raise AssertionError("RatFunc arithmetic on constant coefficients")
 
         for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
             monkeypatch.setattr(RatFunc, op, q_t_arithmetic)
-        ranks = [{lam: _hom_rank(X, Y) for lam, Y in ys.items()} for X, ys in cases]
+        ranks = [{lam: _hom_dim(X, Y) for lam, Y in ys.items()} for X, ys in cases]
         assert ranks == [
             {(): 1, (1,): 4, (2,): 10, (1, 1): 5, (3,): 21, (2, 1): 19, (1, 1, 1): 2},
             {(): 1, (2,): 2, (1, 1): 1},
+        ]
+        k = [karoubi._symmetrizer_decomposition.__wrapped__(f, lam) for f, lam in k_cases]
+        assert k == [
+            {(): 1},
+            {(): 2, (1,): 2},
+            {(): 0, (1,): 1},
+            {(): 3, (1,): 4, (2,): 2, (1, 1): 1},
+            {(): 1, (1,): 3, (2,): 2, (1, 1): 2},
+            {(): 0, (1,): 0, (2,): 0, (1, 1): 1},
+            {(): 1},
+            {(): 0},
+            {((), ()): 1},
+            {((1,), ()): 1},
+            {((1,), ()): 1},
         ]
 
     def test_constant_idempotent_that_closes_loops(self, monkeypatch):
@@ -366,23 +398,6 @@ class TestExactHomRank:
         assert any(powers)
         total = sum((m * dim_simple(lam) for lam, m in found.items()), RatFunc(0))
         assert total == trace(e) == t
-
-    def test_symmetrizer_k_spaces_reach_the_echelon_as_int_rows(self, monkeypatch):
-        # symmetrizer coefficients are cleared by their lcm, so the sandwiches
-        # of every K space are rows of ints, reduced fraction-free
-        rows = []
-        add = SparseEchelon.add
-
-        def spy(self, row):
-            rows.append(row)
-            return add(self, row)
-
-        monkeypatch.setattr(SparseEchelon, "add", spy)
-        cases = [("S", lam) for lam in partitions_of(3)] + [("O", (2,)), ("O", (1, 1))]
-        cases += [("GL", ((1,), (1,))), ("GL", ((2,), (1,))), ("GL", ((1, 1), (1,)))]
-        for flavor, lam in cases:
-            karoubi._symmetrizer_decomposition.__wrapped__(flavor, lam)
-        assert rows and all(type(v) is int for row in rows for v in row.values())
 
     def test_each_composition_reaches_the_kernel_once(self, monkeypatch):
         # the compose_diagrams memo is process-wide: across two decompositions
@@ -405,6 +420,55 @@ class TestExactHomRank:
         }
         assert first and len(runs) == first
         assert len(runs) == len(set(runs))
+
+
+class TestTraceAgainstElimination:
+    """The library's one independent check of Hom dimensions: the trace
+    _hom_dim equals the rank of the sandwich rows over Q(t)."""
+
+    @staticmethod
+    def spaces():
+        std = KaroubiObject(sig_s(1), std_idempotent())
+        loops = KaroubiObject(
+            sig_s(2), diagram_morphism(partition_diagram(2, 2, [(1, 2, -1), (-2,)]))
+        )
+        p3 = KaroubiObject(sig_s(3), special_p(3))
+        adjoint = promote(bipartition_symmetrizer(((1,), (1,))))
+        gl_adjoint = KaroubiObject(adjoint.source, adjoint)
+        s1, s2 = object_of_identity(sig_s(1)), object_of_identity(sig_s(2))
+        o2 = object_of_identity(sig_o(2))
+        gl11 = object_of_identity(sig_gl(1, 1))
+        return [
+            (std, std), (std, s1), (s1, std), (std, s2),
+            (loops, loops), (loops, symmetrizer_object((2,))), (s1, loops),
+            (p3, symmetrizer_object((2,))), (symmetrizer_object((1, 1)), p3),
+            (symmetrizer_object((2, 1)), symmetrizer_object((1,))),
+            (o2, o2), (o2, symmetrizer_object((2,), "O")),
+            (symmetrizer_object((1, 1), "O"), object_of_identity(sig_o(0))),
+            (gl_adjoint, gl_adjoint), (gl_adjoint, gl11), (gl11, gl_adjoint),
+            (gl_adjoint, symmetrizer_object(((1,), (1,)), "GL")),
+            (symmetrizer_object(((2,), (1,)), "GL"), object_of_identity(sig_gl(1, 0))),
+        ]
+
+    def test_trace_equals_sandwich_rank(self):
+        for X, Y in self.spaces():
+            assert _hom_dim(X, Y) == sandwich_rank(X, Y), (X.sig, Y.sig)
+
+
+class TestHomDimGuard:
+    """A trace that is not an integer in [0, |basis|] is not a dimension."""
+
+    def test_non_idempotent_scaling_raises(self):
+        # d -> 2 id o d o 2 id = 4 d has trace 8 on the 2-diagram End(S[1])
+        X = KaroubiObject._trusted(identity(sig_s(1)) * RatFunc(2))
+        with pytest.raises(ArithmeticError):
+            _hom_dim(X, X)
+
+    def test_non_constant_trace_raises(self):
+        # pi o d o pi: id -> t pi and pi -> t^2 pi, so the trace is t^2
+        X = KaroubiObject._trusted(diagram_morphism(PI))
+        with pytest.raises(ArithmeticError):
+            _hom_dim(X, X)
 
 
 class TestDecompose:

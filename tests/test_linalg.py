@@ -1,7 +1,6 @@
 """Dense elimination: rank, determinant and nullspace share one pass.  The
 integer rank is certified over Z, with Fraction elimination as its fallback."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ import pytest
 
 from interpcat import linalg
 from interpcat.linalg import (
-    SparseEchelon,
     dense_rank,
     determinant,
     integer_rank,
@@ -146,83 +144,3 @@ class TestIntegerNullspace:
         assert right_nullspace([[p, 1]]) == [[F(-1, p), F(1)]]
         assert right_nullspace([[2, 4], [1, 2]]) == [[F(-2), F(1)]]
         assert right_nullspace([[1, 0], [0, 3]]) == []
-
-
-def _fraction_rank(rows: list[dict], keys: list) -> int:
-    return dense_rank([[F(row.get(k, 0)) for k in keys] for row in rows])
-
-
-class TestSparseEchelon:
-    """Rows of ints are reduced fraction-free; mixed rows never meet a float."""
-
-    def test_integer_rows_match_fraction_rank(self):
-        rng = random.Random("echelon ints")
-        for _ in range(80):
-            keys = [f"k{i}" for i in range(rng.randint(1, 7))]
-            big = rng.random() < 0.3
-            rows = []
-            for _ in range(rng.randint(1, 9)):
-                if rows and rng.random() < 0.4:  # an integer combination of earlier rows
-                    picks = rng.sample(rows, rng.randint(1, len(rows)))
-                    coeffs = [rng.choice([-3, -1, 2, 5]) for _ in picks]
-                    row = {k: sum(c * r.get(k, 0) for c, r in zip(coeffs, picks)) for k in keys}
-                else:
-                    row = {k: rng.randint(-6, 6) * (2**64 + 13 if big else 1) for k in keys}
-                rows.append({k: v for k, v in row.items() if rng.random() < 0.8 or not v})
-            ech = SparseEchelon()
-            for i, row in enumerate(rows):
-                grew = _fraction_rank(rows[: i + 1], keys) > _fraction_rank(rows[:i], keys)
-                assert ech.add(dict(row)) == grew
-            assert ech.rank == _fraction_rank(rows, keys)
-            for basis_row in ech._rows.values():
-                assert all(type(v) is int for v in basis_row.values())
-                assert math.gcd(*basis_row.values()) == 1
-            for pivot, basis_row in ech._rows.items():
-                assert basis_row[pivot] > 0
-
-    def test_negative_pivot_stored_positive_and_primitive(self):
-        ech = SparseEchelon()
-        assert ech.add({"a": -6, "b": 4, "c": -2**70})
-        assert ech._rows["a"] == {"a": 3, "b": -2, "c": 2**69}
-        assert not ech.add({"a": 9, "b": -6, "c": 3 * 2**69})
-        assert ech.add({"a": 1, "b": 1})
-        assert ech.rank == 2
-
-    def test_int_pivot_in_a_row_with_ratfunc_entries(self):
-        # 3 does not divide 1: the pivot is inverted exactly, not as 1 / 3 = 0.33...
-        ech = SparseEchelon()
-        assert ech.add({"a": 3, "b": 1, "c": t})
-        stored = ech._rows["a"]
-        assert stored["a"] == 1 and type(stored["a"]) is int
-        assert stored["b"] == F(1, 3) and type(stored["b"]) is Fraction
-        assert stored["c"] == t / 3 and isinstance(stored["c"], RatFunc)
-        assert not ech.add({"a": 6, "b": 2, "c": 2 * t})
-        assert ech.add({"a": 2, "b": 5})  # ints against the mixed basis row
-        assert ech.add({"b": t, "c": 7})
-        assert not ech.add({"a": 1, "b": 1, "c": 1})  # three independent rows span all of Q(t)^3
-        values = [v for row in ech._rows.values() for v in row.values()]
-        assert not any(isinstance(v, float) for v in values)
-
-    def test_mixed_rows_match_q_t_rank(self):
-        rng = random.Random("echelon mixed")
-        keys = ["a", "b", "c", "d"]
-        for _ in range(30):
-            rows = []
-            for _ in range(rng.randint(1, 5)):
-                row = {}
-                for k in keys:
-                    kind = rng.randrange(4)
-                    if kind == 0:
-                        row[k] = rng.randint(-4, 4)
-                    elif kind == 1:
-                        row[k] = F(rng.randint(-4, 4), rng.randint(1, 3))
-                    elif kind == 2:
-                        row[k] = rng.randint(-2, 2) * t + rng.randint(-2, 2)
-                rows.append(row)
-            ech = SparseEchelon()
-            for row in rows:
-                ech.add(row)
-            matrix = [[RatFunc(row.get(k, 0)) for k in keys] for row in rows]
-            assert ech.rank == dense_rank(matrix)
-            values = [v for row in ech._rows.values() for v in row.values()]
-            assert not any(isinstance(v, float) for v in values)
