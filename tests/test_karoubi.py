@@ -316,6 +316,16 @@ def sandwich_rank(X, Y):
     return dense_rank([[RatFunc(row.get(k, 0)) for k in keys] for row in rows])
 
 
+def forbid_q_t_arithmetic(monkeypatch):
+    """Make every RatFunc arithmetic operation fail the test."""
+
+    def q_t_arithmetic(self, other):
+        raise AssertionError("RatFunc arithmetic on constant coefficients")
+
+    for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(RatFunc, op, q_t_arithmetic)
+
+
 class TestExactHomRank:
     """_hom_dim is the trace of d -> e_Y o d o e_X, an exact constant of Q(t):
     there is no elimination and no sample point."""
@@ -344,27 +354,27 @@ class TestExactHomRank:
 
     def test_constant_sandwiches_take_no_q_t_arithmetic(self, monkeypatch):
         # symmetrizers and identities have constant coefficients and their
-        # sandwiches close no loop, so every trace is summed over Q; so are
-        # the K spaces of the symmetrizer objects
+        # sandwiches close no loop, so every trace is summed over Q
         cases = []
         for X in (symmetrizer_object((2, 1)), object_of_identity(sig_o(2))):
             flavor = X.sig.flavor
             labels = DIAGRAM_CLASSES[flavor]._labels(X.sig.data)
             cases.append((X, karoubi._symmetrizers(flavor, labels)))
-        k_cases = [("S", lam) for n in range(1, 4) for lam in partitions_of(n)]
-        k_cases += [("O", (2,)), ("O", (1, 1))]
-        k_cases += [("GL", ((1,), (1,))), ("GL", ((2,), (1,))), ("GL", ((1, 1), (1,)))]
 
-        def q_t_arithmetic(self, other):
-            raise AssertionError("RatFunc arithmetic on constant coefficients")
-
-        for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
-            monkeypatch.setattr(RatFunc, op, q_t_arithmetic)
+        forbid_q_t_arithmetic(monkeypatch)
         ranks = [{lam: _hom_dim(X, Y) for lam, Y in ys.items()} for X, ys in cases]
         assert ranks == [
             {(): 1, (1,): 4, (2,): 10, (1, 1): 5, (3,): 21, (2, 1): 19, (1, 1, 1): 2},
             {(): 1, (2,): 2, (1, 1): 1},
         ]
+
+    def test_symmetrizer_k_spaces_take_no_q_t_arithmetic(self, monkeypatch):
+        # y_lam o d o y_mu has constant coefficients, so every K space of a
+        # symmetrizer object is a trace summed over Q
+        k_cases = [("S", lam) for n in range(1, 4) for lam in partitions_of(n)]
+        k_cases += [("O", (2,)), ("O", (1, 1))]
+        k_cases += [("GL", ((1,), (1,))), ("GL", ((2,), (1,))), ("GL", ((1, 1), (1,)))]
+        forbid_q_t_arithmetic(monkeypatch)
         k = [karoubi._symmetrizer_decomposition.__wrapped__(f, lam) for f, lam in k_cases]
         assert k == [
             {(): 1},
@@ -453,6 +463,20 @@ class TestTraceAgainstElimination:
     def test_trace_equals_sandwich_rank(self):
         for X, Y in self.spaces():
             assert _hom_dim(X, Y) == sandwich_rank(X, Y), (X.sig, Y.sig)
+
+    def test_hom_dims_are_symmetric(self):
+        # the category is semisimple at generic t, so dim Hom(X, Y) and
+        # dim Hom(Y, X) are both sum_lam m_X(lam) m_Y(lam)
+        for X, Y in self.spaces():
+            assert _hom_dim(X, Y) == _hom_dim(Y, X), (X.sig, Y.sig)
+
+    def test_hom_dim_is_the_pairing_of_multiplicities(self):
+        # the trace of each space against the multiplicities that the K
+        # system inverts out of the traces against the symmetrizer objects
+        for X, Y in self.spaces():
+            mx, my = decompose(X), decompose(Y)
+            pairing = sum(m * my.get(lam, 0) for lam, m in mx.items())
+            assert _hom_dim(X, Y) == pairing, (X.sig, Y.sig)
 
 
 class TestHomDimGuard:
