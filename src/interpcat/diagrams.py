@@ -33,7 +33,11 @@ constructors, _build, JSON) validates.
 
 pairing_table runs the same union-find over the closed picture of f glued
 to g, and counts its components, the exponent of t in Tr(f o g), without
-building the composite.
+building the composite.  _row_transpositions gives, for each swap of two
+adjacent endpoints of one row and one color, the permutation it makes of a
+basis and of the basis paired with it, by relabelling each diagram once and
+looking up its canonical blocks; semisimplify uses them to run one
+union-find row per orbit of a pairing table.
 
 Composition convention: compose_diagrams(p, q) is "p after q" -- q maps
 [k] -> [l], p maps [l] -> [m], and the second return value is the exponent
@@ -547,6 +551,38 @@ def pairing_table(fs: Sequence[Diagram], gs: Sequence[Diagram]) -> list[bytes]:
         bytes(len(set(_components(n, (row, column)))) for column in columns)
         for row in [(f._blocks, -1, l - 1) for f in fs]
     ]
+
+
+def _row_transpositions(
+    fs: Sequence[Diagram], gs: Sequence[Diagram]
+) -> list[tuple[list[int], list[int]]]:
+    """How each generator of the row symmetries permutes two whole bases.
+
+    fs is the basis of Hom(source, target) and gs that of Hom(target, source).
+    A generator s swaps two adjacent endpoints of one row of fs, of one color
+    for GL: +i and +(i+1) on the source row or -j and -(j+1) on the target
+    row.  It swaps -i and -(i+1), or +j and +(j+1), on the row of gs glued
+    to that one, so G[s f, g] = G[f, s g] in pairing_table.  Returns, per
+    generator, the index of s f for every f and of s g for every g: each
+    diagram is relabelled once and looked up by its canonical blocks."""
+    if not fs:
+        return []
+    swaps = []
+    for sign, data in zip((1, -1), fs[0]._signature()):
+        start = 0
+        for count in data:  # (m,), or (blacks, whites) with the blacks first
+            swaps += [(sign * i, sign * (i + 1)) for i in range(start + 1, start + count)]
+            start += count
+
+    def images(ds: Sequence[Diagram], a: int, b: int) -> list[int]:
+        index = {d._blocks: i for i, d in enumerate(ds)}
+        swap = {a: b, b: a}
+        return [
+            index[_canonical_blocks([[swap.get(x, x) for x in block] for block in d._blocks])]
+            for d in ds
+        ]
+
+    return [(images(fs, a, b), images(gs, -a, -b)) for a, b in swaps]
 
 
 def tensor_diagram(p: Diagram, q: Diagram) -> Diagram:

@@ -9,6 +9,10 @@ with |lambda| + lambda_1 > n.
 
 Every Gram entry is Tr(f o g) = t^N, where N counts the components of f
 glued to g; diagrams.pairing_table counts them without composing.  The
+permutations of each row of endpoints (of each color, for GL) act on both
+bases and keep the pairing: G[s f t, t^-1 g s^-1] = G[f, g].  So the table
+takes one union-find row per orbit, and every other row of the orbit is a
+byte permutation of a row already built (diagrams._row_transpositions).  The
 exponents do not depend on t, so each Hom space's table is computed once
 and shared by gram, gram_matrix_symbolic and negligible_basis at every t0:
 an lru_cache of 32 tables of bytes, at most 300 x 300 bytes each under
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from interpcat.diagrams import basis_size, enumerate_basis, pairing_table
+from interpcat.diagrams import _row_transpositions, basis_size, enumerate_basis, pairing_table
 from interpcat.homspaces import Morphism, as_signature, hom_basis
 from interpcat.partitions import check_partition, partitions_of
 from interpcat.linalg import dense_rank, determinant, integer_rank, right_nullspace
@@ -35,8 +39,9 @@ from interpcat.ratfunc import RatFunc, t_power
 Partition = tuple[int, ...]
 
 # Largest Hom basis whose Gram matrix is built: S gram(3, 3) is 203 x 203; its
-# pairing table takes about 0.15 s and its certified integer rank at t = 2 or 3
-# about 0.08 to 0.15 s on a 2-CPU VM.  gram(4, 4) would be 4140 x 4140.
+# pairing table (31 union-find rows, one per orbit) takes about 0.05 s and its
+# certified integer rank at t = 2 or 3 about 0.06 to 0.17 s on a 2-CPU VM.
+# gram(4, 4) would be 4140 x 4140.
 MAX_GRAM_BASIS = 300
 
 # Largest Hom basis whose symbolic Gram determinant is expanded over Q(t).
@@ -63,9 +68,34 @@ def _gram_space(l, m, flavor: str, limit: int = MAX_GRAM_BASIS):
 def _pairing_exponents(flavor: str, source, target) -> tuple[bytes, ...]:
     """Exponents of Tr(f o g) for the bases of Hom(source, target) (rows) and
     Hom(target, source) (columns).  They do not depend on t, so one table
-    serves every t0."""
+    serves every t0.  One pairing_table call builds the first row of each
+    orbit of the row permutations; the others are permuted copies."""
     fs = enumerate_basis(flavor, source, target)
-    return tuple(pairing_table(fs, enumerate_basis(flavor, target, source)))
+    gs = enumerate_basis(flavor, target, source)
+    moves = _row_transpositions(fs, gs)
+    # walk each orbit from its first basis diagram along the generators; the
+    # row of s f is the row of f read through s's permutation of the columns
+    seen = [False] * len(fs)
+    reps, steps = [], []
+    for i in range(len(fs)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        reps.append(i)
+        orbit = [i]
+        for j in orbit:
+            for f_images, g_images in moves:
+                n = f_images[j]
+                if not seen[n]:
+                    seen[n] = True
+                    orbit.append(n)
+                    steps.append((n, j, g_images))
+    rows: list[bytes] = [b""] * len(fs)
+    for i, row in zip(reps, pairing_table([fs[i] for i in reps], gs)):
+        rows[i] = row
+    for n, j, columns in steps:
+        rows[n] = bytes(map(rows[j].__getitem__, columns))
+    return tuple(rows)
 
 
 def _gram_entries(src, tgt, t0: Fraction | None, cleared: bool = False) -> list[list]:

@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from interpcat.diagrams import basis_size, partition_diagram
+from interpcat.diagrams import (
+    basis_size,
+    brauer_diagram,
+    compose_diagrams,
+    enumerate_basis,
+    identity_diagram,
+    pairing_table,
+    partition_diagram,
+    walled_diagram,
+)
 from interpcat.homspaces import (
     as_signature,
     compose,
@@ -268,6 +277,166 @@ class TestIntegerNegligibleBasis:
         assert got == expected
         assert len(fallbacks) == 1
         assert all(isinstance(x, Fraction) for row in fallbacks[0] for x in row)
+
+
+def _direct_table(flavor, source, target) -> list[bytes]:
+    """pairing_table over the two whole bases, one union-find per entry."""
+    fs = enumerate_basis(flavor, source, target)
+    return pairing_table(fs, enumerate_basis(flavor, target, source))
+
+
+def _orbit_table(flavor, source, target) -> list[bytes]:
+    """_pairing_exponents below its cache and its budget check."""
+    return list(semisimplify._pairing_exponents.__wrapped__(flavor, source, target))
+
+
+def _data(sp) -> tuple:
+    flavor, l, m = sp
+    return flavor, as_signature(l, flavor).data, as_signature(m, flavor).data
+
+
+def _random_diagram(rng, flavor, source, target):
+    """A random diagram of Hom(source, target), built by its public constructor."""
+    l, m = sum(source), sum(target)
+    points = list(range(1, l + 1)) + [-j for j in range(1, m + 1)]
+    if flavor == "S":
+        blocks: dict[int, list[int]] = {}
+        for x in points:
+            blocks.setdefault(rng.randrange(len(points)), []).append(x)
+        return partition_diagram(l, m, blocks.values())
+    if flavor == "O":
+        rng.shuffle(points)
+        return brauer_diagram(l, m, zip(points[::2], points[1::2]))
+    # an edge joins a source black or a target white to a target black or a source white
+    (r1, s1), (r2, s2) = source, target
+    side_a = list(range(1, r1 + 1)) + [-(r2 + j) for j in range(1, s2 + 1)]
+    side_b = [-j for j in range(1, r2 + 1)] + list(range(r1 + 1, r1 + s1 + 1))
+    rng.shuffle(side_b)
+    return walled_diagram(source, target, zip(side_a, side_b))
+
+
+def _random_permutation(rng, data) -> list[int]:
+    """perm[i - 1] is the image of endpoint i: any permutation of each color
+    block of the row (the one block of S and O, blacks then whites for GL)."""
+    perm, start = [], 0
+    for count in data:
+        block = list(range(start + 1, start + count + 1))
+        rng.shuffle(block)
+        perm += block
+        start += count
+    return perm
+
+
+def _and_inverse(perm: list[int]) -> tuple[list[int], list[int]]:
+    inverse = [0] * len(perm)
+    for i, p in enumerate(perm, 1):
+        inverse[p - 1] = i
+    return perm, inverse
+
+
+def _permutation_diagram(flavor, data, perm):
+    """The diagram joining source endpoint i to target endpoint perm[i - 1]."""
+    pairs = [(i, -p) for i, p in enumerate(perm, 1)]
+    if flavor == "GL":
+        return walled_diagram(data, data, pairs)
+    build = partition_diagram if flavor == "S" else brauer_diagram
+    return build(data[0], data[0], pairs)
+
+
+def _after(*ds):
+    """d1 o d2 o ... by compose_diagrams; permutations close no loop."""
+    out = ds[-1]
+    for d in reversed(ds[:-1]):
+        out, power = compose_diagrams(d, out)
+        assert power == 0
+    return out
+
+
+# Hom spaces for the invariance test: (source data, target data) per flavor
+INVARIANCE_SPACES = {
+    "S": [((1,), (3,)), ((2,), (2,)), ((3,), (3,)), ((2,), (4,)), ((0,), (3,))],
+    "O": [((1,), (3,)), ((2,), (2,)), ((3,), (3,)), ((2,), (4,)), ((4,), (4,))],
+    "GL": [
+        ((2, 1), (2, 1)), ((1, 2), (2, 3)), ((3, 1), (3, 1)), ((2, 2), (2, 2)), ((3, 0), (4, 1)),
+    ],
+}
+
+# (flavor, source data, target data) with an empty basis
+EMPTY_SPACES = [
+    ("O", (0,), (1,)), ("O", (1,), (2,)), ("GL", (1, 0), (0, 0)), ("GL", (1, 0), (0, 1)),
+]
+
+
+class TestOrbitPairingTable:
+    """_pairing_exponents runs the union-find for one row per orbit of the
+    row permutations and fills the other rows by permuting bytes."""
+
+    @pytest.mark.parametrize("sp", BUDGET_SPACES, ids=str)
+    def test_equals_the_direct_table(self, sp):
+        assert _orbit_table(*_data(sp)) == _direct_table(*_data(sp))
+
+    def test_budget_spaces_cover_both_colors_and_the_zero_object(self):
+        gl = [_data(sp)[1:] for sp in BUDGET_SPACES if sp[0] == "GL"]
+        assert any(min(src) > 1 and min(tgt) > 1 for src, tgt in gl)
+        assert {("S", 0, 0), ("O", 0, 0), ("GL", (0, 0), (0, 0))} <= set(BUDGET_SPACES)
+
+    @pytest.mark.parametrize("flavor, source, target", EMPTY_SPACES)
+    def test_empty_bases(self, flavor, source, target):
+        assert basis_size(flavor, source, target) == 0
+        assert _orbit_table(flavor, source, target) == _direct_table(flavor, source, target) == []
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("flavor, source, target", [("S", (3,), (4,)), ("O", (5,), (5,))])
+    def test_equals_the_direct_table_above_the_budget(self, flavor, source, target):
+        # 877 and 945 diagrams; about 4 and 5 s, nearly all in the direct table
+        assert basis_size(flavor, source, target) > MAX_GRAM_BASIS
+        assert _orbit_table(flavor, source, target) == _direct_table(flavor, source, target)
+
+    @pytest.mark.parametrize(
+        "flavor, source, target, orbits",
+        [
+            ("S", (3,), (3,), 31),
+            ("S", (2,), (3,), 16),
+            ("O", (4,), (4,), 3),
+            ("GL", (3, 1), (3, 1), 2),
+            ("GL", (2, 2), (2, 2), 3),
+        ],
+    )
+    def test_one_union_find_row_per_orbit(self, monkeypatch, flavor, source, target, orbits):
+        built = []
+
+        def spy(fs, gs):
+            built.append(len(fs))
+            return pairing_table(fs, gs)
+
+        monkeypatch.setattr(semisimplify, "pairing_table", spy)
+        semisimplify._pairing_exponents.cache_clear()
+        rows = semisimplify._pairing_exponents(flavor, source, target)
+        assert built == [orbits]
+        assert len(rows) == basis_size(flavor, source, target) > orbits
+        assert semisimplify._pairing_exponents(flavor, source, target) is rows
+        assert built == [orbits]
+
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_pairing_is_invariant_under_row_permutations(self, flavor):
+        # G[s f t, t^-1 g s^-1] = G[f, g] for any s of the target row and t of
+        # the source row, each preserving colors, composed as diagrams
+        rng = random.Random(18)
+        moved = 0
+        for source, target in INVARIANCE_SPACES[flavor]:
+            for _ in range(40):
+                f = _random_diagram(rng, flavor, source, target)
+                g = _random_diagram(rng, flavor, target, source)
+                sigma = _random_permutation(rng, target)
+                tau = _random_permutation(rng, source)
+                s, s_inv = (_permutation_diagram(flavor, target, p) for p in _and_inverse(sigma))
+                t_, t_inv = (_permutation_diagram(flavor, source, p) for p in _and_inverse(tau))
+                assert _after(s, s_inv) == identity_diagram(flavor, target)
+                f2 = _after(s, f, t_)
+                g2 = _after(t_inv, g, s_inv)
+                assert pairing_table([f2], [g2]) == pairing_table([f], [g])
+                moved += f2 != f
+        assert moved > 100
 
 
 class TestQuotientDim:
