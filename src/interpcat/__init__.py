@@ -11,7 +11,8 @@ Module map:
 
   ratfunc      exact rationals, polynomials in t, rational functions
   diagrams     partition / Brauer / walled diagram kernels; all per-flavor
-               behaviour lives on these three classes
+               behaviour lives on these three classes, and tensor, braiding
+               and identity merge rows color by color for all three
   homspaces    morphisms, composition, trace, duality, basis change
   karoubi      idempotents, promotion, decomposition, simple dimensions
   semisimplify Gram matrices of the trace pairing, negligible morphisms

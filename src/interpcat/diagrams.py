@@ -14,22 +14,21 @@ Flavors:
                        opposite colors
 
 Per-flavor behaviour lives on these classes and nowhere else: each carries
-its kernels as private methods (_compose, _tensor, _flip, _closure,
-_signature, _to_json) and classmethods (_build, _identity, _basis,
-_basis_size, _from_json, _labels).  Entry points keyed by a flavor string
-look the class up in DIAGRAM_CLASSES.  The Diagram base writes the shared
-kernels once, with the defaults of the one-row signature data (m,) of S and
-O; WalledDiagram overrides them for its two-color signature data (r, s).
+the kernels that differ as private methods (_signature, _to_json) and
+classmethods (_build, _trusted, _basis, _basis_size, _from_json, _labels),
+and _colors, the length of its signature data: (m,) for S and O, the Diagram
+default, and (r, s) for GL, blacks then whites on each row.  Entry points
+keyed by a flavor string look the class up in DIAGRAM_CLASSES.
 
-_compose and _closure are shared by all three flavors and are never
-overridden: a matching is a set partition whose blocks have size 2, with the
-same composition law, so both run on one union-find (_components) over
-_blocks and _signature.  _compose builds its result through _trusted, which
-neither sorts nor validates: the union-find emits the blocks in canonical
-order (sources ascending before targets, each block keyed by its least
-endpoint), and the composite of two valid diagrams covers its endpoints once
-and keeps the walled color rules.  Every other entry point (the validated
-constructors, _build, JSON) validates.
+Every other kernel is written once, on Diagram.  _tensor and _braiding merge
+two rows color by color (_merge_rows).  _compose and _closure run on one
+union-find (_components): a matching is a set partition whose blocks have
+size 2, with the same composition law.  _compose and _identity build through
+_trusted, which neither sorts nor validates: the union-find emits the blocks
+in canonical order (sources ascending before targets, each block keyed by its
+least endpoint), and the composite of two valid diagrams covers its
+endpoints once and keeps the walled color rules.  Every other entry point
+(the validated constructors, _build, JSON) validates.
 
 pairing_table runs the same union-find over the closed picture of f glued
 to g, and counts its components, the exponent of t in Tr(f o g), without
@@ -70,7 +69,8 @@ def _endpoint_key(x: int) -> tuple[int, int]:
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     bs = [tuple(sorted(b, key=_endpoint_key)) for b in blocks]
-    bs.sort(key=lambda b: _endpoint_key(b[0]))
+    # an empty block sorts last, for _check_cover to refuse
+    bs.sort(key=lambda b: _endpoint_key(b[0]) if b else (2, 0))
     return tuple(bs)
 
 
@@ -145,15 +145,28 @@ def _components(n: int, layers: Iterable[tuple[Iterable[Sequence[int]], int, int
     return parent
 
 
+def _merge_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple, list[int], list[int]]:
+    """Two rows, given as endpoint counts per color, merged color by color:
+    a's endpoints of each color, then b's.  Returns the merged counts and the
+    new places of a's endpoints 1..sum(a) and of b's endpoints 1..sum(b)."""
+    new_a, new_b, start = [], [], 0
+    for na, nb in zip(a, b):
+        new_a += range(start + 1, start + na + 1)
+        new_b += range(start + na + 1, start + na + nb + 1)
+        start += na + nb
+    return tuple(map(sum, zip(a, b))), new_a, new_b
+
+
 # ---------------------------------------------------------------------------
 # the shared kernels
 
 
 class Diagram:
     """Kernels shared by the three diagram classes, written against their
-    `flavor`, `_blocks` (blocks or pairs), `_build` and `_signature`."""
+    `flavor`, `_blocks` (blocks or pairs), `_build`, `_trusted`, `_signature`."""
 
     flavor: str
+    _colors = 1
 
     # Diagrams are dict keys throughout, so each stores its hash once: the
     # value the generated dataclass hash would give, hash of the compared
@@ -176,8 +189,16 @@ class Diagram:
 
     @classmethod
     def _identity(cls, data: tuple[int, ...]) -> Diagram:
-        (m,) = data
-        return cls(m, m, tuple((i, -i) for i in range(1, m + 1)))
+        return cls._trusted(data, data, [(i, -i) for i in range(1, sum(data) + 1)])
+
+    @classmethod
+    def _braiding(cls, a: tuple[int, ...], b: tuple[int, ...]) -> Diagram:
+        """The braiding A (x) B -> B (x) A of objects with data a and b: each
+        endpoint joins its places in the rows A (x) B and B (x) A."""
+        data, a_source, b_source = _merge_rows(a, b)
+        _, b_target, a_target = _merge_rows(b, a)
+        pairs = [(x, -y) for x, y in zip(a_source + b_source, a_target + b_target)]
+        return cls._build(data, data, pairs)
 
     @classmethod
     def _from_json(cls, obj: dict, blocks: list) -> Diagram:
@@ -198,13 +219,16 @@ class Diagram:
         return self._build(target, source, [tuple(-x for x in b) for b in self._blocks])
 
     def _tensor(self, q: Diagram) -> Diagram:
-        """Disjoint union, with q's endpoints re-indexed after self's."""
-        (top,), (bottom,) = self._signature()
-        (q_top,), (q_bottom,) = q._signature()
-        blocks = list(self._blocks) + [
-            tuple(x + top if x > 0 else x - bottom for x in b) for b in q._blocks
+        """Disjoint union, each row merged with q's color by color."""
+        (source, p_source, q_source), (target, p_target, q_target) = (
+            _merge_rows(a, b) for a, b in zip(self._signature(), q._signature())
+        )
+        blocks = [
+            tuple(new_source[x - 1] if x > 0 else -new_target[-x - 1] for x in block)
+            for d, new_source, new_target in ((self, p_source, p_target), (q, q_source, q_target))
+            for block in d._blocks
         ]
-        return self._build((top + q_top,), (bottom + q_bottom,), blocks)
+        return self._build(source, target, blocks)
 
     def _closure(self) -> int:
         source, target = self._signature()
@@ -338,6 +362,7 @@ class WalledDiagram(Diagram):
     __hash__ = Diagram.__hash__
 
     flavor = "GL"
+    _colors = 2
     _blocks = property(lambda self: self.pairs)
 
     def color(self, x: int) -> int:
@@ -358,10 +383,6 @@ class WalledDiagram(Diagram):
     @classmethod
     def _trusted(cls, source, target, pairs) -> WalledDiagram:
         return cls(source, target, tuple(map(tuple, pairs)))
-
-    @classmethod
-    def _identity(cls, data) -> WalledDiagram:
-        return cls(data, data, tuple((i, -i) for i in range(1, sum(data) + 1)))
 
     @classmethod
     def _build(cls, source, target, pairs) -> WalledDiagram:
@@ -420,29 +441,6 @@ class WalledDiagram(Diagram):
         out["bottom_colors"] = "1" * r2 + "0" * s2
         return out
 
-    def _tensor(self, q: WalledDiagram) -> WalledDiagram:
-        """The combined rows stay color-sorted (blacks then whites), so q's
-        endpoints are interleaved past self's block of each color."""
-        (pr1, ps1), (pr2, ps2) = self.source, self.target
-        (qr1, qs1), (qr2, qs2) = q.source, q.target
-
-        def p_map(x: int) -> int:
-            if x > 0:  # p source black i -> i, p source white j -> (pr1+qr1)+j
-                return x if x <= pr1 else x + qr1
-            j = -x
-            return -(j if j <= pr2 else j + qr2)
-
-        def q_map(x: int) -> int:
-            if x > 0:  # q source black i -> pr1+i, q source white j -> (pr1+qr1)+ps1+j
-                return pr1 + x if x <= qr1 else pr1 + qr1 + ps1 + (x - qr1)
-            j = -x
-            return -(pr2 + j if j <= qr2 else pr2 + qr2 + ps2 + (j - qr2))
-
-        pairs = [tuple(p_map(x) for x in pr) for pr in self.pairs] + [
-            tuple(q_map(x) for x in pr) for pr in q.pairs
-        ]
-        return walled_diagram((pr1 + qr1, ps1 + qs1), (pr2 + qr2, ps2 + qs2), pairs)
-
 
 DIAGRAM_CLASSES: dict[str, type[Diagram]] = {
     "S": PartitionDiagram,
@@ -497,7 +495,10 @@ def walled_diagram(
 
 def identity_diagram(flavor: str, x) -> Diagram:
     """The identity diagram of [m] (S, O) or [r, s] (GL)."""
-    return _diagram_class(flavor)._identity(_as_data(x))
+    cls, data = _diagram_class(flavor), _as_data(x)
+    if len(data) != cls._colors:
+        raise ValueError(f"object endpoint {x!r} does not fit flavor {flavor}")
+    return cls._identity(data)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +564,9 @@ def _row_transpositions(
     for GL: +i and +(i+1) on the source row or -j and -(j+1) on the target
     row.  It swaps -i and -(i+1), or +j and +(j+1), on the row of gs glued
     to that one, so G[s f, g] = G[f, s g] in pairing_table.  Returns, per
-    generator, the index of s f for every f and of s g for every g: each
-    diagram is relabelled once and looked up by its canonical blocks."""
+    generator, the index of s f for every f and of s g for every g.  Each f
+    is relabelled and looked up by its canonical blocks; s g is the mirror
+    image (x -> -x) of s applied to the mirror image of g, a diagram of fs."""
     if not fs:
         return []
     swaps = []
@@ -573,24 +575,23 @@ def _row_transpositions(
         for count in data:  # (m,), or (blacks, whites) with the blacks first
             swaps += [(sign * i, sign * (i + 1)) for i in range(start + 1, start + count)]
             start += count
-
-    def images(ds: Sequence[Diagram], a: int, b: int) -> list[int]:
-        index = {d._blocks: i for i, d in enumerate(ds)}
+    index = {f._blocks: i for i, f in enumerate(fs)}
+    mirror = [index[_canonical_blocks([[-x for x in b] for b in g._blocks])] for g in gs]
+    back = {i: k for k, i in enumerate(mirror)}
+    moves = []
+    for a, b in swaps:
         swap = {a: b, b: a}
-        return [
-            index[_canonical_blocks([[swap.get(x, x) for x in block] for block in d._blocks])]
-            for d in ds
+        f_images = [
+            index[_canonical_blocks([[swap.get(x, x) for x in block] for block in f._blocks])]
+            for f in fs
         ]
-
-    return [(images(fs, a, b), images(gs, -a, -b)) for a, b in swaps]
+        moves.append((f_images, [back[f_images[i]] for i in mirror]))
+    return moves
 
 
 def tensor_diagram(p: Diagram, q: Diagram) -> Diagram:
-    """Disjoint union, with q's endpoints re-indexed after p's.
-
-    For walled diagrams the combined rows stay color-sorted (blacks then
-    whites), so q's endpoints are interleaved past p's block of each color.
-    """
+    """Disjoint union, with q's endpoints re-indexed after p's of the same
+    color on each row, so every row stays color-sorted (_merge_rows)."""
     if type(p) is not type(q):
         raise TypeError(f"cannot tensor diagrams of different flavors: {p!r}, {q!r}")
     return p._tensor(q)
@@ -712,6 +713,8 @@ def diagram_to_json(d: Diagram) -> dict:
 
 
 def _colors_to_signature(colors: str, field: str) -> tuple[int, int]:
+    if not isinstance(colors, str):
+        raise ValueError(f"diagram JSON field '{field}' must be a string")
     r = colors.count("1")
     if colors != "1" * r + "0" * (len(colors) - r):
         raise ValueError(f"{field}: colors must be sorted, blacks ('1') before whites ('0')")

@@ -45,7 +45,7 @@ class ObjectSignature:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        shape = type(self.data) is tuple and len(self.data) == (2 if self.flavor == "GL" else 1)
+        shape = type(self.data) is tuple and len(self.data) == DIAGRAM_CLASSES[self.flavor]._colors
         # plain ints skip the is_int call: every morphism term builds two signatures
         if not (shape and all((type(x) is int or is_int(x)) and x >= 0 for x in self.data)):
             raise ValueError(f"bad signature data {self.data!r} for flavor {self.flavor}")
@@ -62,10 +62,8 @@ class ObjectSignature:
         )
 
     def dual(self) -> "ObjectSignature":
-        if self.flavor == "GL":
-            r, s = self.data
-            return ObjectSignature("GL", (s, r))
-        return self
+        """The dual object: its colors swapped, [s, r] for GL."""
+        return ObjectSignature(self.flavor, self.data[::-1])
 
     def __str__(self) -> str:
         return f"{self.flavor}{list(self.data)}"
@@ -299,26 +297,7 @@ def swap(sig_a: ObjectSignature, sig_b: ObjectSignature) -> Morphism:
     """The braiding diagram c_{A,B}: A (x) B -> B (x) A."""
     if sig_a.flavor != sig_b.flavor:
         raise ValueError("cannot swap signatures of different flavors")
-    if sig_a.flavor == "GL":
-        ra, sa = sig_a.data
-        rb, sb = sig_b.data
-        pairs = []
-        for i in range(1, ra + 1):  # A black i -> past B's blacks
-            pairs.append((i, -(rb + i)))
-        for i in range(1, rb + 1):  # B black i -> front
-            pairs.append((ra + i, -i))
-        for j in range(1, sa + 1):  # A white j -> past B's whites
-            pairs.append((ra + rb + j, -(rb + ra + sb + j)))
-        for j in range(1, sb + 1):  # B white j -> front of whites
-            pairs.append((ra + rb + sa + j, -(rb + ra + j)))
-        return diagram_morphism(
-            walled_diagram((ra + rb, sa + sb), (rb + ra, sb + sa), pairs)
-        )
-    (a,), (b,) = sig_a.data, sig_b.data
-    blocks = [(i, -(b + i)) for i in range(1, a + 1)] + [
-        (a + j, -j) for j in range(1, b + 1)
-    ]
-    return diagram_morphism(DIAGRAM_CLASSES[sig_a.flavor]._build((a + b,), (b + a,), blocks))
+    return diagram_morphism(DIAGRAM_CLASSES[sig_a.flavor]._braiding(sig_a.data, sig_b.data))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +352,8 @@ def morphism_from_json(obj: dict) -> Morphism:
         for field in ("diagram", "coeff"):
             if field not in term:
                 raise ValueError(f"morphism JSON missing field 'terms[{i}].{field}'")
+        if not isinstance(term["coeff"], str):
+            raise ValueError(f"morphism JSON field 'terms[{i}].coeff' must be a string")
         d = diagram_from_json(term["diagram"])
         c = parse_ratfunc(term["coeff"])
         terms[d] = terms.get(d, RatFunc(0)) + c

@@ -1,13 +1,14 @@
 """CLI surface: subcommand outputs, wire-format round-trips, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from interpcat import karoubi, selftest
+from interpcat import cli, karoubi, selftest
 from interpcat.cli import main
 
 WORKED_P = {"flavor": "S", "top": 3, "bottom": 6, "blocks": [[1, 3, -2], [2, -4, -5], [-1], [-3, -6]]}
@@ -324,6 +325,33 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"schema error: {field}: ")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["idem-check", "-f", json.dumps({
+                "source": {"flavor": "S", "m": 1}, "target": {"flavor": "S", "m": 1},
+                "terms": [{"diagram": {"flavor": "S", "top": 1, "bottom": 1, "blocks": [[1, -1]]},
+                           "coeff": 5}]})],
+             "-f: morphism JSON field 'terms[0].coeff' must be a string"),
+            (["compose",
+              "-P", '{"flavor":"GL","top":1,"bottom":1,"blocks":[[1,-1]],'
+                    '"top_colors":1,"bottom_colors":"1"}',
+              "-Q", '{"flavor":"GL","top":1,"bottom":1,"blocks":[[1,-1]],'
+                    '"top_colors":"1","bottom_colors":"1"}'],
+             "-P: diagram JSON field 'top_colors' must be a string"),
+        ],
+    )
+    def test_non_string_fields_exit_2(self, capsys, argv, message):
+        # both crashed with an AttributeError (text.strip(), colors.count)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"schema error: {message}\n"
+
+    def test_empty_block_exit_2(self, capsys):
+        # an empty block crashed with an IndexError while the blocks were sorted
+        empty = '{"flavor":"S","top":1,"bottom":1,"blocks":[[1,-1],[]]}'
+        assert main(["trace", "-f", empty]) == 2
+        assert capsys.readouterr().err == "schema error: -f: partition diagram has an empty block\n"
+
+    @pytest.mark.parametrize(
         "field, argv",
         [
             ("--m", ["--flavor", "S", "--m", "-1"]),
@@ -344,6 +372,121 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert "budget" in capsys.readouterr().err
+
+
+# valid payloads for the type fuzz
+S_DIAGRAM = {"flavor": "S", "top": 1, "bottom": 1, "blocks": [[1, -1]]}
+O_DIAGRAM = {"flavor": "O", "top": 1, "bottom": 1, "blocks": [[1, -1]]}
+GL_DIAGRAM = {"flavor": "GL", "top": 2, "bottom": 2, "blocks": [[1, -1], [2, -2]],
+              "top_colors": "10", "bottom_colors": "10"}
+S_MORPHISM = {"source": {"flavor": "S", "m": 1}, "target": {"flavor": "S", "m": 1},
+              "terms": [{"diagram": S_DIAGRAM, "coeff": "1"}]}
+GL_MORPHISM = {"source": {"flavor": "GL", "r": 1, "s": 1}, "target": {"flavor": "GL", "r": 1, "s": 1},
+               "terms": [{"diagram": GL_DIAGRAM, "coeff": "(1)/(t)"}]}
+
+# one valid call per subcommand with payload flags; every argument that is
+# not a str is a payload, passed as inline JSON
+FUZZ_CALLS = [
+    ["compose", "-P", GL_DIAGRAM, "-Q", GL_DIAGRAM],
+    ["tensor", "-P", S_MORPHISM, "-Q", S_MORPHISM],
+    ["trace", "-f", O_DIAGRAM],
+    ["basis-change", "--to", "delta", "-f", S_MORPHISM],
+    ["idem-check", "-f", GL_MORPHISM],
+    ["young", "--flavor", "GL", "--lambda", {"black": [1], "white": [1]}],
+    ["promote", "-f", S_MORPHISM],
+    ["simple-dim", "--lambda", [1]],
+    ["decompose", "-f", S_MORPHISM],
+    ["gram", "--flavor", "GL", "-l", [1, 0], "-m", [1, 0], "--t", "2"],
+    ["negligible", "-f", S_MORPHISM, "--t", "1"],
+    ["quotient-dim", "-l", 1, "-m", 1, "--n", "2"],
+    ["oracle-check", "-l", 1, "-m", 1, "-k", 1, "--n", "2"],
+    ["functor-rank", "-f", S_MORPHISM, "--n", "2"],
+    ["lr", "--lambda", [2, 1], "--mu", [1], "--nu", [2]],
+    ["pairing", "--lambda", [2, 1], "--nu", [1], "--mu", [2, 1], "--nubar", [1]],
+    ["mult-gl", "--lambda", [1], "--mu", [1], "--nu", [1], "--nubar", [1]],
+    ["mult-osp", "--lambda", [2, 1], "--mu", [1], "--nu", [2]],
+    ["triple", "--mode", "encode", "--lambda", [2, 1], "-k", "1", "-l", "1"],
+    ["triple", "--mode", "decode", "--alpha", [1], "--beta", [1], "--gamma", [], "-k", "1", "-l", "1"],
+    ["hc-stable", "--a", [0], "--b", [], "--gamma", [], "--delta", [], "--nu", [1], "--nubar", [1]],
+    ["char-moments", "--b", [2], "--c", [1]],
+    ["char-search", "--moments", {"flavor": "gl", "values": {"1": "1", "2": "5", "3": "19"}},
+     "-r", "1", "-s", "0"],
+]
+
+# values of each JSON type a field is swapped to; no huge integers, as no
+# entry point has a size budget for them yet
+TYPE_SAMPLES = {
+    "number": [0, 2, -1, 0.5],
+    "string": ["", "x", "[1]"],
+    "list": [[], [0], ["a"], [[1]]],
+    "object": [{}, {"a": 1}, {"flavor": "S"}],
+    "boolean": [True, False],
+    "null": [None],
+}
+
+# swaps that give a valid payload: a moment value is a rational, as a JSON
+# string or a JSON number
+VALID_SWAPS = {("char-search", "--moments", ("values", k), "number") for k in "123"}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    for name, kind in (("number", (int, float)), ("string", str), ("list", list)):
+        if isinstance(value, kind):
+            return name
+    return "object"
+
+
+def _paths(value, path=()):
+    """The key path of every node of a JSON value, the root included."""
+    yield path
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    """A copy of value with the node at path replaced by new."""
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return out
+
+
+class TestPayloadTypeFuzz:
+    """Every field of every payload flag, swapped for a value of each other
+    JSON type, is refused with exit 1 or 2; no exception escapes main."""
+
+    @pytest.mark.parametrize("call", FUZZ_CALLS, ids=lambda call: " ".join(x for x in call[:3] if isinstance(x, str)))
+    def test_wrong_types_exit_1_or_2(self, capsys, monkeypatch, call):
+        # one parser for all calls: building it is most of a refused call's time
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        argv = [x if isinstance(x, str) else json.dumps(x) for x in call]
+        assert main(argv) == 0, capsys.readouterr().err
+        rng = random.Random(19)
+        swaps = 0
+        for i, payload in enumerate(call):
+            if isinstance(payload, str):
+                continue
+            for path in _paths(payload):
+                node = payload
+                for key in path:
+                    node = node[key]
+                for kind, samples in TYPE_SAMPLES.items():
+                    if kind == _json_type(node) or (call[0], call[i - 1], path, kind) in VALID_SWAPS:
+                        continue
+                    bad = json.dumps(_replaced(payload, path, rng.choice(samples)))
+                    code = main(argv[:i] + [bad] + argv[i + 1:])
+                    assert code in (1, 2), (call[i - 1], path, bad, capsys.readouterr())
+                    swaps += 1
+        capsys.readouterr()
+        assert swaps >= 5
 
 
 class TestSubprocess:

@@ -1,9 +1,11 @@
 """Diagram kernels: canonical forms, composition counts, bases, wire format."""
 
+import ast
 import dataclasses
 import importlib
 import itertools
 import json
+import pathlib
 import pkgutil
 import random
 
@@ -58,6 +60,21 @@ class TestCanonical:
     def test_missing_endpoint_rejected(self):
         with pytest.raises(ValueError):
             partition_diagram(2, 1, [(1, -1)])
+
+    def test_empty_block_rejected(self):
+        # an empty block raised IndexError while the blocks were sorted
+        with pytest.raises(ValueError, match="partition diagram has an empty block"):
+            partition_diagram(1, 1, [(1, -1), ()])
+        with pytest.raises(ValueError, match="Brauer diagram blocks must be pairs"):
+            brauer_diagram(1, 1, [(), (1, -1)])
+        with pytest.raises(ValueError, match="walled diagram blocks must be pairs"):
+            walled_diagram((1, 0), (1, 0), [(1, -1), ()])
+
+    def test_identity_needs_data_of_its_flavor(self):
+        # identity_diagram builds through _trusted, so it checks the shape
+        for flavor, x in [("S", (1, 2)), ("O", (1, 0)), ("GL", 2), ("GL", (1, 1, 1))]:
+            with pytest.raises(ValueError, match="does not fit flavor"):
+                identity_diagram(flavor, x)
 
     def test_walled_color_rules(self):
         # cross edge must preserve color
@@ -499,3 +516,101 @@ class TestBoundedCaches:
         assert sizes["interpcat.diagrams._cached_basis"] == 128
         assert sizes["interpcat.karoubi._symmetrizer_object"] == 256
         assert {name for name, size in sizes.items() if size is None} == set(UNBOUNDED_CACHES)
+
+
+# Functions outside diagrams that compare a flavor with a string literal, and
+# why the mathematics or the wire format differs there.  Everything else that
+# differs between the flavors lives on the diagram classes.
+FLAVOR_BRANCHES = {
+    "cli._label": "a GL label is a {black, white} object, an S or O label one array",
+    "cli._label_to_json": "the same label shapes, written back",
+    "cli._endpoint": "a GL endpoint is an [r, s] pair, an S or O endpoint one integer",
+    "cli.cmd_dim": "GL takes --r and --s, S and O --m; Sp is the O value at -t",
+    "cli.cmd_gram": "the report writes an S or O endpoint as an integer, GL as a pair",
+    "cli.cmd_trace": "Sp is a trace-level alias of O with t -> -t",
+    "cli.cmd_hc_stable": "gl takes nu and nubar and checks against mult-gl, osp one nu",
+    "homspaces.sp_trace": "Rep(O_t) ~ Rep(Sp_-t) holds at the trace level only",
+    "homspaces._change_basis": "only S has the delta basis of strict partition orbits",
+    "homspaces.morphism_to_json": "only S morphisms carry the e/delta basis tag",
+    "homspaces._ev_diagram": "GL nests its arcs, each joining a black to a white; S and O "
+    "keep parallel arcs",
+    "homspaces.signature_to_json": "the wire format names GL counts r and s, S and O m",
+    "homspaces.signature_from_json": "the same field names, read back",
+    "karoubi.promote": "S and GL each have their own promotion diagrams; O has none",
+    "karoubi._parts": "a GL label is a (black, white) pair of partitions",
+    "karoubi._normalize_label": "the same label shapes",
+    "oracle.diagram_matrix": "only S has the strict delta matrices",
+    "selftest._random_sig": "random GL data is a pair, S and O data one count",
+    "selftest.check_composition_associativity": "random O rows need even sums, GL rows are "
+    "pairs",
+    "symfun.stable_hc_multiplicity": "gl and osp fix the arm weight and the LR term "
+    "differently",
+    "symfun.MomentSequence.__post_init__": "osp moments vanish in odd degree",
+    "symfun.char_difference_forward": "osp takes no c parameters and has no odd moments",
+    "symfun.search_decomposition": "osp searches take s = 0 and skip the odd moments",
+}
+
+
+def _names_a_flavor(node) -> bool:
+    if isinstance(node, ast.Subscript):  # obj["flavor"]
+        return isinstance(node.slice, ast.Constant) and node.slice.value == "flavor"
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name.endswith("flavor")
+
+
+def _is_string_literal(node) -> bool:
+    nodes = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return bool(nodes) and all(
+        isinstance(x, ast.Constant) and isinstance(x.value, str) for x in nodes
+    )
+
+
+def _flavor_branches(module: str, source: str) -> set[str]:
+    """module.function for every comparison of a flavor with a string literal."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                if any(map(_names_a_flavor, operands)) and any(map(_is_string_literal, operands)):
+                    found.add(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+class TestFlavorBranches:
+    def test_only_the_listed_functions_branch_on_a_flavor(self):
+        found = set()
+        for path in sorted(pathlib.Path(interpcat.__file__).parent.glob("*.py")):
+            if path.name != "diagrams.py":
+                found |= _flavor_branches(path.stem, path.read_text())
+        assert found == set(FLAVOR_BRANCHES)
+
+    def test_the_merged_rows_have_no_branch(self):
+        # the braiding, the dual and the signature shape come from the
+        # diagram classes, not from a GL branch
+        merged = {"homspaces.swap", "homspaces.ObjectSignature.dual",
+                  "homspaces.ObjectSignature.__post_init__"}
+        assert not merged & set(FLAVOR_BRANCHES)
+
+    def test_the_scan_sees_each_form(self):
+        source = """
+def a(sig):
+    return sig.flavor == "GL"
+def b(obj):
+    return "S" != obj["flavor"]
+def c(flavor):
+    return flavor in ("S", "O")
+class K:
+    def d(self, other):
+        return self.flavor != "O" or other == "GL" or self.flavor == other.flavor
+def e(x):
+    return x == "GL"
+"""
+        assert _flavor_branches("m", source) == {"m.a", "m.b", "m.c", "m.K.d"}

@@ -1,10 +1,21 @@
 """Morphism algebra: composition law, trace, duality, basis change."""
 
+import itertools
 import random
 
 import pytest
 
-from interpcat.diagrams import brauer_diagram, partition_diagram, walled_diagram
+from interpcat.diagrams import (
+    BrauerDiagram,
+    PartitionDiagram,
+    WalledDiagram,
+    brauer_diagram,
+    enumerate_basis,
+    identity_diagram,
+    partition_diagram,
+    tensor_diagram,
+    walled_diagram,
+)
 from interpcat.homspaces import (
     Morphism,
     ObjectSignature,
@@ -183,6 +194,115 @@ class TestDuality:
         ]
         for a, b, want in cases:
             assert str(swap(a, b)) == one + want, (a, b)
+
+
+# The GL code that one color-by-color row merge replaced, kept as references.
+
+
+def reference_tensor(p, q):
+    """q's endpoints shifted past p's (S, O), or interleaved past p's block
+    of each color (GL)."""
+    if p.flavor != "GL":
+        blocks = list(p._blocks) + [
+            tuple(x + p.top if x > 0 else x - p.bottom for x in b) for b in q._blocks
+        ]
+        build = partition_diagram if p.flavor == "S" else brauer_diagram
+        return build(p.top + q.top, p.bottom + q.bottom, blocks)
+    (pr1, ps1), (pr2, ps2) = p.source, p.target
+    (qr1, qs1), (qr2, qs2) = q.source, q.target
+
+    def p_map(x):
+        if x > 0:
+            return x if x <= pr1 else x + qr1
+        return -(-x if -x <= pr2 else -x + qr2)
+
+    def q_map(x):
+        if x > 0:
+            return pr1 + x if x <= qr1 else pr1 + qr1 + ps1 + (x - qr1)
+        j = -x
+        return -(pr2 + j if j <= qr2 else pr2 + qr2 + ps2 + (j - qr2))
+
+    pairs = [tuple(map(p_map, pr)) for pr in p.pairs] + [tuple(map(q_map, pr)) for pr in q.pairs]
+    return walled_diagram((pr1 + qr1, ps1 + qs1), (pr2 + qr2, ps2 + qs2), pairs)
+
+
+def reference_swap(sig_a, sig_b):
+    if sig_a.flavor == "GL":
+        (ra, sa), (rb, sb) = sig_a.data, sig_b.data
+        pairs = (
+            [(i, -(rb + i)) for i in range(1, ra + 1)]
+            + [(ra + i, -i) for i in range(1, rb + 1)]
+            + [(ra + rb + j, -(rb + ra + sb + j)) for j in range(1, sa + 1)]
+            + [(ra + rb + sa + j, -(rb + ra + j)) for j in range(1, sb + 1)]
+        )
+        d = walled_diagram((ra + rb, sa + sb), (rb + ra, sb + sa), pairs)
+    else:
+        (a,), (b,) = sig_a.data, sig_b.data
+        blocks = [(i, -(b + i)) for i in range(1, a + 1)] + [(a + j, -j) for j in range(1, b + 1)]
+        build = partition_diagram if sig_a.flavor == "S" else brauer_diagram
+        d = build(a + b, b + a, blocks)
+    return diagram_morphism(d)
+
+
+def reference_dual(sig):
+    if sig.flavor == "GL":
+        r, s = sig.data
+        return ObjectSignature("GL", (s, r))
+    return sig
+
+
+def reference_identity(flavor, data):
+    pairs = tuple((i, -i) for i in range(1, sum(data) + 1))
+    if flavor == "GL":
+        return WalledDiagram(data, data, pairs)
+    cls = PartitionDiagram if flavor == "S" else BrauerDiagram
+    return cls(data[0], data[0], pairs)
+
+
+def morphism_repr(f):
+    return repr((f.source, f.target, list(f.terms.items())))
+
+
+# every S and O signature up to 4 and every GL signature up to (3, 3)
+MERGE_SIGNATURES = {
+    "S": [sig_s(m) for m in range(5)],
+    "O": [sig_o(m) for m in range(5)],
+    "GL": [sig_gl(r, s) for r in range(4) for s in range(4)],
+}
+
+
+def small_spaces(flavor, n):
+    """(source, target) data of every Hom space with at most n endpoints."""
+    width = 2 if flavor == "GL" else 1
+    for counts in itertools.product(range(n + 1), repeat=2 * width):
+        if sum(counts) <= n:
+            yield counts[:width], counts[width:]
+
+
+class TestColorByColorMerge:
+    """tensor_diagram, swap, dual and identity_diagram merge rows color by
+    color through one kernel for every flavor; each must give what the
+    separate S/O and GL code it replaced gave, repr for repr."""
+
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_swap_dual_identity_match_the_references(self, flavor):
+        for a in MERGE_SIGNATURES[flavor]:
+            assert repr(a.dual()) == repr(reference_dual(a)), a
+            assert repr(identity_diagram(flavor, a.data)) == repr(
+                reference_identity(flavor, a.data)
+            ), a
+            for b in MERGE_SIGNATURES[flavor]:
+                assert morphism_repr(swap(a, b)) == morphism_repr(reference_swap(a, b)), (a, b)
+
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_tensor_matches_the_reference(self, flavor):
+        # every pair of basis diagrams with up to 6 endpoints in all
+        ds = [d for src, tgt in small_spaces(flavor, 5) for d in enumerate_basis(flavor, src, tgt)]
+        size = {d: sum(map(sum, d._signature())) for d in ds}
+        pairs = [(p, q) for p in ds for q in ds if size[p] + size[q] <= 6]
+        for p, q in pairs:
+            assert repr(tensor_diagram(p, q)) == repr(reference_tensor(p, q)), (p, q)
+        assert len(pairs) > 100
 
 
 class TestBasisChange:

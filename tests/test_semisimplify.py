@@ -1,5 +1,6 @@
 """Trace-pairing Gram machinery, negligibility, quotient dimensions."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from interpcat.diagrams import (
+    _canonical_blocks,
+    _row_transpositions,
     basis_size,
     brauer_diagram,
     compose_diagrams,
@@ -290,6 +293,17 @@ def _orbit_table(flavor, source, target) -> list[bytes]:
     return list(semisimplify._pairing_exponents.__wrapped__(flavor, source, target))
 
 
+def _relabelled_images(ds, a, b) -> list[int]:
+    """The index in ds of each diagram with endpoints a and b swapped,
+    relabelling every diagram directly."""
+    index = {d._blocks: i for i, d in enumerate(ds)}
+    swap = {a: b, b: a}
+    return [
+        index[_canonical_blocks([[swap.get(x, x) for x in block] for block in d._blocks])]
+        for d in ds
+    ]
+
+
 def _data(sp) -> tuple:
     flavor, l, m = sp
     return flavor, as_signature(l, flavor).data, as_signature(m, flavor).data
@@ -391,6 +405,36 @@ class TestOrbitPairingTable:
         # 877 and 945 diagrams; about 4 and 5 s, nearly all in the direct table
         assert basis_size(flavor, source, target) > MAX_GRAM_BASIS
         assert _orbit_table(flavor, source, target) == _direct_table(flavor, source, target)
+
+    @pytest.mark.parametrize(
+        "flavor, source, target",
+        [
+            ("S", (3,), (3,)),
+            ("S", (2,), (3,)),
+            pytest.param("S", (3,), (4,), marks=pytest.mark.slow),
+            ("O", (4,), (4,)),
+            pytest.param("O", (5,), (5,), marks=pytest.mark.slow),
+            ("GL", (3, 1), (3, 1)),
+            ("GL", (2, 2), (2, 2)),
+            ("GL", (2, 1), (1, 0)),
+            ("S", (0,), (3,)),
+            ("S", (1,), (0,)),
+        ],
+    )
+    def test_mirrored_columns_equal_relabelled_ones(self, flavor, source, target):
+        # the g-side permutations are read through the mirror image of each g;
+        # relabelling every g directly gives the same ones
+        fs = enumerate_basis(flavor, source, target)
+        gs = enumerate_basis(flavor, target, source)
+        generators = [
+            (sign * i, sign * (i + 1))
+            for sign, data in ((1, source), (-1, target))
+            for start, count in zip(itertools.accumulate((0,) + data), data)
+            for i in range(start + 1, start + count)
+        ]
+        assert _row_transpositions(fs, gs) == [
+            (_relabelled_images(fs, a, b), _relabelled_images(gs, -a, -b)) for a, b in generators
+        ]
 
     @pytest.mark.parametrize(
         "flavor, source, target, orbits",
