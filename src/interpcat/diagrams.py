@@ -722,10 +722,17 @@ def _colors_to_signature(colors: str, field: str) -> tuple[int, int]:
 
 
 def diagram_from_json(obj: dict) -> Diagram:
+    if not isinstance(obj, dict):
+        raise ValueError("diagram JSON must be an object")
     for field in ("flavor", "top", "bottom", "blocks"):
         if field not in obj:
             raise ValueError(f"diagram JSON missing field '{field}'")
     cls = _diagram_class(obj["flavor"])
+    if not isinstance(obj["blocks"], list):
+        raise ValueError("diagram JSON field 'blocks' must be an array")
+    for i, b in enumerate(obj["blocks"]):
+        if not isinstance(b, list):
+            raise ValueError(f"diagram JSON field 'blocks[{i}]' must be an array")
     blocks = [tuple(b) for b in obj["blocks"]]
     for field in ("top", "bottom"):
         if not is_int(obj[field]):

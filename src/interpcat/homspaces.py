@@ -311,6 +311,8 @@ def signature_to_json(sig: ObjectSignature) -> dict:
 
 
 def signature_from_json(obj: dict) -> ObjectSignature:
+    if not isinstance(obj, dict):
+        raise ValueError("signature JSON must be an object")
     if "flavor" not in obj:
         raise ValueError("signature JSON missing field 'flavor'")
     fields = ("r", "s") if obj["flavor"] == "GL" else ("m",)
@@ -342,13 +344,19 @@ def morphism_from_json(obj: dict) -> Morphism:
     from interpcat.diagrams import diagram_from_json
     from interpcat.ratfunc import parse_ratfunc
 
+    if not isinstance(obj, dict):
+        raise ValueError("morphism JSON must be an object")
     for field in ("source", "target", "terms"):
         if field not in obj:
             raise ValueError(f"morphism JSON missing field '{field}'")
     source = signature_from_json(obj["source"])
     target = signature_from_json(obj["target"])
+    if not isinstance(obj["terms"], list):
+        raise ValueError("morphism JSON field 'terms' must be an array")
     terms: dict[Diagram, RatFunc] = {}
     for i, term in enumerate(obj["terms"]):
+        if not isinstance(term, dict):
+            raise ValueError(f"morphism JSON field 'terms[{i}]' must be an object")
         for field in ("diagram", "coeff"):
             if field not in term:
                 raise ValueError(f"morphism JSON missing field 'terms[{i}].{field}'")

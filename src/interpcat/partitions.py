@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from functools import lru_cache
 
 Partition = tuple[int, ...]
@@ -20,10 +21,11 @@ def check_partition(lam) -> Partition:
         parts = tuple(lam)
     except TypeError as exc:
         raise ValueError(f"{lam!r} is not a partition (expected integers)") from exc
-    if not all(is_int(x) for x in parts):
+    if not all(map(is_int, parts)):
         raise ValueError(f"{lam!r} is not a partition (expected integers)")
-    lam = tuple(int(x) for x in parts)
-    if any(a <= 0 for a in lam) or any(a < b for a, b in zip(lam, lam[1:])):
+    lam = tuple(map(int, parts))
+    # weakly decreasing parts are all positive iff the last one is
+    if (lam and lam[-1] <= 0) or any(map(operator.lt, lam, lam[1:])):
         raise ValueError(f"{lam} is not a partition (weakly decreasing, positive)")
     return lam
 

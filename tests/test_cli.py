@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from interpcat import cli, karoubi, selftest
+from interpcat import cli, karoubi, selftest, symfun
 from interpcat.cli import main
 
 WORKED_P = {"flavor": "S", "top": 3, "bottom": 6, "blocks": [[1, 3, -2], [2, -4, -5], [-1], [-3, -6]]}
@@ -269,6 +269,9 @@ class TestSelftestCommand:
         }
 
 
+ENDO_S1 = {"source": {"flavor": "S", "m": 1}, "target": {"flavor": "S", "m": 1}}
+
+
 class TestExitCodes:
     def test_negative_multiplicity_exit_1(self, capsys, monkeypatch):
         # the guard in the K inversion: ranks too small for K are an error
@@ -344,6 +347,47 @@ class TestExitCodes:
         # both crashed with an AttributeError (text.strip(), colors.count)
         assert main(argv) == 2
         assert capsys.readouterr().err == f"schema error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({**ENDO_S1, "terms": None}, "morphism JSON field 'terms' must be an array"),
+            ({**ENDO_S1, "terms": [3]}, "morphism JSON field 'terms[0]' must be an object"),
+            ({"flavor": "S", "top": 1, "bottom": 1, "blocks": True},
+             "diagram JSON field 'blocks' must be an array"),
+            ({"flavor": "S", "top": 1, "bottom": 1, "blocks": [3]},
+             "diagram JSON field 'blocks[0]' must be an array"),
+            (3, "diagram JSON must be an object"),
+        ],
+    )
+    def test_wrong_json_type_names_the_field(self, capsys, payload, message):
+        # each printed a bare Python TypeError ("'NoneType' object is not
+        # iterable", "argument of type 'int' is not iterable", ...)
+        assert main(["trace", "-f", json.dumps(payload)]) == 2
+        assert capsys.readouterr().err == f"schema error: -f: {message}\n"
+
+    def test_type_error_from_a_parser_is_a_schema_error(self):
+        # the safety net for a parser that raises before its field checks
+        def parse(payload):
+            raise TypeError("unnamed field")
+
+        with pytest.raises(cli.SchemaError, match="^-f: unnamed field$"):
+            cli._from_json(parse, {}, "-f")
+
+    def test_moment_degree_budget_exit_1(self, capsys):
+        limit = symfun.MAX_MOMENT_DEGREE
+        assert run_json(capsys, "char-moments", "--b", "[2]", "--c", "[1]", "-K", str(limit))
+        message = f"error: moment degree budget exceeded: {limit + 1} > MAX_MOMENT_DEGREE = {limit}\n"
+        assert main(["char-moments", "--b", "[2]", "-K", str(limit + 1)]) == 1
+        assert capsys.readouterr().err == message
+        moments = json.dumps({"flavor": "gl", "values": {str(k): "1" for k in range(1, limit + 2)}})
+        assert main(["char-search", "--moments", moments, "-r", "1", "-s", "0"]) == 1
+        assert capsys.readouterr().err == message
+        # ran for more than 20 s before the budget
+        start = time.perf_counter()
+        assert main(["char-moments", "--b", "[2]", "-K", "100000"]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "MAX_MOMENT_DEGREE" in capsys.readouterr().err
 
     def test_empty_block_exit_2(self, capsys):
         # an empty block crashed with an IndexError while the blocks were sorted
@@ -458,15 +502,26 @@ def _replaced(value, path, new):
     return out
 
 
+def _strict_from_json(parse, payload, field):
+    """cli._from_json without its TypeError mapping."""
+    try:
+        return parse(payload)
+    except ValueError as exc:
+        raise cli.SchemaError(f"{field}: {exc}") from exc
+
+
 class TestPayloadTypeFuzz:
     """Every field of every payload flag, swapped for a value of each other
-    JSON type, is refused with exit 1 or 2; no exception escapes main."""
+    JSON type, is refused with exit 1 or 2; no exception escapes main, and
+    no bare Python TypeError reaches the schema-error mapping: the payload
+    parsers raise ValueErrors that name the field."""
 
     @pytest.mark.parametrize("call", FUZZ_CALLS, ids=lambda call: " ".join(x for x in call[:3] if isinstance(x, str)))
     def test_wrong_types_exit_1_or_2(self, capsys, monkeypatch, call):
         # one parser for all calls: building it is most of a refused call's time
         parser = cli.build_parser()
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        monkeypatch.setattr(cli, "_from_json", _strict_from_json)
         argv = [x if isinstance(x, str) else json.dumps(x) for x in call]
         assert main(argv) == 0, capsys.readouterr().err
         rng = random.Random(19)

@@ -2,16 +2,20 @@
 
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from interpcat.partitions import check_partition, contains, partitions_of, sub_partitions
+from interpcat import symfun
+from interpcat.partitions import check_partition, contains, is_int, partitions_of, sub_partitions
 from interpcat.selftest import hall_pairing_by_expansion, schur_products_expanded
 from interpcat.symfun import (
+    MAX_MOMENT_DEGREE,
     MAX_SEARCH_BOX,
     MomentSequence,
     ShiftData,
@@ -48,6 +52,35 @@ class TestSubPartitions:
 def test_partition_entries_must_be_integers(bad):
     with pytest.raises(ValueError, match="expected integers"):
         check_partition(bad)
+
+
+def reference_check_partition(lam):
+    """check_partition as two passes over the parts, before the single pass."""
+    try:
+        parts = tuple(lam)
+    except TypeError as exc:
+        raise ValueError(f"{lam!r} is not a partition (expected integers)") from exc
+    if not all(is_int(x) for x in parts):
+        raise ValueError(f"{lam!r} is not a partition (expected integers)")
+    lam = tuple(int(x) for x in parts)
+    if any(a <= 0 for a in lam) or any(a < b for a, b in zip(lam, lam[1:])):
+        raise ValueError(f"{lam} is not a partition (weakly decreasing, positive)")
+    return lam
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [(), [3, 2, 1], (1, 1), (2, 0), (0,), (-1,), (1, 2), (3, -1, -2), (2, 2, 0), (4, 1, 2),
+     (0, 0), [2.0], [True], (5, 3, 3, 1), "ab", 3, None, (np.int64(2), 1)],
+)
+def test_check_partition_matches_two_passes(lam):
+    def outcome(check):
+        try:
+            return check(lam)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(check_partition) == outcome(reference_check_partition)
 
 
 class TestLR:
@@ -427,3 +460,135 @@ class TestSearch:
             search_decomposition(ms, 3, 1, 20)
         with pytest.raises(ValueError, match="non-negative"):
             search_decomposition(ms, -1, 1, 5)
+
+    def test_equals_the_pairwise_walk(self):
+        rng = random.Random(20)
+        seen = set()
+        for _ in range(300):
+            ms, r, s, bound, kinds = random_search(rng)
+            found = search_decomposition(ms, r, s, bound)
+            assert found == reference_search(ms, r, s, bound), (ms, r, s, bound)
+            seen |= kinds | {"found" if found else "none"}
+        assert seen == {
+            "cancelling", "fraction", "osp", "osp odd degrees only", "gl odd degrees only",
+            "gl odd key degrees, even confirmation", "r = 0", "s = 0", "B = 0",
+            "extra degrees", "found", "none",
+        }
+
+    def test_confirmation_rejects_a_key_hit(self, monkeypatch):
+        # (2, -1; 4) matches on the r + s + 2 = 5 key degrees and not on the
+        # sixth, so its key hit reaches the exact check and fails there
+        ms = char_difference_forward((-1, 2), (4,), "gl", 6)
+        ms.values[6] += 1
+        calls = count_moments(monkeypatch)
+        assert search_decomposition(ms, 2, 1, 4) is None
+        assert reference_search(ms, 2, 1, 4) is None
+        assert calls
+
+    def test_non_integral_target_computes_no_moment(self, monkeypatch):
+        # no integer key equals a non-integral one; the pairwise walk called
+        # _moment once per pair
+        ms = char_difference_forward((Fraction(1, 2), 3), (Fraction(-2, 3),), "gl", 6)
+        calls = count_moments(monkeypatch)
+        assert search_decomposition(ms, 2, 1, 4) is None
+        assert not calls
+
+    @pytest.mark.parametrize("r, s, bound", [(1, 0, 49999), (0, 1, 49999), (3, 1, 10)])
+    def test_budget_bounds_time(self, r, s, bound):
+        # just under MAX_SEARCH_BOX; the pairwise walk took minutes on the
+        # first two and 2 s on the third
+        side = 2 * bound
+        assert math.comb(side + r, r) * math.comb(side + s, s) <= MAX_SEARCH_BOX
+        ms = MomentSequence("gl", {k: Fraction(10**12) for k in range(1, 7)})
+        start = time.perf_counter()
+        assert search_decomposition(ms, r, s, bound) is None
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"search took {elapsed:.1f}s (budget 5s)"
+
+
+class TestMomentDegreeBudget:
+    """Every entry point refuses a moment degree above MAX_MOMENT_DEGREE up
+    front and finishes within a second at it."""
+
+    def test_forward_moments(self):
+        start = time.perf_counter()
+        ms = char_difference_forward((2, -7), (5,), "gl", MAX_MOMENT_DEGREE)
+        weight_moment_difference((9, 4, 1), {1}, {3}, MAX_MOMENT_DEGREE)
+        assert time.perf_counter() - start < 1.0
+        assert max(ms.values) == MAX_MOMENT_DEGREE
+        over = MAX_MOMENT_DEGREE + 1
+        with pytest.raises(ValueError, match=f"{over} > MAX_MOMENT_DEGREE = {MAX_MOMENT_DEGREE}"):
+            char_difference_forward((2,), (), "gl", over)
+        with pytest.raises(ValueError, match=f"{over} > MAX_MOMENT_DEGREE"):
+            weight_moment_difference((9, 4, 1), {1}, {3}, over)
+
+    def test_search(self):
+        ms = char_difference_forward((3,), (), "gl", MAX_MOMENT_DEGREE)
+        assert search_decomposition(ms, 1, 0, 5) == ((3,), ())
+        ms.values[MAX_MOMENT_DEGREE + 1] = Fraction(0)
+        with pytest.raises(ValueError, match=f"{MAX_MOMENT_DEGREE + 1} > MAX_MOMENT_DEGREE"):
+            search_decomposition(ms, 1, 0, 5)
+
+    def test_degrees_in_use_are_under_it(self):
+        # demo 04 asks for K = 8, the CLI corpus and the benchmark for at
+        # most 6, selftest for 5
+        assert MAX_MOMENT_DEGREE > 8
+
+
+def reference_search(m, r, s, bound):
+    """The walk over every (b, c) pair that search_decomposition replaced."""
+    candidates = range(-bound, bound + 1)
+    ks = [k for k in sorted(m.values) if not (m.flavor == "osp" and k % 2)]
+    for b in itertools.combinations_with_replacement(candidates, r):
+        for c in itertools.combinations_with_replacement(candidates, s):
+            if all(symfun._moment(b, c, k) == m.values[k] for k in ks):
+                return tuple(b), tuple(c)
+    return None
+
+
+def random_search(rng):
+    """A random (moments, r, s, bound) and the kinds of case it covers."""
+    flavor = rng.choice(["gl", "gl", "osp"])
+    r = rng.randint(0, 2)
+    s = 0 if flavor == "osp" else rng.randint(0, 2)
+    bound = rng.randint(0, 4)
+    extra = rng.randint(0, 3)
+    hits = [("osp", flavor == "osp"), ("r = 0", r == 0), ("s = 0", s == 0),
+            ("B = 0", bound == 0), ("extra degrees", extra > 0)]
+    kinds = {name for name, hit in hits if hit}
+    if flavor == "osp" and rng.random() < 0.1:
+        kinds.add("osp odd degrees only")
+        odd = {k: 0 for k in range(1, 2 * (r + extra) + 4, 2)}
+        return MomentSequence("osp", odd), r, s, bound, kinds
+    b = [rng.randint(-bound - 1, bound + 1) for _ in range(rng.randint(0, 3))]
+    c = [rng.randint(-bound - 1, bound + 1) for _ in range(rng.randint(0, 3))] if s else []
+    if b and c and rng.random() < 0.3:
+        c[0] = b[0] + 1
+        kinds.add("cancelling")
+    if b and rng.random() < 0.2:
+        b[0] = Fraction(2 * rng.randint(-5, 5) + 1, 2)
+        kinds.add("fraction")
+    K = r + s + 2 + extra if flavor == "gl" else 2 * (r + 2 + extra)
+    if flavor == "gl" and rng.random() < 0.3:
+        # odd degrees cannot tell c_j from 1 - c_j (nor b_i from -1 - b_i),
+        # so a bucket holds several c's: their order decides the answer, and
+        # an even degree past the keys can reject the first and keep a later one
+        even = rng.random() < 0.5
+        kinds.add("gl odd key degrees, even confirmation" if even else "gl odd degrees only")
+        ms = char_difference_forward(b, c, flavor, 2 * K)
+        kept = {k: v for k, v in ms.values.items() if k % 2 or (even and k == 2 * K)}
+        return MomentSequence("gl", kept), r, s, bound, kinds
+    return char_difference_forward(b, c, flavor, K), r, s, bound, kinds
+
+
+def count_moments(monkeypatch):
+    """A list that grows by one with each call of symfun._moment."""
+    calls = []
+    moment = symfun._moment
+
+    def spy(b, c, k):
+        calls.append(k)
+        return moment(b, c, k)
+
+    monkeypatch.setattr(symfun, "_moment", spy)
+    return calls
