@@ -25,7 +25,7 @@ from interpcat.homspaces import (
     trace,
 )
 from interpcat.partitions import check_partition, is_int
-from interpcat.ratfunc import PoleError, format_ratfunc
+from interpcat.ratfunc import format_ratfunc
 from interpcat.selftest import run_selftest
 
 
@@ -266,7 +266,7 @@ def cmd_gram(args):
         "m": ms,
         "flavor": flavor,
         "t0": t0_out,
-        "basis": rep.basis,
+        "basis": "e",
         "rank": rep.rank,
         "nullity": rep.nullity,
         "gram": entries,
@@ -406,7 +406,7 @@ def cmd_char_moments(args):
 
     b = rational_vector(args.b, "--b")
     c = rational_vector(args.c, "--c") if args.c is not None else ()
-    ms = symfun.char_difference_forward(b, c, args.flavor, args.K)
+    ms = symfun.char_difference_forward(b, c, args.flavor, _nonnegative(args.K, "-K"))
     return {
         "flavor": ms.flavor,
         "values": {str(k): str(v) for k, v in sorted(ms.values.items())},
@@ -424,7 +424,8 @@ def cmd_char_search(args):
         ms = symfun.MomentSequence(payload["flavor"], values)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"--moments: {exc}") from exc
-    found = symfun.search_decomposition(ms, args.r, args.s, args.B)
+    r, s = _nonnegative(args.r, "-r"), _nonnegative(args.s, "-s")
+    found = symfun.search_decomposition(ms, r, s, _nonnegative(args.B, "-B"))
     if found is None:
         return {"result": None}
     return {"b": list(found[0]), "c": list(found[1])}
@@ -601,7 +602,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except (PoleError, ValueError, ZeroDivisionError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(result)

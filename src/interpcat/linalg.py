@@ -1,13 +1,11 @@
 """Exact linear algebra: two primitives.
 
-- One dense forward elimination, which gives ranks, determinants and (with
-  back-substitution) nullspaces of Gram matrices.  Its entries may be any
-  field elements supporting +, -, *, / and truthiness as a zero test
-  (Fraction or RatFunc).
 - integer_rank: the rank of a matrix of Python ints, computed mod the prime
-  2^61 - 1 and proved over Z by kernel vectors, with the Fraction
-  elimination as its one exact fallback.  right_nullspace returns the same
-  kernel vectors for a matrix of ints.
+  2^61 - 1 and proved over Z by kernel vectors.  Every rank in the library
+  is one.  right_nullspace returns the same kernel vectors.
+- One dense forward elimination over a field (Fraction or RatFunc).  Over
+  Q(t) it serves only determinant; over Q, the fallbacks of integer_rank
+  and right_nullspace, and dense_rank, the tests' reference rank.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ an lru_cache of 32 tables of bytes, at most 300 x 300 bytes each under
 MAX_GRAM_BASIS (about 2.9 MB in all).  Each call maps the exponents through
 one list of the powers of its t0 into fresh rows.  At t0 = a/b the rank is
 taken of the integer rows a^p b^(l + m - p) by linalg.integer_rank, which is
-certified over Z; the report keeps the Fraction entries t0^p.  The negligible
+certified over Z; the report keeps the Fraction entries t0^p.  The generic
+rank is that rank at t = 1/2, where the categories are semisimple; an integer
+point is not safe (at t = -1, GL End([1, 1]) has Gram rank 1).  The negligible
 basis is read off the same integer rows, transposed, by
 linalg.right_nullspace, which lifts its kernel vectors from Z the same way.
 """
@@ -33,7 +35,7 @@ from functools import lru_cache
 from interpcat.diagrams import _row_transpositions, basis_size, enumerate_basis, pairing_table
 from interpcat.homspaces import Morphism, as_signature, hom_basis
 from interpcat.partitions import check_partition, partitions_of
-from interpcat.linalg import dense_rank, determinant, integer_rank, right_nullspace
+from interpcat.linalg import determinant, integer_rank, right_nullspace
 from interpcat.ratfunc import RatFunc, t_power
 
 Partition = tuple[int, ...]
@@ -46,6 +48,8 @@ MAX_GRAM_BASIS = 300
 
 # Largest Hom basis whose symbolic Gram determinant is expanded over Q(t).
 MAX_SYMBOLIC_DET_BASIS = 15
+
+_GENERIC_POINT = Fraction(1, 2)
 
 
 def _gram_space(l, m, flavor: str, limit: int = MAX_GRAM_BASIS):
@@ -123,7 +127,7 @@ def gram_matrix_symbolic(l, m, flavor: str = "S") -> list[list[RatFunc]]:
 
 @dataclass
 class GramReport:
-    """Gram matrix of the trace pairing on Hom([l], [m]) at a rational point."""
+    """Gram matrix of the trace pairing on Hom([l], [m]) at t0, or over Q(t)."""
 
     l: object
     m: object
@@ -132,22 +136,20 @@ class GramReport:
     gram: list[list]
     rank: int
     nullity: int
-    basis: str = "e"
 
 
 def gram(l, m, t0: Fraction | int | None, flavor: str = "S") -> GramReport:
     """Exact Gram matrix and rank; t0 = None keeps entries symbolic in Q(t).
 
-    At a rational t0 the rank is linalg.integer_rank of the matrix with its
-    denominators cleared; in Q(t) it comes from elimination over Q(t)."""
+    The rank is linalg.integer_rank at t0, or at t = 1/2 for t0 = None: minors
+    specialise, so rank G(1/2) <= rank G(t); a rank below |basis| raises ArithmeticError."""
     src, tgt = _gram_space(l, m, flavor)
-    if t0 is None:
-        matrix = _gram_entries(src, tgt, None)
-        rank = dense_rank(matrix) if matrix else 0
-    else:
-        t0 = Fraction(t0)
-        matrix = _gram_entries(src, tgt, t0)
-        rank = integer_rank(_gram_entries(src, tgt, t0, cleared=True))
+    t0 = None if t0 is None else Fraction(t0)
+    matrix = _gram_entries(src, tgt, t0)
+    point = _GENERIC_POINT if t0 is None else t0
+    rank = integer_rank(_gram_entries(src, tgt, point, cleared=True))
+    if t0 is None and rank < len(matrix):
+        raise ArithmeticError(f"Gram rank of Hom({src}, {tgt}) at t = 1/2: {rank} < {len(matrix)}")
     return GramReport(
         l=l, m=m, flavor=flavor, t0=t0, gram=matrix, rank=rank, nullity=len(matrix) - rank
     )

@@ -529,10 +529,10 @@ def search_decomposition(
     needed = r + s + 2
     if len(m.values) < needed:
         raise ValueError(f"need at least r + s + 2 = {needed} moments, got {len(m.values)}")
-    if min(r, s) < 0:
-        raise ValueError("r and s must be non-negative")
+    if min(r, s, bound) < 0:
+        raise ValueError("r, s and bound must be non-negative")
     _check_degree(max(m.values, default=0))
-    side = 2 * max(bound, 0)
+    side = 2 * bound
     box = math.comb(side + r, r) * math.comb(side + s, s)
     if box > MAX_SEARCH_BOX:
         raise ValueError(f"search budget exceeded: {box} candidates > {MAX_SEARCH_BOX}")

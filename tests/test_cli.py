@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from interpcat import cli, karoubi, selftest, symfun
+from interpcat import cli, karoubi, selftest, semisimplify, symfun
 from interpcat.cli import main
 
 WORKED_P = {"flavor": "S", "top": 3, "bottom": 6, "blocks": [[1, 3, -2], [2, -4, -5], [-1], [-3, -6]]}
@@ -272,6 +272,10 @@ class TestSelftestCommand:
 ENDO_S1 = {"source": {"flavor": "S", "m": 1}, "target": {"flavor": "S", "m": 1}}
 
 
+# moments of b = (2,), c = () for char-search
+MOMENTS = json.dumps({"flavor": "gl", "values": {"1": "1", "2": "5", "3": "19"}})
+
+
 class TestExitCodes:
     def test_negative_multiplicity_exit_1(self, capsys, monkeypatch):
         # the guard in the K inversion: ranks too small for K are an error
@@ -279,6 +283,41 @@ class TestExitCodes:
         monkeypatch.setattr(karoubi, "_decomposition_matrix", lambda flavor, lam, mu: 5)
         assert main(["decompose", "-f", json.dumps(y)]) == 1
         assert "negative multiplicity of L((1,))" in capsys.readouterr().err
+
+    def test_trace_guard_exit_1(self, capsys, monkeypatch):
+        # a loop on every composite puts t into the trace of e_Y o - o e_X,
+        # so _hom_dim's check that the trace is a dimension fails
+        y = run_json(capsys, "young", "--lambda", "[1]")
+        compose_diagrams = karoubi.compose_diagrams
+
+        def with_a_loop(d, e):
+            out, power = compose_diagrams(d, e)
+            return out, power + 1
+
+        monkeypatch.setattr(karoubi, "compose_diagrams", with_a_loop)
+        assert main(["decompose", "-f", json.dumps(y)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the trace ") and "Traceback" not in err
+
+    def test_symbolic_gram_rank_guard_exit_1(self, capsys, monkeypatch):
+        # two equal rows of exponents: the rank at t = 1/2 is not full
+        monkeypatch.setattr(semisimplify, "_pairing_exponents", lambda *key: (b"\1\1", b"\1\1"))
+        assert main(["gram", "-l", "1", "-m", "1", "--symbolic"]) == 1
+        assert capsys.readouterr().err == "error: Gram rank of Hom(S[1], S[1]) at t = 1/2: 1 < 2\n"
+
+    @pytest.mark.parametrize(
+        "field, argv",
+        [
+            ("-K", ["char-moments", "--b", "[1]", "-K", "-3"]),
+            ("-r", ["char-search", "--moments", MOMENTS, "-r", "-1", "-s", "0"]),
+            ("-s", ["char-search", "--moments", MOMENTS, "-r", "1", "-s", "-1"]),
+            ("-B", ["char-search", "--moments", MOMENTS, "-r", "1", "-s", "0", "-B", "-2"]),
+        ],
+    )
+    def test_negative_count_exit_2(self, capsys, field, argv):
+        # -K -3 printed no moments and -B -2 searched an empty box, both with exit 0
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"schema error: {field}: expected a nonnegative integer\n"
 
     def test_oversized_gram_refused_up_front(self, capsys):
         start = time.perf_counter()

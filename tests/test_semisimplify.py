@@ -219,6 +219,71 @@ BUDGET_SPACES = [sp for sp in GRAM_SPACES if basis_size(*sp) <= MAX_GRAM_BASIS]
 SMALL_SPACES = [sp for sp in BUDGET_SPACES if basis_size(*sp) <= 52]
 LARGE_SPACES = [sp for sp in BUDGET_SPACES if basis_size(*sp) > 52]
 
+# a 5 x 5 table of exponents for S Hom([0], [3]) whose Q(t) determinant is
+# nonzero but vanishes at t = 1/2: full generic rank, rank 4 at the point
+SINGULAR_AT_HALF = (
+    bytes([0, 0, 2, 1, 1]), bytes([1, 3, 1, 1, 0]), bytes([2, 2, 1, 0, 3]),
+    bytes([2, 1, 0, 0, 3]), bytes([1, 2, 0, 0, 0]),
+)
+
+
+class TestGenericRank:
+    """gram(l, m, None) takes its rank by integer_rank at t = 1/2, and raises
+    when that rank is not full."""
+
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_matches_q_t_elimination(self, flavor):
+        # the independent reference: elimination over Q(t), about 1.4 s in all
+        for _, l, m in [sp for sp in SMALL_SPACES if sp[0] == flavor]:
+            report = gram(l, m, None, flavor)
+            assert report.rank == dense_rank(report.gram) == len(report.gram), (l, m)
+
+    def test_no_elimination_over_q_t(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(linalg, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(linalg, name, wrapper)
+
+        spy("dense_rank")
+        spy("_forward_eliminate")
+        for flavor, l, m in [("S", 3, 3), ("O", 4, 4), ("GL", sig_gl(2, 1), sig_gl(2, 1))]:
+            assert gram(l, m, None, flavor).nullity == 0
+        assert calls == []
+
+    def test_rank_below_full_at_the_point_raises(self, monkeypatch):
+        monkeypatch.setattr(semisimplify, "_pairing_exponents", lambda *key: SINGULAR_AT_HALF)
+        # a low rank at one point proves nothing about the generic rank
+        assert dense_rank(semisimplify.gram_matrix_symbolic(0, 3)) == 5
+        with pytest.raises(ArithmeticError, match=r"Hom\(S\[0\], S\[3\]\) at t = 1/2: 4 < 5"):
+            gram(0, 3, None)
+        assert gram(0, 3, 2).rank == 5
+
+    # the largest spaces under MAX_GRAM_BASIS; by Q(t) elimination O (4, 4)
+    # took 21.6 s and O (0, 8) over 40 s
+    @pytest.mark.parametrize(
+        "flavor, l, m, size",
+        [("O", 4, 4, 105), ("O", 0, 8, 105), ("GL", sig_gl(3, 2), sig_gl(3, 2), 120),
+         ("S", 3, 3, 203)],
+    )
+    def test_largest_spaces_within_budget(self, flavor, l, m, size):
+        semisimplify._pairing_exponents.cache_clear()
+        start = time.perf_counter()
+        report = gram(l, m, None, flavor)
+        assert time.perf_counter() - start < 2.0
+        assert report.rank == len(report.gram) == size
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_every_budget_space_is_full_rank_at_the_point(self, flavor):
+        for _, l, m in [sp for sp in BUDGET_SPACES if sp[0] == flavor]:
+            assert gram(l, m, None, flavor).rank == basis_size(flavor, l, m), (l, m)
+
 
 def _fraction_negligible_basis(flavor, l, m, t0) -> list[list]:
     """The negligible basis as elimination over Fraction finds it: the right

@@ -460,6 +460,9 @@ class TestSearch:
             search_decomposition(ms, 3, 1, 20)
         with pytest.raises(ValueError, match="non-negative"):
             search_decomposition(ms, -1, 1, 5)
+        # a negative bound searched the empty range(-B, B + 1) and found nothing
+        with pytest.raises(ValueError, match="non-negative"):
+            search_decomposition(ms, 1, 0, -2)
 
     def test_equals_the_pairwise_walk(self):
         rng = random.Random(20)
