@@ -128,7 +128,7 @@ def _rational(text: str, field: str) -> Fraction:
 
 def _emit(obj):
     text = json.dumps(obj, sort_keys=True, indent=None, separators=(",", ": "))
-    print(text)
+    print(text, flush=True)
 
 
 def _label_to_json(lam, flavor: str):
@@ -605,7 +605,13 @@ def main(argv=None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(result)
+    try:
+        _emit(result)
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is left to devnull, so
+        # the interpreter's flush at exit fails no second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if args.command == "selftest" and result["counts"]["fail"]:
         failed = [c["name"] for c in result["checks"] if c["status"] != "pass"]
         print("FAILED: " + ", ".join(failed), file=sys.stderr)

@@ -30,7 +30,7 @@ from interpcat.diagrams import (
     walled_diagram,
 )
 from interpcat.partitions import is_int
-from interpcat.ratfunc import RF_ONE, RatFunc, t_power
+from interpcat.ratfunc import RF_ONE, RatFunc, constant_or_self, t_power
 
 FLAVORS = ("S", "GL", "O")
 
@@ -183,12 +183,19 @@ def identity(sig: ObjectSignature) -> Morphism:
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
-    """f after g (the second argument acts first)."""
+    """f after g (the second argument acts first).
+
+    Each coefficient is read once through constant_or_self, so two constant
+    coefficients multiply and add as ints and Fractions, and Morphism wraps
+    each sum in a RatFunc once; only a coefficient or a closed component
+    that carries t brings in Q(t) arithmetic."""
     if g.target != f.source:
         raise ValueError(f"cannot compose: g targets {g.target}, f expects {f.source}")
-    out: dict[Diagram, RatFunc] = {}
+    gs = [(dg, constant_or_self(cg)) for dg, cg in g.terms.items()]
+    out: dict = {}
     for df, cf in f.terms.items():
-        for dg, cg in g.terms.items():
+        cf = constant_or_self(cf)
+        for dg, cg in gs:
             d, power = compose_diagrams(df, dg)
             c = cf * cg * t_power(power) if power else cf * cg
             prev = out.get(d)

@@ -19,9 +19,10 @@ Every multiplicity comes from one exact trace per Hom space:
 of the smaller simples, by induction on size.  Hom(X, Y) is the image of the
 idempotent P(d) = e_Y o d o e_X on the diagram space, so its dimension is
 the trace of P: the sum over basis diagrams d of the coefficient of d in
-e_Y o d o e_X.  That sum is a constant of Q(t); constant coefficients are
-multiplied as ints and Fractions, and no dimension is taken at a sample
-point, so every generic-t answer is exact and independent of any seed.  K
+e_Y o d o e_X.  That sum is a constant of Q(t).  Each idempotent is scaled
+once to clear the denominators of its constant coefficients, the sum runs
+over Z, and one division ends it; no dimension is taken at a sample point,
+so every generic-t answer is exact and independent of any seed.  K
 itself is the case X = Y_lambda, and the generic dimensions of simples
 follow by the trace accounting
 dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
@@ -52,7 +53,7 @@ from interpcat.homspaces import (
     trace,
 )
 from interpcat.partitions import check_partition, sn_irrep_dimension
-from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, t_power
+from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, constant_or_self, t_power
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -344,13 +345,16 @@ def _symmetrizer_object(flavor: str, lam: Label) -> KaroubiObject:
 # generic multiplicities
 
 
-def _scalar(c: RatFunc) -> int | Fraction | RatFunc:
-    """A nonzero morphism coefficient c as its constant (an int or a
-    Fraction, as the Poly stores it) when it carries no t, else c itself."""
-    num, den = c.num.coeffs, c.den.coeffs
-    if len(num) == 1 and len(den) == 1:  # den is monic, so it is 1
-        return num[0]
-    return c
+def _integral_terms(idem: Morphism) -> tuple[int, list]:
+    """(n, [(d, n c_d)]): n is the lcm of the denominators of the constant
+    coefficients c_d, so every constant n c_d is an int; a coefficient that
+    carries t stays a RatFunc, multiplied by n."""
+    terms = [(d, constant_or_self(c)) for d, c in idem.terms.items()]
+    n = math.lcm(*(c.denominator for _, c in terms if not isinstance(c, RatFunc)))
+    return n, [
+        (d, c * n if isinstance(c, RatFunc) else c.numerator * (n // c.denominator))
+        for d, c in terms
+    ]
 
 
 def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
@@ -360,14 +364,16 @@ def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
     Over a field of characteristic 0 the trace of an idempotent is its rank,
     so dim Hom(X, Y) is the sum over basis diagrams d of the coefficient of d
     in e_Y o d o e_X: an exact constant of Q(t), with no elimination and no
-    sample point.  A coefficient stays a constant until a t enters it, from a
-    closed loop or a non-constant idempotent coefficient.  A sum that is not
-    an integer in [0, |basis|] means an idempotent was wrong, and raises
-    ArithmeticError.  Compositions that an earlier Hom space already made
-    are hits of the compose_diagrams memo."""
+    sample point.  Each idempotent is first scaled by the lcm n of its
+    constant coefficients' denominators, so the sum runs over Z, and over
+    Q(t) only where a t enters it, from a closed loop or a non-constant
+    coefficient; one division by n_X n_Y ends it.  A sum that
+    is not a multiple q n_X n_Y with q an integer in [0, |basis|] means an
+    idempotent was wrong, and raises ArithmeticError.  Compositions that an
+    earlier Hom space already made are hits of the compose_diagrams memo."""
     basis = hom_basis(X.sig, Y.sig)
-    ex = [(d, _scalar(c)) for d, c in X.idem.terms.items()]
-    ey = [(d, _scalar(c)) for d, c in Y.idem.terms.items()]
+    nx, ex = _integral_terms(X.idem)
+    ny, ey = _integral_terms(Y.idem)
     total = 0
     for d in basis:
         through: dict = {}
@@ -382,11 +388,14 @@ def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
                 if dd == d:
                     c = cy * cm
                     total += c * t_power(power) if power else c
-    if isinstance(total, RatFunc):
-        total = _scalar(total) if total else 0
-    if isinstance(total, RatFunc) or total % 1 or not 0 <= total <= len(basis):
-        raise ArithmeticError(f"the trace {total} of e_Y o - o e_X is not a dimension")
-    return int(total)
+    total = constant_or_self(total)
+    if not isinstance(total, RatFunc):
+        q, r = divmod(total, nx * ny)
+        if not r and 0 <= q <= len(basis):
+            return q
+    raise ArithmeticError(
+        f"the trace {total / Fraction(nx * ny)} of e_Y o - o e_X is not a dimension"
+    )
 
 
 def _decomposition_matrix(flavor: str, lam: Label, mu: Label) -> int:
@@ -411,7 +420,8 @@ def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
     y_lam and every y_mu are Q-combinations of permutation diagrams, and
     composing a permutation diagram with any diagram closes no loop and no
     middle component.  So every sandwich y_lam o d o y_mu has constant
-    coefficients, and each Hom dimension is a trace summed over Q, with no
+    coefficients, and each Hom dimension is a trace summed over Z after
+    clearing the denominators of y_lam and y_mu, with one division and no
     sample point.
     """
     Y = _symmetrizer_object(flavor, lam)

@@ -454,6 +454,19 @@ def t_power(k: int) -> RatFunc:
     return _make(poly_t_power(k), POLY_ONE)
 
 
+def constant_or_self(c: Scalar) -> Scalar:
+    """The one constant view of a coefficient: c as its constant (an int,
+    or a Fraction when it is not integral, as a Poly stores it) when it
+    carries no t, else the RatFunc c itself.  ints and Fractions pass
+    through, and the zero RatFunc is 0."""
+    if not isinstance(c, RatFunc):
+        return c
+    num, den = c.num.coeffs, c.den.coeffs
+    if len(num) <= 1 and len(den) == 1:  # den is monic, so it is 1
+        return num[0] if num else 0
+    return c
+
+
 def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Poly:
     """Unique polynomial of degree < len(points) through the given points.
 

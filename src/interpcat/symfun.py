@@ -405,6 +405,14 @@ MAX_SEARCH_BOX = 10**5
 # degrees 1..3.
 MAX_MOMENT_DEGREE = 50
 
+# Largest K * (sum over the entries p/q of the bit length of |p| + q) that
+# char_difference_forward takes.  Over the common denominator of the q^k, a
+# degree-k moment of n entries has at most k * that sum + 1 + bitlen(n) bits
+# in its numerator and denominator, and n is at most the sum, so at this
+# limit every moment stays under the 4300 decimal digits Python prints by
+# default.  At K = 50 one entry up to 10^84 passes.
+MAX_MOMENT_BITS = 14_000
+
 
 def _check_degree(K: int) -> None:
     if K > MAX_MOMENT_DEGREE:
@@ -457,13 +465,20 @@ def char_difference_forward(b, c, flavor: str = "gl", K: int = 6) -> MomentSeque
 
     gl: m_k = sum P_k(b_i) + sum P-bar_k(c_j) for 1 <= k <= K.
     osp: only b is allowed; odd moments are 0 and even ones sum P_k(b_i).
-    K above MAX_MOMENT_DEGREE is refused up front.
+    K above MAX_MOMENT_DEGREE, and entries too long for K (MAX_MOMENT_BITS),
+    are refused up front.
     """
     _check_degree(K)
     b = tuple(Fraction(x) for x in b)
     c = tuple(Fraction(x) for x in c)
     if flavor == "osp" and c:
         raise ValueError("osp central characters take no c parameters")
+    bits = K * sum((abs(x.numerator) + x.denominator).bit_length() for x in b + c)
+    if bits > MAX_MOMENT_BITS:
+        raise ValueError(
+            f"moment size budget exceeded: K times the entry bit lengths is {bits}"
+            f" > MAX_MOMENT_BITS = {MAX_MOMENT_BITS}"
+        )
     values = {
         k: Fraction(0) if flavor == "osp" and k % 2 else _moment(b, c, k)
         for k in range(1, K + 1)

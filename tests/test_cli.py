@@ -1,6 +1,7 @@
 """CLI surface: subcommand outputs, wire-format round-trips, exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -428,6 +429,20 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert "MAX_MOMENT_DEGREE" in capsys.readouterr().err
 
+    def test_moment_size_budget_exit_1(self, capsys):
+        # at K = 50, 10^100 used to compute every moment and then fail on
+        # printing one of over 4300 digits; 2^279 + 1 has 280 bits and
+        # 2^280 has 281, so 50 * 280 is the limit itself
+        limit, K = symfun.MAX_MOMENT_BITS, symfun.MAX_MOMENT_DEGREE
+        assert limit == 50 * 280
+        got = run_json(capsys, "char-moments", "--b", f"[{2**279}]", "-K", str(K))
+        assert len(got["values"]) == K
+        for entry in (2**280 - 1, 10**100):
+            start = time.perf_counter()
+            assert main(["char-moments", "--b", f"[{entry}]", "-K", str(K)]) == 1
+            assert time.perf_counter() - start < 1.0
+            assert f"> MAX_MOMENT_BITS = {limit}" in capsys.readouterr().err
+
     def test_empty_block_exit_2(self, capsys):
         # an empty block crashed with an IndexError while the blocks were sorted
         empty = '{"flavor":"S","top":1,"bottom":1,"blocks":[[1,-1],[]]}'
@@ -592,6 +607,23 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"coefficient": 1}
+
+    def test_closed_stdout_exit_1_without_traceback(self):
+        # the read end is closed before the process starts, so its one
+        # write to stdout meets a broken pipe, as under `| head -c 100`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "interpcat", "gram", "-l", "2", "-m", "2", "--flavor", "O", "--symbolic"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run(

@@ -316,6 +316,25 @@ def sandwich_rank(X, Y):
     return dense_rank([[RatFunc(row.get(k, 0)) for k in keys] for row in rows])
 
 
+# the K spaces of small symmetrizer objects, and their multiplicities
+K_CASES = [("S", lam) for n in range(1, 4) for lam in partitions_of(n)]
+K_CASES += [("O", (2,)), ("O", (1, 1))]
+K_CASES += [("GL", ((1,), (1,))), ("GL", ((2,), (1,))), ("GL", ((1, 1), (1,)))]
+K_OF_SYMMETRIZERS = [
+    {(): 1},
+    {(): 2, (1,): 2},
+    {(): 0, (1,): 1},
+    {(): 3, (1,): 4, (2,): 2, (1, 1): 1},
+    {(): 1, (1,): 3, (2,): 2, (1, 1): 2},
+    {(): 0, (1,): 0, (2,): 0, (1, 1): 1},
+    {(): 1},
+    {(): 0},
+    {((), ()): 1},
+    {((1,), ()): 1},
+    {((1,), ()): 1},
+]
+
+
 def forbid_q_t_arithmetic(monkeypatch):
     """Make every RatFunc arithmetic operation fail the test."""
 
@@ -371,24 +390,24 @@ class TestExactHomRank:
     def test_symmetrizer_k_spaces_take_no_q_t_arithmetic(self, monkeypatch):
         # y_lam o d o y_mu has constant coefficients, so every K space of a
         # symmetrizer object is a trace summed over Q
-        k_cases = [("S", lam) for n in range(1, 4) for lam in partitions_of(n)]
-        k_cases += [("O", (2,)), ("O", (1, 1))]
-        k_cases += [("GL", ((1,), (1,))), ("GL", ((2,), (1,))), ("GL", ((1, 1), (1,)))]
         forbid_q_t_arithmetic(monkeypatch)
-        k = [karoubi._symmetrizer_decomposition.__wrapped__(f, lam) for f, lam in k_cases]
-        assert k == [
-            {(): 1},
-            {(): 2, (1,): 2},
-            {(): 0, (1,): 1},
-            {(): 3, (1,): 4, (2,): 2, (1, 1): 1},
-            {(): 1, (1,): 3, (2,): 2, (1, 1): 2},
-            {(): 0, (1,): 0, (2,): 0, (1, 1): 1},
-            {(): 1},
-            {(): 0},
-            {((), ()): 1},
-            {((1,), ()): 1},
-            {((1,), ()): 1},
-        ]
+        k = [karoubi._symmetrizer_decomposition.__wrapped__(f, lam) for f, lam in K_CASES]
+        assert k == K_OF_SYMMETRIZERS
+
+    def test_symmetrizer_k_spaces_take_no_fraction_arithmetic(self, monkeypatch):
+        # each y_lam is scaled once to integer coefficients, so the trace is
+        # summed over Z and divided once; the Y_lam are memoized, so they are
+        # built before Fraction is forbidden
+        for f, lam in K_CASES:
+            karoubi._symmetrizers(f, [lam] + karoubi._labels_below(f, lam))
+
+        def fraction_arithmetic(*args):
+            raise AssertionError("Fraction arithmetic in the trace loop")
+
+        for op in ("__add__", "__radd__", "__mul__", "__rmul__", "__new__"):
+            monkeypatch.setattr(Fraction, op, fraction_arithmetic)
+        k = [karoubi._symmetrizer_decomposition.__wrapped__(f, lam) for f, lam in K_CASES]
+        assert k == K_OF_SYMMETRIZERS
 
     def test_constant_idempotent_that_closes_loops(self, monkeypatch):
         # coefficient 1, but the block {1, 2, 1'} and the singleton {2'} make
@@ -486,6 +505,13 @@ class TestHomDimGuard:
         # d -> 2 id o d o 2 id = 4 d has trace 8 on the 2-diagram End(S[1])
         X = KaroubiObject._trusted(identity(sig_s(1)) * RatFunc(2))
         with pytest.raises(ArithmeticError):
+            _hom_dim(X, X)
+
+    def test_integral_trace_not_divisible_by_the_denominators_raises(self):
+        # e = id/2 clears to id with n = 2: the cleared trace 2 on the
+        # 2-diagram End(S[1]) is not a multiple of n_X n_Y = 4
+        X = KaroubiObject._trusted(identity(sig_s(1)) * RatFunc(Fraction(1, 2)))
+        with pytest.raises(ArithmeticError, match="the trace 1/2 "):
             _hom_dim(X, X)
 
     def test_non_constant_trace_raises(self):

@@ -1,12 +1,16 @@
 """Exact scalar arithmetic: canonical forms, evaluation, interpolation."""
 
+import ast
 import itertools
 import operator
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import interpcat
+from interpcat import homspaces, karoubi, ratfunc
 from interpcat.ratfunc import (
     PoleError,
     Poly,
@@ -15,6 +19,7 @@ from interpcat.ratfunc import (
     RF_T,
     RF_ZERO,
     _make,
+    constant_or_self,
     format_ratfunc,
     interpolate,
     parse_poly,
@@ -463,3 +468,33 @@ class TestIntCoefficients:
         assert type((RF_ONE / 4).num.coeffs[0]) is Fraction
         assert Poly((2, 4)).monic().coeffs == (Fraction(1, 2), 1)
         assert Poly(()).leading() == 0 and type(Poly(()).leading()) is Fraction
+
+
+class TestConstantOrSelf:
+    """constant_or_self is the one constant view of a coefficient."""
+
+    def test_constants_and_t(self):
+        half = Fraction(1, 2)
+        cases = [
+            (3, 3), (half, half), (RatFunc(-4), -4), (RatFunc(half), half),
+            (RatFunc(Fraction(6, 3)), 2), (RF_ZERO, 0),
+        ]
+        for c, expected in cases:
+            got = constant_or_self(c)
+            assert got == expected and type(got) is type(expected), c
+        for c in (t, RF_ONE / t, t + 1, RatFunc(Poly((1,)), Poly((2, 1)))):
+            assert constant_or_self(c) is c
+
+    def test_one_home(self):
+        # karoubi and homspaces use the ratfunc helper, and no module but
+        # ratfunc reads the parts of a RatFunc that a second copy would read
+        assert karoubi.constant_or_self is homspaces.constant_or_self is ratfunc.constant_or_self
+        readers = set()
+        for path in sorted(pathlib.Path(interpcat.__file__).parent.glob("*.py")):
+            if path.name != "ratfunc.py":
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Attribute) and node.attr in ("num", "den", "coeffs"):
+                        readers.add(path.stem)
+                    if isinstance(node, ast.FunctionDef) and node.name in ("_scalar", "constant_or_self"):
+                        readers.add(path.stem)
+        assert not readers

@@ -15,6 +15,7 @@ from interpcat import symfun
 from interpcat.partitions import check_partition, contains, is_int, partitions_of, sub_partitions
 from interpcat.selftest import hall_pairing_by_expansion, schur_products_expanded
 from interpcat.symfun import (
+    MAX_MOMENT_BITS,
     MAX_MOMENT_DEGREE,
     MAX_SEARCH_BOX,
     MomentSequence,
@@ -524,6 +525,22 @@ class TestMomentDegreeBudget:
             char_difference_forward((2,), (), "gl", over)
         with pytest.raises(ValueError, match=f"{over} > MAX_MOMENT_DEGREE"):
             weight_moment_difference((9, 4, 1), {1}, {3}, over)
+
+    def test_forward_moment_size(self):
+        # K times the bit lengths of |p| + q over the entries p/q of b and c:
+        # 2^139 + 1 and 1 + 2^139 have 140 bits each, 1 + (2^140 - 1) has 141
+        K = MAX_MOMENT_DEGREE
+        assert K * 280 == MAX_MOMENT_BITS
+        start = time.perf_counter()
+        ms = char_difference_forward((2**139,), (Fraction(1, 2**139),), "gl", K)
+        assert time.perf_counter() - start < 1.0
+        assert max(len(str(v.numerator)) for v in ms.values.values()) < 4300
+        with pytest.raises(ValueError, match=f"{K * 281} > MAX_MOMENT_BITS = {MAX_MOMENT_BITS}"):
+            char_difference_forward((2**139,), (Fraction(1, 2**140 - 1),), "gl", K)
+        # 2 * 7000 bits, at and just over the limit
+        assert char_difference_forward((2**6999,), (), "osp", 2).values[2]
+        with pytest.raises(ValueError, match="MAX_MOMENT_BITS"):
+            char_difference_forward((2**7000,), (), "osp", 2)
 
     def test_search(self):
         ms = char_difference_forward((3,), (), "gl", MAX_MOMENT_DEGREE)
