@@ -221,6 +221,12 @@ def cmd_idem_check(args):
 
 def cmd_young(args):
     lam = _label(_load_payload(args.lam, "--lambda"), "--lambda", args.flavor)
+    terms = karoubi.symmetrizer_terms(lam, args.flavor)
+    if terms > karoubi.MAX_SYMMETRIZER_TERMS:
+        raise ValueError(
+            f"symmetrizer budget exceeded: {terms} terms"
+            f" > MAX_SYMMETRIZER_TERMS = {karoubi.MAX_SYMMETRIZER_TERMS}"
+        )
     return morphism_to_json(karoubi.young_symmetrizer(lam, args.flavor))
 
 

@@ -1,8 +1,10 @@
 """Exact linear algebra: two primitives.
 
 - integer_rank: the rank of a matrix of Python ints, computed mod the prime
-  2^61 - 1 and proved over Z by kernel vectors.  Every rank in the library
-  is one.  right_nullspace returns the same kernel vectors.
+  2^61 - 1 and proved over Z by kernel vectors, all checked in one product
+  per row of packed integers.  Repeated rows and columns are dropped first.
+  Every rank in the library is one.  right_nullspace returns the same
+  kernel vectors, after dropping repeated rows only.
 - One dense forward elimination over a field (Fraction or RatFunc).  Over
   Q(t) it serves only determinant; over Q, the fallbacks of integer_rank
   and right_nullspace, and dense_rank, the tests' reference rank.
@@ -75,15 +77,17 @@ def right_nullspace(matrix: Sequence[Sequence]) -> list[list]:
     """Basis of {v : A v = 0} for a dense matrix over a field, or of ints.
 
     One vector per free column, in increasing column order, with a 1 in its
-    free column and zeros in the other free columns.  A matrix of Python ints
-    gets the same vectors, as Fractions, from its elimination mod p: they are
-    the kernel vectors integer_rank lifts and checks over Z.  If every check
+    free column and zeros in the other free columns.  These vectors depend
+    only on the row space, so repeated rows are dropped first; the columns,
+    which the vectors index, are all kept.  A matrix of Python ints gets the
+    same vectors, as Fractions, from its elimination mod p: they are the
+    kernel vectors integer_rank lifts and checks over Z.  If the check
     passes, the pivot columns mod p are those over Q, and a kernel vector is
     fixed by its entries in the free columns, so each lifted vector is the
-    one Fraction elimination gives.  If a lift or a check fails, the vectors
-    come from Fraction elimination instead.
+    one Fraction elimination gives.  If a lift or the check fails, the
+    vectors come from Fraction elimination instead.
     """
-    rows = [list(r) for r in matrix]
+    rows = [list(r) for r in dict.fromkeys(map(tuple, matrix))]
     if not rows or not rows[0]:
         return []
     if all(type(x) is int for row in rows for x in row):
@@ -159,13 +163,40 @@ def _eliminate_mod_p(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _lifted_kernel(rows: list[list[int]]) -> tuple[int, list[dict] | None]:
+def _slot_width(rows: Sequence[Sequence[int]], vectors: list[dict[int, int]]) -> int:
+    """Bits per slot in _annihilates: w = bitlen(max |A|) +
+    bitlen(max_j sum |v_j|) + 2, so every (A v_j)_i is below 2^(w - 2) in
+    absolute value."""
+    top = max(max(max(row), -min(row)) for row in rows)
+    norm = max(sum(map(abs, v.values())) for v in vectors)
+    return top.bit_length() + norm.bit_length() + 2
+
+
+def _annihilates(rows: Sequence[Sequence[int]], vectors: list[dict[int, int]]) -> bool:
+    """Whether A v = 0 over Z for every integer vector v, given as
+    {column: entry}, with one product per row of A for all of them.
+
+    Column c is packed as sum_j v_j[c] 2^(w j), w = _slot_width, so row i
+    times the packed columns is sum_j (A v_j)_i 2^(w j).  Each slot is below
+    2^(w - 2) in absolute value, so the lowest nonzero slot is no multiple of
+    2^w and leaves the sum nonzero: the sum is 0 exactly when every slot is 0."""
+    if not vectors:
+        return True
+    w = _slot_width(rows, vectors)
+    packed = [0] * len(rows[0])
+    for j, v in enumerate(vectors):
+        for col, x in v.items():
+            packed[col] += x << (w * j)
+    return not any(sum(map(mul, row, packed)) for row in rows)
+
+
+def _lifted_kernel(rows: Sequence[Sequence[int]]) -> tuple[int, list[dict] | None]:
     """(r, kernel) for a matrix of ints: r pivots of its elimination mod p,
     and for each free column in increasing order the kernel vector read off
     the echelon form, with 1 there and 0 in the other free columns, lifted to
     rationals as {column: (numerator, denominator)} on its nonzero entries.
-    kernel is None as soon as a lift fails or a vector, its denominators
-    cleared, misses A v = 0 over Z."""
+    kernel is None as soon as a lift fails, or if the vectors, their
+    denominators cleared, miss A v = 0 over Z (one _annihilates check)."""
     residues = [[x % _P for x in row] for row in rows]
     pivots = _eliminate_mod_p(residues)
     r = len(pivots)
@@ -180,7 +211,7 @@ def _lifted_kernel(rows: list[list[int]]) -> tuple[int, list[dict] | None]:
             x = residues[i][col]
             if x:
                 blocks[i] = [(a - x * b) % _P for a, b in zip(blocks[i], below)]
-    kernel = []
+    kernel, cleared = [], []
     for j, f in enumerate(free):
         # v[f] = 1, v[pivots[i]] = -blocks[i][j], 0 elsewhere
         lifted = {f: (1, 1)}
@@ -191,32 +222,31 @@ def _lifted_kernel(rows: list[list[int]]) -> tuple[int, list[dict] | None]:
                     return r, None
                 lifted[col] = entry
         denom = math.lcm(*(d for _, d in lifted.values()))
-        cols = list(lifted)
-        vec = [n * (denom // d) for n, d in lifted.values()]
-        if any(sum(map(mul, map(row.__getitem__, cols), vec)) for row in rows):
-            return r, None
         kernel.append(lifted)
-    return r, kernel
+        cleared.append({col: n * (denom // d) for col, (n, d) in lifted.items()})
+    return r, kernel if _annihilates(rows, cleared) else None
 
 
 def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
     """Exact rank of a matrix of Python ints, certified over Z.
 
-    The matrix is turned to have no more columns than rows.  Elimination mod
-    p = 2^61 - 1 gives r pivots, and r <= rank over Q, because a minor that is
-    nonzero mod p is nonzero over Z.  Each free column gets the kernel vector
-    with a 1 there and 0 in the other free columns; its residues are lifted to
-    rationals, its denominators cleared, and A v = 0 is checked over Z, on the
-    nonzero entries of v.  The vectors are independent, so when every check
-    passes the rank is at most r, hence exactly r.  If a lift or a check
-    fails, the rank comes from Fraction elimination instead: the prime alone
-    never decides it.
+    Repeated rows, then repeated columns, are dropped first; neither changes
+    the rank, and a matrix of equal entries becomes 1 x 1.  The rows stay
+    rows, and the matrix is turned only if it has more columns than rows.
+    Elimination mod p = 2^61 - 1 gives r pivots, and r <= rank over Q,
+    because a minor that is nonzero mod p is nonzero over Z.  Each free column
+    gets the kernel vector with a 1 there and 0 in the other free columns; its
+    residues are lifted to rationals, its denominators cleared, and A v = 0 is
+    checked over Z for all the vectors at once (_annihilates).  The vectors
+    are independent, so when the check passes the rank is at most r, hence
+    exactly r.  If a lift or the check fails, the rank comes from Fraction
+    elimination instead: the prime alone never decides it.
     """
-    rows = [list(row) for row in matrix]
+    rows = list(dict.fromkeys(map(tuple, matrix)))
     if not rows or not rows[0]:
         return 0
-    if len(rows[0]) > len(rows):
-        rows = [list(col) for col in zip(*rows)]
+    columns = list(dict.fromkeys(zip(*rows)))
+    rows = columns if len(columns) > len(rows) else list(zip(*columns))
     rank, kernel = _lifted_kernel(rows)
     if kernel is not None:
         return rank

@@ -443,6 +443,26 @@ class TestExitCodes:
             assert time.perf_counter() - start < 1.0
             assert f"> MAX_MOMENT_BITS = {limit}" in capsys.readouterr().err
 
+    def test_symmetrizer_budget_exit_1(self, capsys):
+        # [7] has 7! terms, the limit itself; [3, 3, 2] has 3!3!2! * 3!3!2! =
+        # 5184 and black [5], white [4, 1] has 5! * 4! 2! = 5760; [9] ran for
+        # over 20 s before the budget
+        limit = karoubi.MAX_SYMMETRIZER_TERMS
+        assert limit == 5040
+        got = run_json(capsys, "young", "--lambda", "[7]")
+        assert len(got["terms"]) == limit
+        over = [
+            ("S", "[3,3,2]", 5184),
+            ("O", "[9]", 362880),
+            ("GL", '{"black":[5],"white":[4,1]}', 5760),
+        ]
+        for flavor, lam, terms in over:
+            start = time.perf_counter()
+            assert main(["young", "--flavor", flavor, "--lambda", lam]) == 1
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert f"{terms} terms > MAX_SYMMETRIZER_TERMS = {limit}" in err
+
     def test_empty_block_exit_2(self, capsys):
         # an empty block crashed with an IndexError while the blocks were sorted
         empty = '{"flavor":"S","top":1,"bottom":1,"blocks":[[1,-1],[]]}'

@@ -190,6 +190,17 @@ class TestOneSymmetrizerBuilder:
         with pytest.raises(ValueError):
             young_symmetrizer((2, 1), "GL")
 
+    def test_term_count(self):
+        # symmetrizer_terms counts without building: one term per diagram
+        for lam in SMALL_PARTITIONS:
+            for flavor in ("S", "O"):
+                built = young_symmetrizer(lam, flavor)
+                assert karoubi.symmetrizer_terms(lam, flavor) == len(built.terms), lam
+        for bip in SMALL_BIPARTITIONS:
+            assert karoubi.symmetrizer_terms(bip, "GL") == len(bipartition_symmetrizer(bip).terms)
+        assert karoubi.symmetrizer_terms((4, 2, 1)) == 4 * 3 * 2 * 2 * (3 * 2 * 2)
+        assert karoubi.symmetrizer_terms(((3,), (1, 1)), "GL") == 3 * 2 * 2
+
 
 class TestGlLabelNotAPair:
     """A GL label that is not a (black, white) pair is a ValueError naming it."""

@@ -1,6 +1,7 @@
 """Dense elimination: rank, determinant and nullspace share one pass.  The
 integer rank is certified over Z, with Fraction elimination as its fallback."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -144,3 +145,147 @@ class TestIntegerNullspace:
         assert right_nullspace([[p, 1]]) == [[F(-1, p), F(1)]]
         assert right_nullspace([[2, 4], [1, 2]]) == [[F(-2), F(1)]]
         assert right_nullspace([[1, 0], [0, 3]]) == []
+
+
+def _planted(rng, k: int, n: int, r: int) -> list[list[int]]:
+    """A k x n product of random k x r and r x n matrices with entries in [-9, 9]."""
+    left = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(k)]
+    right = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def _repeated(rng, matrix: list[list[int]]) -> list[list[int]]:
+    """matrix with each row, then each column, taken 1 to 3 times, shuffled."""
+    rows = [row for row in matrix for _ in range(rng.randint(1, 3))]
+    rng.shuffle(rows)
+    cols = [col for col in zip(*rows) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(cols)
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.fixture
+def kernel_shapes(monkeypatch):
+    """Record the shape of every matrix that _lifted_kernel sees."""
+    shapes = []
+    lifted_kernel = linalg._lifted_kernel
+
+    def spy(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return lifted_kernel(rows)
+
+    monkeypatch.setattr(linalg, "_lifted_kernel", spy)
+    return shapes
+
+
+class TestRepeatedRowsAndColumns:
+    """integer_rank drops repeated rows and then repeated columns, and keeps
+    rows as rows; right_nullspace drops repeated rows only."""
+
+    def test_planted_rank_with_repeats(self, fallbacks):
+        rng = random.Random("repeated rows and columns")
+        negative = 0
+        for _ in range(80):
+            k, n, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 5)
+            matrix = _repeated(rng, _planted(rng, k, n, r))
+            negative += any(x < 0 for row in matrix for x in row)
+            assert integer_rank(matrix) == dense_rank([[F(x) for x in row] for row in matrix])
+        assert negative > 40
+        assert fallbacks == []
+
+    def test_planted_kernels_with_repeats(self, monkeypatch):
+        fallbacks = []
+        nullspace = linalg.right_nullspace
+
+        def spy(matrix):
+            fallbacks.append(matrix)
+            return nullspace(matrix)
+
+        monkeypatch.setattr(linalg, "right_nullspace", spy)
+        rng = random.Random("repeated rows, kept columns")
+        for _ in range(80):
+            k, n, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 5)
+            matrix = _repeated(rng, _planted(rng, k, n, r))
+            basis = right_nullspace(matrix)
+            assert basis == right_nullspace([[F(x) for x in row] for row in matrix])
+            assert all(len(vec) == len(matrix[0]) for vec in basis)
+        assert fallbacks == []
+
+    def test_equal_entries_rank_as_one_by_one(self, kernel_shapes, fallbacks):
+        assert integer_rank([[5] * 40] * 30) == 1
+        assert integer_rank([[0] * 40] * 30) == 0
+        assert kernel_shapes == [(1, 1), (1, 1)]
+        assert fallbacks == []
+
+    def test_rows_stay_rows(self, kernel_shapes):
+        # repeated columns go, and the rest keeps its orientation
+        assert integer_rank([[1, 1, 2], [3, 3, 4]]) == 2
+        assert integer_rank([[1, 1, 1, 2], [3, 3, 3, 4], [5, 5, 5, 6]]) == 2
+        # two distinct rows and three distinct columns: turned to 3 x 2
+        assert integer_rank([[1, 2, 3], [1, 2, 3], [4, 5, 7]]) == 2
+        assert kernel_shapes == [(2, 2), (3, 2), (3, 2)]
+
+    def test_nullspace_keeps_repeated_columns(self, kernel_shapes):
+        # columns 0 and 1 are equal, so e_0 - e_1 is in the kernel
+        assert right_nullspace([[1, 1, 2], [1, 1, 2], [3, 3, 4]]) == [[F(-1), F(1), F(0)]]
+        assert kernel_shapes == [(2, 3)]
+
+
+class TestPackedCheck:
+    """_annihilates checks A v = 0 for every v at once, one vector per slot
+    of w = _slot_width bits in one integer per column."""
+
+    # one row, two vectors: the true slots are A v_0 = 8 and A v_1 = -1, and
+    # w = bitlen(3) + bitlen(|2| + |1|) + 2 = 6
+    ROW = [[3, 2]]
+    CARRY = [{0: 2, 1: 1}, {0: 1, 1: -2}]
+
+    @staticmethod
+    def slots(rows, vectors):
+        return [sum(row[c] * x for c, x in v.items()) for v in vectors for row in rows]
+
+    def test_slots_reach_the_bound(self):
+        # every slot is below 2^(w - 2), and this one is not below 2^(w - 3):
+        # the width is the documented one, not a narrower or wider one
+        w = linalg._slot_width(self.ROW, self.CARRY)
+        assert w == 6
+        assert 2 ** (w - 3) <= max(map(abs, self.slots(self.ROW, self.CARRY))) < 2 ** (w - 2)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_narrower_slot_carries_into_the_next(self, monkeypatch, sign):
+        vectors = [{c: sign * x for c, x in v.items()} for v in self.CARRY]
+        assert self.slots(self.ROW, vectors) == [8 * sign, -sign]
+        assert not linalg._annihilates(self.ROW, vectors)
+        # at 3 bits slot 0 holds 8 = 2^3 and cancels slot 1: the packed sum is
+        # 3 * (2 + 8) + 2 * (1 - 16) = 0 for sign 1, although no slot is 0
+        monkeypatch.setattr(linalg, "_slot_width", lambda rows, vecs: 3)
+        assert linalg._annihilates(self.ROW, vectors)
+
+    def test_negative_entries(self):
+        rows = [[-3, 2, 1], [1, -1, 0], [-2 ** 70, 2 ** 70, 0]]
+        kernel = [{0: 1, 1: 1, 2: 1}, {0: -5, 1: -5, 2: -5}]
+        assert linalg._annihilates(rows, kernel)
+        # (1, 1, 1) + e_2 misses only the first row, by 1, in the last slot
+        assert not linalg._annihilates(rows, kernel + [{0: 1, 1: 1, 2: 2}])
+        assert not linalg._annihilates(rows, [{0: -1}] + kernel)
+
+    def test_zero_matrix(self):
+        zero = [[0, 0, 0], [0, 0, 0]]
+        assert linalg._annihilates(zero, [{0: 1}, {1: -7}, {2: 2 ** 80}])
+        assert linalg._annihilates(zero, [])
+        assert linalg._annihilates([[1, 2]], [])
+
+    def test_matches_the_vector_by_vector_check(self):
+        rng = random.Random("packed check")
+        for _ in range(100):
+            k, n = rng.randint(1, 6), rng.randint(2, 7)
+            rows = _planted(rng, k, n, rng.randint(0, n - 1))
+            vectors = []
+            for vec in right_nullspace([[F(x) for x in row] for row in rows]):
+                scale = math.lcm(*(x.denominator for x in vec)) * rng.choice([1, -1, 3])
+                vectors.append({c: int(x * scale) for c, x in enumerate(vec) if x})
+            assert linalg._annihilates(rows, vectors)
+            if vectors:
+                v, c = rng.choice(vectors), rng.randrange(n)
+                v[c] = v.get(c, 0) + rng.choice([1, -1])
+            expected = all(self.slots([row], [v]) == [0] for row in rows for v in vectors)
+            assert linalg._annihilates(rows, vectors) == expected

@@ -1,6 +1,7 @@
 """Trace-pairing Gram machinery, negligibility, quotient dimensions."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -108,6 +109,40 @@ def _stirling2(n: int, k: int) -> int:
     return row[k]
 
 
+def _partitions(k: int, largest: int | None = None):
+    """Every partition of k with parts at most largest, parts decreasing."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def _hook_dimension(lam) -> int:
+    """f^lam, the dimension of the Specht module, by the hook length formula."""
+    conjugate = [sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)]
+    hooks = math.prod(
+        part - j + conjugate[j] - i - 1 for i, part in enumerate(lam) for j in range(part)
+    )
+    return math.factorial(sum(lam)) // hooks
+
+
+def _classical_rank(flavor: str, l, m, n: int) -> int:
+    """dim Hom(V^l, V^m) for O(n), and dim Hom(V^r1 V*^s1, V^r2 V*^s2) for
+    GL(n), from Schur-Weyl duality: the sum of f^lam over lam |- l + m with
+    even parts and at most n rows (V^(l + m) holds S_lam V once per standard
+    tableau, and S_lam V has an O(n)-invariant line exactly for these lam), and
+    the sum of (f^lam)^2 over lam |- k = r1 + s2 with at most n rows."""
+    if flavor == "O":
+        return sum(
+            _hook_dimension(lam) for lam in _partitions(l + m)
+            if len(lam) <= n and all(part % 2 == 0 for part in lam)
+        )
+    k = l[0] + m[1]
+    return sum(_hook_dimension(lam) ** 2 for lam in _partitions(k) if len(lam) <= n)
+
+
 # (flavor, l, m) with Hom(l, m) nonzero, for the table-sharing tests
 PAIRED_SPACES = [
     ("S", 0, 2), ("S", 1, 2), ("S", 1, 3), ("S", 2, 2),
@@ -157,6 +192,45 @@ class TestPairingTableSharing:
             expected = sum(_stirling2(l + m, j) for j in range(n + 1))
             assert gram(l, m, n).rank == expected, (l, m, n)
 
+
+    # O spaces of l + m = 8 (105 diagrams) take about 1.7 s, and GL spaces of
+    # k = 5 (120 diagrams) about 9 s, for n = 1 to 4 on a 2-CPU VM
+    @pytest.mark.parametrize(
+        "flavor, sizes",
+        [
+            pytest.param("O", range(0, 7, 2), id="O-up-to-6"),
+            pytest.param("O", [8], marks=pytest.mark.slow, id="O-8"),
+            pytest.param("GL", range(5), id="GL-up-to-4"),
+            pytest.param("GL", [5], marks=pytest.mark.slow, id="GL-5"),
+        ],
+    )
+    def test_o_and_gl_ranks_are_classical(self, flavor, sizes):
+        # at t = n the Gram rank is the O(n) or GL(n) Hom dimension, for
+        # every space under MAX_GRAM_BASIS
+        spaces = [sp for size in sizes for sp in _gram_spaces(size) if sp[0] == flavor]
+        assert spaces and all(basis_size(*sp) <= MAX_GRAM_BASIS for sp in spaces)
+        for _, l, m in spaces:
+            for n in range(1, 5):
+                assert gram(l, m, n, flavor).rank == _classical_rank(flavor, l, m, n), (l, m, n)
+
+    @pytest.mark.parametrize(
+        "flavor, l, m, t0", [("S", 3, 3, 1), ("O", 4, 4, 0), ("O", 4, 4, 1)]
+    )
+    def test_equal_entries_rank_as_one_by_one(self, monkeypatch, flavor, l, m, t0):
+        # every entry t0^N is 1 at t0 = 1 and 0 at t0 = 0, where each pairing
+        # closes at least one loop: the rank is taken of a 1 x 1 matrix
+        shapes = []
+        lifted_kernel = linalg._lifted_kernel
+
+        def spy(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return lifted_kernel(rows)
+
+        monkeypatch.setattr(linalg, "_lifted_kernel", spy)
+        report = gram(l, m, t0, flavor)
+        assert len({x for row in report.gram for x in row}) == 1
+        assert shapes == [(1, 1)]
+        assert report.rank == (1 if t0 else 0)
 
     @pytest.mark.parametrize("flavor, l, m", PAIRED_SPACES)
     def test_integer_rank_matches_fraction_elimination(self, flavor, l, m):
