@@ -289,7 +289,7 @@ def cmd_quotient_dim(args):
     flavor = args.flavor
     l = _endpoint(args.l, flavor, "-l")
     m = _endpoint(args.m, flavor, "-m")
-    return {"dim": semisimplify.quotient_dim(l, m, args.n, flavor)}
+    return {"dim": semisimplify.quotient_dim(l, m, _nonnegative(args.n, "--n"), flavor)}
 
 
 def cmd_oracle_check(args):
@@ -297,13 +297,13 @@ def cmd_oracle_check(args):
     l = _endpoint(args.l, flavor, "-l")
     m = _endpoint(args.m, flavor, "-m")
     k = _endpoint(args.k, flavor, "-k")
-    return oracle.verify_structure_constants(l, m, k, args.n, flavor)
+    return oracle.verify_structure_constants(l, m, k, _nonnegative(args.n, "--n"), flavor)
 
 
 def cmd_functor_rank(args):
     e = _morphism(args.morphism, "-f")
     X = karoubi.KaroubiObject(e.source, e)
-    return {"rank": oracle.functor_image_rank(X, args.n)}
+    return {"rank": oracle.functor_image_rank(X, _nonnegative(args.n, "--n"))}
 
 
 def cmd_lr(args):
@@ -337,11 +337,12 @@ def cmd_mult_osp(args):
 
 
 def cmd_triple(args):
+    k, l = _nonnegative(args.k, "-k"), _nonnegative(args.l, "-l")
     if args.mode == "encode":
         if args.lam is None:
             raise SchemaError("--lambda: required for encode")
         lam = _partition(_load_payload(args.lam, "--lambda"), "--lambda")
-        tp = symfun.triple_encode(lam, args.k, args.l)
+        tp = symfun.triple_encode(lam, k, l)
         return {
             "alpha": list(tp.alpha),
             "beta": list(tp.beta),
@@ -356,8 +357,8 @@ def cmd_triple(args):
         alpha=_partition(_load_payload(args.alpha, "--alpha"), "--alpha"),
         beta=_partition(_load_payload(args.beta, "--beta"), "--beta"),
         gamma=_partition(_load_payload(args.gamma, "--gamma"), "--gamma"),
-        k=args.k,
-        l=args.l,
+        k=k,
+        l=l,
     )
     return {"lambda": list(symfun.triple_decode(tp))}
 
@@ -384,15 +385,16 @@ def cmd_hc_stable(args):
         )
     else:
         nu = _partition(_load_payload(args.nu, "--nu"), "--nu")
+    check_n = None if args.check_n is None else _nonnegative(args.check_n, "--check-n")
     out = {"multiplicity": symfun.stable_hc_multiplicity(shift, nu, args.flavor)}
-    if args.check_n is not None:
-        lam, mu = symfun.shift_instance(shift, args.check_n)
+    if check_n is not None:
+        lam, mu = symfun.shift_instance(shift, check_n)
         if args.flavor == "gl":
             direct = symfun.gl_mixed_multiplicity(lam, mu, nu[0], nu[1])
         else:
             direct = symfun.osp_multiplicity(lam, mu, nu)
         out["direct_check"] = {
-            "n": args.check_n,
+            "n": check_n,
             "lambda": list(lam),
             "mu": list(mu),
             "multiplicity": direct,

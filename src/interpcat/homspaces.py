@@ -182,25 +182,33 @@ def identity(sig: ObjectSignature) -> Morphism:
     return diagram_morphism(identity_diagram(sig.flavor, sig.data))
 
 
-def compose(f: Morphism, g: Morphism) -> Morphism:
-    """f after g (the second argument acts first).
-
-    Each coefficient is read once through constant_or_self, so two constant
-    coefficients multiply and add as ints and Fractions, and Morphism wraps
-    each sum in a RatFunc once; only a coefficient or a closed component
-    that carries t brings in Q(t) arithmetic."""
-    if g.target != f.source:
-        raise ValueError(f"cannot compose: g targets {g.target}, f expects {f.source}")
-    gs = [(dg, constant_or_self(cg)) for dg, cg in g.terms.items()]
+def _compose_terms(fs, gs) -> dict:
+    """{d: sum of c_f c_g t^N} over the pairs of (diagram, coefficient) lists
+    fs and gs, where (d, N) = compose_diagrams(d_f, d_g): the one loop that
+    composes sparse combinations of diagrams, for compose and for the trace
+    in karoubi._hom_dim.  Constant coefficients multiply and add as ints and
+    Fractions; only a coefficient or a closed component that carries t
+    brings in Q(t) arithmetic."""
     out: dict = {}
-    for df, cf in f.terms.items():
-        cf = constant_or_self(cf)
+    for df, cf in fs:
         for dg, cg in gs:
             d, power = compose_diagrams(df, dg)
             c = cf * cg * t_power(power) if power else cf * cg
             prev = out.get(d)
             out[d] = c if prev is None else prev + c
-    return Morphism(g.source, f.target, out)
+    return out
+
+
+def compose(f: Morphism, g: Morphism) -> Morphism:
+    """f after g (the second argument acts first).
+
+    Each coefficient is read once through constant_or_self, and Morphism
+    wraps each sum of _compose_terms in a RatFunc once."""
+    if g.target != f.source:
+        raise ValueError(f"cannot compose: g targets {g.target}, f expects {f.source}")
+    fs = [(d, constant_or_self(c)) for d, c in f.terms.items()]
+    gs = [(d, constant_or_self(c)) for d, c in g.terms.items()]
+    return Morphism(g.source, f.target, _compose_terms(fs, gs))
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
@@ -333,10 +341,14 @@ def morphism_to_json(f: Morphism, basis: str = "e") -> dict:
     from interpcat.diagrams import diagram_to_json
     from interpcat.ratfunc import format_ratfunc
 
-    terms = [
-        {"diagram": diagram_to_json(d), "coeff": format_ratfunc(c)}
-        for d, c in sorted(f.terms.items(), key=lambda kv: str(kv[0]))
-    ]
+    # a symmetrizer's n! coefficients are all +-c for one c: format each once
+    texts: dict[RatFunc, str] = {}
+    terms = []
+    for d, c in sorted(f.terms.items(), key=lambda kv: str(kv[0])):
+        text = texts.get(c)
+        if text is None:
+            text = texts[c] = format_ratfunc(c)
+        terms.append({"diagram": diagram_to_json(d), "coeff": text})
     out = {
         "source": signature_to_json(f.source),
         "target": signature_to_json(f.target),

@@ -14,16 +14,20 @@ y_lambda is idempotent by construction, so Y_lambda is the one object that
 skips the exact check f o f = f; every other KaroubiObject runs it, and so do
 promote and the idem-check command.
 
-Every multiplicity comes from one exact trace per Hom space:
-[X : L(lambda)] is dim Hom(X, Y_lambda), minus the K-weighted multiplicities
-of the smaller simples, by induction on size.  Hom(X, Y) is the image of the
-idempotent P(d) = e_Y o d o e_X on the diagram space, so its dimension is
-the trace of P: the sum over basis diagrams d of the coefficient of d in
-e_Y o d o e_X.  That sum is a constant of Q(t).  Each idempotent is scaled
-once to clear the denominators of its constant coefficients, the sum runs
-over Z, and one division ends it; no dimension is taken at a sample point,
-so every generic-t answer is exact and independent of any seed.  K
-itself is the case X = Y_lambda, and the generic dimensions of simples
+Every multiplicity comes from one exact trace per Hom space and one
+triangular solve (_multiplicities): [X : L(lambda)] is dim Hom(X, Y_lambda),
+minus K(lambda, mu) [X : L(mu)] over the strictly smaller mu, by induction
+on size.  Hom(X, Y) is the image of the idempotent P(d) = e_Y o d o e_X on
+the diagram space, so its dimension is the trace of P: the sum over basis
+diagrams d of the coefficient of d in e_Y o d o e_X.  Both halves of the
+sandwich go through the homspaces composition kernel: d o e_X once per basis
+diagram d, and e_Y o m once per diagram m of the Hom space that those reach,
+indexed by m within the one Hom space.  The sum is a constant of Q(t).  Each
+idempotent is scaled once to clear the denominators of its constant
+coefficients, the sum runs over Z, and one division ends it; no dimension is
+taken at a sample point, so every generic-t answer is exact and independent
+of any seed.  K has one home, _symmetrizer_decomposition: the same solve with
+X = Y_lambda over the labels below lambda.  The generic dimensions of simples
 follow by the trace accounting
 dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
 """
@@ -38,13 +42,13 @@ from functools import lru_cache
 
 from interpcat.diagrams import (
     DIAGRAM_CLASSES,
-    compose_diagrams,
     partition_diagram,
     walled_diagram,
 )
 from interpcat.homspaces import (
     Morphism,
     ObjectSignature,
+    _compose_terms,
     as_signature,
     compose,
     diagram_morphism,
@@ -53,7 +57,7 @@ from interpcat.homspaces import (
     trace,
 )
 from interpcat.partitions import check_partition, conjugate, sn_irrep_dimension
-from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, constant_or_self, t_power
+from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, constant_or_self
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -379,30 +383,29 @@ def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
     Over a field of characteristic 0 the trace of an idempotent is its rank,
     so dim Hom(X, Y) is the sum over basis diagrams d of the coefficient of d
     in e_Y o d o e_X: an exact constant of Q(t), with no elimination and no
-    sample point.  Each idempotent is first scaled by the lcm n of its
-    constant coefficients' denominators, so the sum runs over Z, and over
-    Q(t) only where a t enters it, from a closed loop or a non-constant
-    coefficient; one division by n_X n_Y ends it.  A sum that
-    is not a multiple q n_X n_Y with q an integer in [0, |basis|] means an
-    idempotent was wrong, and raises ArithmeticError.  Compositions that an
-    earlier Hom space already made are hits of the compose_diagrams memo."""
+    sample point.  Both halves of the sandwich go through the homspaces
+    kernel: R_d = d o e_X once per basis diagram d, and L_m = e_Y o m once
+    per diagram m that some R_d reaches, in a dict local to this Hom space;
+    the trace is the sum over d and m of R_d[m] L_m[d].  Each idempotent is
+    first scaled by the lcm n of its constant coefficients' denominators, so
+    the sum runs over Z, and over Q(t) only where a t enters it, from a
+    closed loop or a non-constant coefficient; one division by n_X n_Y ends
+    it.  A sum that is not a multiple q n_X n_Y with q an integer in
+    [0, |basis|] means an idempotent was wrong, and raises ArithmeticError."""
     basis = hom_basis(X.sig, Y.sig)
     nx, ex = _integral_terms(X.idem)
     ny, ey = _integral_terms(Y.idem)
+    left: dict = {}
     total = 0
     for d in basis:
-        through: dict = {}
-        for dx, cx in ex:
-            dd, power = compose_diagrams(d, dx)
-            through[dd] = through.get(dd, 0) + (cx * t_power(power) if power else cx)
-        for dm, cm in through.items():
+        for m, cm in _compose_terms([(d, 1)], ex).items():
             if not cm:
                 continue
-            for dy, cy in ey:
-                dd, power = compose_diagrams(dy, dm)
-                if dd == d:
-                    c = cy * cm
-                    total += c * t_power(power) if power else c
+            if m not in left:
+                left[m] = _compose_terms(ey, [(m, 1)])
+            c = left[m].get(d)
+            if c:
+                total += cm * c
     total = constant_or_self(total)
     if not isinstance(total, RatFunc):
         q, r = divmod(total, nx * ny)
@@ -413,24 +416,12 @@ def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
     )
 
 
-def _decomposition_matrix(flavor: str, lam: Label, mu: Label) -> int:
-    """K(lam, mu) = multiplicity of L(mu) in Y_lam.
-
-    K is unitriangular: K(lam, lam) = 1 and every other constituent of the
-    symmetrizer object is strictly smaller, so the recursion decreases size.
-    """
-    size_lam, size_mu = _label_size(flavor, lam), _label_size(flavor, mu)
-    if size_mu > size_lam or (size_mu == size_lam and mu != lam):
-        return 0
-    if mu == lam:
-        return 1
-    return _symmetrizer_decomposition(flavor, lam).get(mu, 0)
-
-
 # bounded: one small dict per symmetrizer label
 @lru_cache(maxsize=256)
 def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
-    """Multiplicities of the strictly smaller simples inside Y_lam, exactly.
+    """K(lam, mu) = [Y_lam : L(mu)] for the strictly smaller mu, exactly: the
+    one home of K.  K is unitriangular, K(lam, lam) = 1 and every other
+    constituent of Y_lam is strictly smaller, so the recursion decreases size.
 
     y_lam and every y_mu are Q-combinations of permutation diagrams, and
     composing a permutation diagram with any diagram closes no loop and no
@@ -439,47 +430,28 @@ def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
     clearing the denominators of y_lam and y_mu, with one division and no
     sample point.
     """
-    Y = _symmetrizer_object(flavor, lam)
-    symmetrizers = _symmetrizers(flavor, _labels_below(flavor, lam))
-    return _triangular_multiplicities(Y, flavor, symmetrizers)
+    return _multiplicities(_symmetrizer_object(flavor, lam), _labels_below(flavor, lam))
 
 
-def _symmetrizers(flavor: str, labels: list[Label]) -> dict[Label, KaroubiObject]:
-    """Y_lam for each normalized label, in the given order; each is built
-    once per process (_symmetrizer_object)."""
-    return {lam: _symmetrizer_object(flavor, lam) for lam in labels}
-
-
-def _triangular_multiplicities(
-    X: KaroubiObject, flavor: str, symmetrizers: dict[Label, KaroubiObject]
-) -> dict[Label, int]:
-    """Invert the unitriangular K system over the labels of `symmetrizers`
-    (size order)."""
+def _multiplicities(X: KaroubiObject, labels: list[Label]) -> dict[Label, int]:
+    """[X : L(lam)] for each label, in size order: dim Hom(X, Y_lam) minus
+    K(lam, mu) [X : L(mu)] over the strictly smaller mu, exactly."""
+    flavor = X.sig.flavor
     mult: dict[Label, int] = {}
-    for lam, Y in symmetrizers.items():
-        h = _hom_dim(X, Y)
-        corr = 0
-        for mu in symmetrizers:
-            if mult.get(mu):
-                corr += mult[mu] * _decomposition_matrix(flavor, lam, mu)
-        value = h - corr
+    for lam in labels:
+        value = _hom_dim(X, _symmetrizer_object(flavor, lam))
+        for mu, k in _symmetrizer_decomposition(flavor, lam).items():
+            value -= k * mult[mu]
         if value < 0:
             raise ValueError(f"negative multiplicity of L({lam}): the K system is inconsistent")
         mult[lam] = value
     return mult
 
 
-def _multiplicities_of(X: KaroubiObject) -> dict[Label, int]:
-    """Generic multiplicities of all candidate simples in X, exactly."""
-    flavor = X.sig.flavor
-    symmetrizers = _symmetrizers(flavor, DIAGRAM_CLASSES[flavor]._labels(X.sig.data))
-    return _triangular_multiplicities(X, flavor, symmetrizers)
-
-
 def multiplicity(X: KaroubiObject, lam: Label) -> int:
     """Multiplicity of L(lam) in X at generic t."""
     lam = _normalize_label(X.sig.flavor, lam)
-    return _multiplicities_of(X).get(lam, 0)
+    return decompose(X).get(lam, 0)
 
 
 def _normalize_label(flavor: str, lam) -> Label:
@@ -492,7 +464,8 @@ def decompose(X: KaroubiObject, seed: int = 0) -> dict[Label, int]:
 
     `seed` is accepted for compatibility and has no effect: every Hom
     dimension is an exact trace (see _hom_dim)."""
-    return {lam: m for lam, m in _multiplicities_of(X).items() if m}
+    labels = DIAGRAM_CLASSES[X.sig.flavor]._labels(X.sig.data)
+    return {lam: m for lam, m in _multiplicities(X, labels).items() if m}
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +494,7 @@ def _dim_simple(flavor: str, lam: Label) -> RatFunc:
     if _label_size(flavor, lam) == 0:
         return RF_ONE
     result = trace(_symmetrizer_object(flavor, lam).idem)
-    for mu in _labels_below(flavor, lam):
-        k = _decomposition_matrix(flavor, lam, mu)
+    for mu, k in _symmetrizer_decomposition(flavor, lam).items():
         if k:
             result = result - k * _dim_simple(flavor, mu)
     return result

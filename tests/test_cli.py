@@ -11,6 +11,7 @@ import pytest
 
 from interpcat import cli, karoubi, selftest, semisimplify, symfun
 from interpcat.cli import main
+from interpcat.ratfunc import RF_T
 
 WORKED_P = {"flavor": "S", "top": 3, "bottom": 6, "blocks": [[1, 3, -2], [2, -4, -5], [-1], [-3, -6]]}
 WORKED_Q = {"flavor": "S", "top": 6, "bottom": 2, "blocks": [[1, 3], [2, -2], [4, -1], [5], [6]]}
@@ -275,27 +276,32 @@ ENDO_S1 = {"source": {"flavor": "S", "m": 1}, "target": {"flavor": "S", "m": 1}}
 
 # moments of b = (2,), c = () for char-search
 MOMENTS = json.dumps({"flavor": "gl", "values": {"1": "1", "2": "5", "3": "19"}})
+IDENTITY_S1 = json.dumps(
+    {**ENDO_S1, "terms": [{"coeff": "1", "diagram": {"flavor": "S", "top": 1, "bottom": 1, "blocks": [[1, -1]]}}]}
+)
+HC_ARGS = ["hc-stable", "--a", "[0]", "--b", "[]", "--gamma", "[]", "--delta", "[]", "--nu", "[1]", "--nubar", "[1]"]
 
 
 class TestExitCodes:
     def test_negative_multiplicity_exit_1(self, capsys, monkeypatch):
         # the guard in the K inversion: ranks too small for K are an error
         y = run_json(capsys, "young", "--lambda", "[1]")
-        monkeypatch.setattr(karoubi, "_decomposition_matrix", lambda flavor, lam, mu: 5)
+        k_of = {(1,): {(): 5}}
+        monkeypatch.setattr(karoubi, "_symmetrizer_decomposition", lambda flavor, lam: k_of.get(lam, {}))
         assert main(["decompose", "-f", json.dumps(y)]) == 1
         assert "negative multiplicity of L((1,))" in capsys.readouterr().err
 
     def test_trace_guard_exit_1(self, capsys, monkeypatch):
-        # a loop on every composite puts t into the trace of e_Y o - o e_X,
-        # so _hom_dim's check that the trace is a dimension fails
+        # a loop on every composite of the sandwich puts t into the trace of
+        # e_Y o - o e_X, so _hom_dim's check that the trace is a dimension
+        # fails; compose, and so KaroubiObject's idempotency check, is untouched
         y = run_json(capsys, "young", "--lambda", "[1]")
-        compose_diagrams = karoubi.compose_diagrams
+        compose_terms = karoubi._compose_terms
 
-        def with_a_loop(d, e):
-            out, power = compose_diagrams(d, e)
-            return out, power + 1
+        def with_a_loop(fs, gs):
+            return {d: c * RF_T for d, c in compose_terms(fs, gs).items()}
 
-        monkeypatch.setattr(karoubi, "compose_diagrams", with_a_loop)
+        monkeypatch.setattr(karoubi, "_compose_terms", with_a_loop)
         assert main(["decompose", "-f", json.dumps(y)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the trace ") and "Traceback" not in err
@@ -313,10 +319,21 @@ class TestExitCodes:
             ("-r", ["char-search", "--moments", MOMENTS, "-r", "-1", "-s", "0"]),
             ("-s", ["char-search", "--moments", MOMENTS, "-r", "1", "-s", "-1"]),
             ("-B", ["char-search", "--moments", MOMENTS, "-r", "1", "-s", "0", "-B", "-2"]),
+            ("--n", ["quotient-dim", "-l", "2", "-m", "2", "--n", "-1"]),
+            ("--n", ["oracle-check", "-l", "1", "-m", "1", "-k", "1", "--n", "-1"]),
+            ("--n", ["functor-rank", "-f", IDENTITY_S1, "--n", "-1"]),
+            ("--check-n", HC_ARGS + ["--check-n", "-5"]),
+            ("-k", ["triple", "--mode", "encode", "--lambda", "[5,4,2,1]", "-k", "-1", "-l", "1"]),
+            ("-l", ["triple", "--mode", "encode", "--lambda", "[5,4,2,1]", "-k", "1", "-l", "-1"]),
+            ("-k", ["triple", "--mode", "decode", "--alpha", "[4]", "--beta", "[3]", "--gamma", "[3,1]",
+                    "-k", "-1", "-l", "1"]),
+            ("-l", ["triple", "--mode", "decode", "--alpha", "[4]", "--beta", "[3]", "--gamma", "[3,1]",
+                    "-k", "1", "-l", "-1"]),
         ],
     )
     def test_negative_count_exit_2(self, capsys, field, argv):
-        # -K -3 printed no moments and -B -2 searched an empty box, both with exit 0
+        # -K -3 printed no moments and -B -2 searched an empty box, both with
+        # exit 0; the --n, --check-n, -k and -l cases failed deeper, with exit 1
         assert main(argv) == 2
         assert capsys.readouterr().err == f"schema error: {field}: expected a nonnegative integer\n"
 

@@ -243,9 +243,10 @@ class TestDecompositionMatrixByCharacters:
 
     @pytest.mark.parametrize("flavor,size", [("S", 3), ("O", 4), ("GL", 4)])
     def test_gram_of_k_matches_characters(self, flavor, size):
+        # K(lam, lam) = 1, and K(lam, nu) = 0 unless nu is lam or smaller
         labels = _labels_up_to(flavor, size)
         K = {
-            (lam, nu): karoubi._decomposition_matrix(flavor, lam, nu)
+            (lam, nu): 1 if nu == lam else karoubi._symmetrizer_decomposition(flavor, lam).get(nu, 0)
             for lam in labels
             for nu in labels
         }

@@ -1,12 +1,15 @@
 """Idempotents, promotion, multiplicities, generic dimensions of simples."""
 
+import ast
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from interpcat import diagrams, karoubi
+import interpcat
+from interpcat import diagrams, homspaces, karoubi
 from interpcat.cli import main
 from interpcat.diagrams import DIAGRAM_CLASSES, compose_diagrams, partition_diagram, walled_diagram
 from interpcat.homspaces import (
@@ -389,7 +392,7 @@ class TestExactHomRank:
         for X in (symmetrizer_object((2, 1)), object_of_identity(sig_o(2))):
             flavor = X.sig.flavor
             labels = DIAGRAM_CLASSES[flavor]._labels(X.sig.data)
-            cases.append((X, karoubi._symmetrizers(flavor, labels)))
+            cases.append((X, {lam: symmetrizer_object(lam, flavor) for lam in labels}))
 
         forbid_q_t_arithmetic(monkeypatch)
         ranks = [{lam: _hom_dim(X, Y) for lam, Y in ys.items()} for X, ys in cases]
@@ -410,7 +413,8 @@ class TestExactHomRank:
         # summed over Z and divided once; the Y_lam are memoized, so they are
         # built before Fraction is forbidden
         for f, lam in K_CASES:
-            karoubi._symmetrizers(f, [lam] + karoubi._labels_below(f, lam))
+            for mu in [lam] + karoubi._labels_below(f, lam):
+                symmetrizer_object(mu, f)
 
         def fraction_arithmetic(*args):
             raise AssertionError("Fraction arithmetic in the trace loop")
@@ -425,14 +429,15 @@ class TestExactHomRank:
         # some sandwiches close loops, so those ranks are taken over Q(t)
         e = diagram_morphism(partition_diagram(2, 2, [(1, 2, -1), (-2,)]))
         assert is_idempotent(e) and trace(e) == t
+        X = KaroubiObject(sig_s(2), e)
         powers = []
 
         def recorded(k):
             powers.append(k)
             return t_power(k)
 
-        monkeypatch.setattr(karoubi, "t_power", recorded)
-        X = KaroubiObject(sig_s(2), e)
+        # the sandwiches go through the homspaces composition kernel
+        monkeypatch.setattr(homspaces, "t_power", recorded)
         found = decompose(X)
         assert found == {(): 1, (1,): 1}
         assert any(powers)
@@ -460,6 +465,52 @@ class TestExactHomRank:
         }
         assert first and len(runs) == first
         assert len(runs) == len(set(runs))
+
+    def test_each_sandwich_half_is_composed_once(self, monkeypatch):
+        # L = e_Y o m is built once per diagram m of the Hom space, however
+        # many basis diagrams d reach m through d o e_X: every half of the
+        # (2) -> (2, 1) sandwich meets compose_diagrams once, memo hits included
+        X, Y = symmetrizer_object((2,)), symmetrizer_object((2, 1))
+        calls = []
+
+        def spy(p, q):
+            calls.append((p, q))
+            return compose_diagrams(p, q)
+
+        for module in (homspaces, karoubi):
+            monkeypatch.setattr(module, "compose_diagrams", spy, raising=False)
+        assert _hom_dim(X, Y) == 10
+        left = [(p, q) for p, q in calls if p in Y.idem.terms]
+        assert len(left) > len(Y.idem.terms) and len(left) % len(Y.idem.terms) == 0
+        assert len(calls) == len(set(calls))
+
+
+class TestOneCompositionKernel:
+    """Sparse combinations of diagrams are composed by one loop,
+    homspaces._compose_terms, for compose and for the _hom_dim sandwich."""
+
+    def test_one_home(self):
+        assert karoubi._compose_terms is homspaces._compose_terms
+        callers = set()
+        for path in sorted(pathlib.Path(interpcat.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        name = getattr(node, "id", None) or getattr(node, "attr", None)
+                        if name == "compose_diagrams":
+                            callers.add((path.stem, fn.name))
+        # besides the kernel: the CLI composes two diagrams, and the oracle and
+        # selftest check the diagram law itself, one pair of diagrams at a time
+        assert callers == {
+            ("homspaces", "_compose_terms"),
+            ("cli", "cmd_compose"),
+            ("oracle", "verify_structure_constants"),
+            ("selftest", "check_composition_associativity"),
+        }
+        # karoubi does not even import it
+        tree = ast.parse(pathlib.Path(karoubi.__file__).read_text())
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        assert "_compose_terms" in imported and "compose_diagrams" not in imported
 
 
 class TestTraceAgainstElimination:
