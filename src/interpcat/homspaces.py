@@ -7,6 +7,10 @@ loop (GL, O) count.  The S flavor carries two bases: the relaxed-pattern
 basis e_P the composition law lives in, and the strict-orbit basis delta_P
 related to it by the refinement-order zeta/Moebius matrix.
 
+compose, trace and karoubi._hom_dim clear a morphism's constant denominators
+once (_integral_terms) and add and multiply ints; a Fraction appears only at
+the one final division.
+
 Sp_t is exposed as an alias at the trace level: sp_trace / sp_dimension
 return the O-flavor value with t replaced by -t, through the equivalence
 Rep(O_t) ~ Rep(Sp_{-t}); the sign-twisted braiding itself is not modeled.
@@ -14,7 +18,9 @@ Rep(O_t) ~ Rep(Sp_{-t}); the sign-twisted braiding itself is not modeled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from interpcat.diagrams import (
     DIAGRAM_CLASSES,
@@ -30,7 +36,7 @@ from interpcat.diagrams import (
     walled_diagram,
 )
 from interpcat.partitions import is_int
-from interpcat.ratfunc import RF_ONE, RatFunc, constant_or_self, t_power
+from interpcat.ratfunc import RF_ONE, Poly, RatFunc, constant_or_self, t_power
 
 FLAVORS = ("S", "GL", "O")
 
@@ -46,7 +52,7 @@ class ObjectSignature:
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         shape = type(self.data) is tuple and len(self.data) == DIAGRAM_CLASSES[self.flavor]._colors
-        # plain ints skip the is_int call: every morphism term builds two signatures
+        # plain ints skip the is_int call: diagram_morphism builds two signatures
         if not (shape and all((type(x) is int or is_int(x)) and x >= 0 for x in self.data)):
             raise ValueError(f"bad signature data {self.data!r} for flavor {self.flavor}")
 
@@ -89,14 +95,6 @@ def as_signature(x, flavor: str) -> ObjectSignature:
     return ObjectSignature(flavor, _as_data(x))
 
 
-def diagram_source(d: Diagram) -> ObjectSignature:
-    return ObjectSignature(d.flavor, d._signature()[0])
-
-
-def diagram_target(d: Diagram) -> ObjectSignature:
-    return ObjectSignature(d.flavor, d._signature()[1])
-
-
 def hom_basis(source: ObjectSignature, target: ObjectSignature) -> list[Diagram]:
     """Diagram basis of Hom(source, target); [] when the space is zero."""
     if source.flavor != target.flavor:
@@ -112,12 +110,13 @@ class Morphism:
     def __init__(self, source: ObjectSignature, target: ObjectSignature, terms=None):
         self.source = source
         self.target = target
+        fit = (source.flavor, target.flavor, (source.data, target.data))
         clean: dict[Diagram, RatFunc] = {}
         for d, c in (terms or {}).items():
             c = c if isinstance(c, RatFunc) else RatFunc(c)
             if c.is_zero():
                 continue
-            if diagram_source(d) != source or diagram_target(d) != target:
+            if (d.flavor, d.flavor, d._signature()) != fit:
                 raise ValueError(f"diagram {d} does not fit {source} -> {target}")
             clean[d] = c
         self.terms = clean
@@ -175,20 +174,33 @@ def zero_morphism(source: ObjectSignature, target: ObjectSignature) -> Morphism:
 
 
 def diagram_morphism(d: Diagram, coeff=1) -> Morphism:
-    return Morphism(diagram_source(d), diagram_target(d), {d: RatFunc(coeff)})
+    source, target = (ObjectSignature(d.flavor, data) for data in d._signature())
+    return Morphism(source, target, {d: RatFunc(coeff)})
 
 
 def identity(sig: ObjectSignature) -> Morphism:
     return diagram_morphism(identity_diagram(sig.flavor, sig.data))
 
 
+def _integral_terms(f: Morphism) -> tuple[int, list]:
+    """(n, [(d, n c_d)]), the one clearing of a morphism's denominators: n is
+    the lcm of the denominators of the constant c_d, so each constant n c_d
+    is an int; a coefficient that carries t stays a RatFunc, times n."""
+    terms = [(d, constant_or_self(c)) for d, c in f.terms.items()]
+    n = math.lcm(*(c.denominator for _, c in terms if not isinstance(c, RatFunc)))
+    return n, [
+        (d, c * n if isinstance(c, RatFunc) else c.numerator * (n // c.denominator))
+        for d, c in terms
+    ]
+
+
 def _compose_terms(fs, gs) -> dict:
     """{d: sum of c_f c_g t^N} over the pairs of (diagram, coefficient) lists
     fs and gs, where (d, N) = compose_diagrams(d_f, d_g): the one loop that
     composes sparse combinations of diagrams, for compose and for the trace
-    in karoubi._hom_dim.  Constant coefficients multiply and add as ints and
-    Fractions; only a coefficient or a closed component that carries t
-    brings in Q(t) arithmetic."""
+    in karoubi._hom_dim.  Both clear denominators first (_integral_terms),
+    so constant coefficients multiply and add as ints; only a coefficient or
+    a closed component that carries t brings in Q(t) arithmetic."""
     out: dict = {}
     for df, cf in fs:
         for dg, cg in gs:
@@ -202,13 +214,18 @@ def _compose_terms(fs, gs) -> dict:
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """f after g (the second argument acts first).
 
-    Each coefficient is read once through constant_or_self, and Morphism
-    wraps each sum of _compose_terms in a RatFunc once."""
+    f and g are cleared once each (_integral_terms), the kernel runs over
+    the ints, and each output coefficient is divided once by n_f n_g: a
+    constant becomes one Fraction, and one that carries t stays a RatFunc."""
     if g.target != f.source:
         raise ValueError(f"cannot compose: g targets {g.target}, f expects {f.source}")
-    fs = [(d, constant_or_self(c)) for d, c in f.terms.items()]
-    gs = [(d, constant_or_self(c)) for d, c in g.terms.items()]
-    return Morphism(g.source, f.target, _compose_terms(fs, gs))
+    (nf, fs), (ng, gs) = _integral_terms(f), _integral_terms(g)
+    n = nf * ng
+    out = {
+        d: c / n if isinstance(c, RatFunc) else Fraction(c, n)
+        for d, c in _compose_terms(fs, gs).items()
+    }
+    return Morphism(g.source, f.target, out)
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
@@ -225,13 +242,22 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
 
 
 def trace(f: Morphism) -> RatFunc:
-    """Graphical trace: sum of coeff * t^(closure components) over terms."""
+    """Graphical trace: sum of coeff * t^(closure components) over terms.
+    Cleared once (_integral_terms), the constant terms add as ints, one per
+    power of t, the rest in Q(t), and one division by n ends the sum."""
     if f.source != f.target:
         raise ValueError("trace needs an endomorphism")
-    total = RatFunc(0)
-    for d, c in f.terms.items():
-        total = total + c * t_power(closure_components(d))
-    return total
+    n, terms = _integral_terms(f)
+    coeffs: list[int] = []
+    rest = RatFunc(0)
+    for d, c in terms:
+        k = closure_components(d)
+        if isinstance(c, RatFunc):
+            rest = rest + c * t_power(k)
+        else:
+            coeffs += [0] * (k + 1 - len(coeffs))
+            coeffs[k] += c
+    return (RatFunc(Poly(coeffs)) + rest) / n
 
 
 def dimension(sig: ObjectSignature) -> RatFunc:

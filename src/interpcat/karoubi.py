@@ -24,11 +24,12 @@ sandwich go through the homspaces composition kernel: d o e_X once per basis
 diagram d, and e_Y o m once per diagram m of the Hom space that those reach,
 indexed by m within the one Hom space.  The sum is a constant of Q(t).  Each
 idempotent is scaled once to clear the denominators of its constant
-coefficients, the sum runs over Z, and one division ends it; no dimension is
-taken at a sample point, so every generic-t answer is exact and independent
-of any seed.  K has one home, _symmetrizer_decomposition: the same solve with
-X = Y_lambda over the labels below lambda.  The generic dimensions of simples
-follow by the trace accounting
+coefficients (homspaces._integral_terms, as in compose and trace), the sum
+runs over Z, and one division ends it; no dimension is taken at a sample
+point, so every generic-t answer is exact and independent of any seed.  K
+has one home, _symmetrizer_decomposition: the same solve with X = Y_lambda
+over the labels below lambda.  The generic dimensions of simples follow by
+the trace accounting
 dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
 """
 
@@ -49,6 +50,7 @@ from interpcat.homspaces import (
     Morphism,
     ObjectSignature,
     _compose_terms,
+    _integral_terms,
     as_signature,
     compose,
     diagram_morphism,
@@ -364,18 +366,6 @@ def _symmetrizer_object(flavor: str, lam: Label) -> KaroubiObject:
 # generic multiplicities
 
 
-def _integral_terms(idem: Morphism) -> tuple[int, list]:
-    """(n, [(d, n c_d)]): n is the lcm of the denominators of the constant
-    coefficients c_d, so every constant n c_d is an int; a coefficient that
-    carries t stays a RatFunc, multiplied by n."""
-    terms = [(d, constant_or_self(c)) for d, c in idem.terms.items()]
-    n = math.lcm(*(c.denominator for _, c in terms if not isinstance(c, RatFunc)))
-    return n, [
-        (d, c * n if isinstance(c, RatFunc) else c.numerator * (n // c.denominator))
-        for d, c in terms
-    ]
-
-
 def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
     """dim Hom(X, Y) at generic t: the trace of the idempotent
     P(d) = e_Y o d o e_X on the diagram space Hom(x, y).
@@ -387,11 +377,12 @@ def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
     kernel: R_d = d o e_X once per basis diagram d, and L_m = e_Y o m once
     per diagram m that some R_d reaches, in a dict local to this Hom space;
     the trace is the sum over d and m of R_d[m] L_m[d].  Each idempotent is
-    first scaled by the lcm n of its constant coefficients' denominators, so
-    the sum runs over Z, and over Q(t) only where a t enters it, from a
-    closed loop or a non-constant coefficient; one division by n_X n_Y ends
-    it.  A sum that is not a multiple q n_X n_Y with q an integer in
-    [0, |basis|] means an idempotent was wrong, and raises ArithmeticError."""
+    first scaled by the lcm n of its constant coefficients' denominators
+    (homspaces._integral_terms), so the sum runs over Z, and over Q(t) only
+    where a t enters it, from a closed loop or a non-constant coefficient;
+    one division by n_X n_Y ends it.  A sum that is not a multiple q n_X n_Y
+    with q an integer in [0, |basis|] means an idempotent was wrong, and
+    raises ArithmeticError."""
     basis = hom_basis(X.sig, Y.sig)
     nx, ex = _integral_terms(X.idem)
     ny, ey = _integral_terms(Y.idem)

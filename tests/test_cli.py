@@ -480,6 +480,33 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"{terms} terms > MAX_SYMMETRIZER_TERMS = {limit}" in err
 
+    def test_dimension_budget_exit_1(self, capsys):
+        # --m 1000000 built a dense polynomial of 10^6 coefficients in 1.5 s
+        limit = cli.MAX_DIMENSION_DEGREE
+        assert limit == 10_000
+        at = {
+            "S": ["--m", str(limit)],
+            "O": ["--m", str(limit)],
+            "Sp": ["--m", str(limit)],
+            "GL": ["--r", str(limit - 1), "--s", "1"],
+        }
+        for flavor, argv in at.items():
+            # the limit is even, so Sp's (-t)^m is t^m as well
+            got = run_json(capsys, "dim", "--flavor", flavor, *argv)
+            assert got == {"dimension": f"(t^{limit})/(1)"}
+        over = {
+            "S": ["--m", str(limit + 1)],
+            "O": ["--m", str(limit + 1)],
+            "Sp": ["--m", str(limit + 1)],
+            "GL": ["--r", str(limit // 2), "--s", str(limit // 2 + 1)],
+        }
+        for flavor, argv in over.items():
+            start = time.perf_counter()
+            assert main(["dim", "--flavor", flavor, *argv]) == 1
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert err == f"error: dimension budget exceeded: degree {limit + 1} > MAX_DIMENSION_DEGREE = {limit}\n"
+
     def test_empty_block_exit_2(self, capsys):
         # an empty block crashed with an IndexError while the blocks were sorted
         empty = '{"flavor":"S","top":1,"bottom":1,"blocks":[[1,-1],[]]}'

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,8 @@ from interpcat.diagrams import (
     PartitionDiagram,
     WalledDiagram,
     brauer_diagram,
+    closure_components,
+    compose_diagrams,
     enumerate_basis,
     identity_diagram,
     partition_diagram,
@@ -41,7 +44,8 @@ from interpcat.homspaces import (
     trace,
     zero_morphism,
 )
-from interpcat.ratfunc import RF_ONE, RF_T, RatFunc, t_power
+from interpcat.karoubi import bipartition_symmetrizer, promote, young_symmetrizer
+from interpcat.ratfunc import RF_ONE, RF_T, Poly, RatFunc, t_power
 from interpcat.selftest import random_morphism
 
 t = RF_T
@@ -402,3 +406,125 @@ class TestHomBasis:
     def test_term_validation(self):
         with pytest.raises(ValueError):
             Morphism(sig_s(2), sig_s(2), {PI: RF_ONE})
+
+    @pytest.mark.parametrize(
+        "sig, d",
+        [
+            (sig_s(1), brauer_diagram(1, 1, [(1, -1)])),
+            (sig_o(2), identity_diagram("S", (2,))),
+            (sig_gl(0, 1), identity_diagram("GL", (1, 0))),
+            (sig_gl(1, 2), identity_diagram("GL", (2, 1))),
+        ],
+        ids=["O-in-S", "S-in-O", "GL-colors-swapped", "GL-colors-swapped-2"],
+    )
+    def test_diagram_of_another_flavor_or_colors_does_not_fit(self, sig, d):
+        # the same data, but another flavor or the colors swapped
+        assert sum(d._signature()[0]) == sig.size
+        with pytest.raises(ValueError, match="does not fit"):
+            Morphism(sig, sig, {d: RF_ONE})
+
+    def test_source_and_target_are_checked_apart(self):
+        d = partition_diagram(1, 2, [(1, -1), (-2,)])
+        Morphism(sig_s(1), sig_s(2), {d: RF_ONE})
+        for source, target in ((sig_s(2), sig_s(2)), (sig_s(1), sig_s(1)), (sig_s(2), sig_s(1))):
+            with pytest.raises(ValueError, match="does not fit"):
+                Morphism(source, target, {d: RF_ONE})
+
+
+# ---------------------------------------------------------------------------
+# compose and trace against term-by-term Q(t) arithmetic
+
+
+def reference_compose(f, g):
+    """f after g with every product and sum taken in Q(t), term by term."""
+    out = {}
+    for df, cf in f.terms.items():
+        for dg, cg in g.terms.items():
+            d, power = compose_diagrams(df, dg)
+            out[d] = out.get(d, RatFunc(0)) + cf * cg * t_power(power)
+    return Morphism(g.source, f.target, out)
+
+
+def reference_trace(f):
+    total = RatFunc(0)
+    for d, c in f.terms.items():
+        total = total + c * t_power(closure_components(d))
+    return total
+
+
+def exact_terms(f):
+    # repr tells an int coefficient from an integral Fraction
+    return [(d, repr(c)) for d, c in f.terms.items()]
+
+
+def random_coefficient(rng, kind):
+    if kind == "int":
+        return rng.randint(-4, 4)
+    if kind == "fraction" or rng.random() < 0.5:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+    # (a + b t) / (c + t), c >= 1, as in the benchmark's random morphisms
+    a, b = rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])
+    return RatFunc(Poly((a, b)), Poly((rng.randint(1, 3), 1)))
+
+
+def random_mixed_morphism(rng, source, target):
+    """Up to 4 terms, all ints, all Fractions, or Fractions mixed with
+    coefficients that carry t; no terms is the zero morphism."""
+    basis = hom_basis(source, target)
+    kind = rng.choice(("int", "fraction", "mixed"))
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        d = rng.choice(basis)
+        terms[d] = terms.get(d, RatFunc(0)) + random_coefficient(rng, kind)
+    return Morphism(source, target, terms)
+
+
+# signatures whose pairwise Hom spaces are all nonzero
+CONNECTED_SIGNATURES = {
+    "S": [[sig_s(m) for m in range(3)]],
+    "O": [[sig_o(0), sig_o(2)], [sig_o(1), sig_o(3)]],
+    "GL": [[sig_gl(k, k) for k in range(3)], [sig_gl(1, 0), sig_gl(2, 1)], [sig_gl(0, 1), sig_gl(1, 2)]],
+}
+
+
+class TestClearedArithmetic:
+    """compose and trace clear each morphism's constant denominators once
+    and divide once; they give the same coefficients, to the type of each
+    Poly coefficient, as term-by-term Q(t) arithmetic."""
+
+    def assert_compose_and_trace(self, f, g):
+        got, ref = compose(f, g), reference_compose(f, g)
+        assert exact_terms(got) == exact_terms(ref)
+        if got.source == got.target:
+            assert repr(trace(got)) == repr(reference_trace(ref))
+
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_random_mixed_coefficients(self, flavor):
+        rng = random.Random(f"cleared {flavor}")
+        for _ in range(60):
+            sigs = rng.choice(CONNECTED_SIGNATURES[flavor])
+            x, y, z = (rng.choice(sigs) for _ in range(3))
+            f, g = random_mixed_morphism(rng, y, z), random_mixed_morphism(rng, x, y)
+            self.assert_compose_and_trace(f, g)
+            if y == z:
+                assert repr(trace(f)) == repr(reference_trace(f))
+
+    def test_idempotents_zero_and_integral_morphisms(self):
+        std = identity(sig_s(1)) - diagram_morphism(PI) / t
+        idempotents = [
+            young_symmetrizer((2, 1)),
+            young_symmetrizer((1, 1), "O"),
+            bipartition_symmetrizer(((1,), (1,))),
+            std,
+            promote(std),
+            # the promoted GL idempotents carry 1/t
+            promote(bipartition_symmetrizer(((1,), ()))),
+            promote(bipartition_symmetrizer(((1,), (1,)))),
+        ]
+        for e in idempotents:
+            sig = e.source
+            scaled = e * RatFunc(Fraction(-7, 6))
+            for g in (e, scaled, identity(sig), identity(sig) * 3, zero_morphism(sig, sig)):
+                self.assert_compose_and_trace(e, g)
+                self.assert_compose_and_trace(g, e)
+            assert repr(trace(e)) == repr(reference_trace(e))

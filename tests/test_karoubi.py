@@ -491,10 +491,13 @@ class TestOneCompositionKernel:
 
     def test_one_home(self):
         assert karoubi._compose_terms is homspaces._compose_terms
-        callers = set()
+        assert karoubi._integral_terms is homspaces._integral_terms
+        callers, clearers = set(), set()
         for path in sorted(pathlib.Path(interpcat.__file__).parent.glob("*.py")):
             for fn in ast.walk(ast.parse(path.read_text())):
                 if isinstance(fn, ast.FunctionDef):
+                    if fn.name == "_integral_terms":
+                        clearers.add(path.stem)
                     for node in ast.walk(fn):
                         name = getattr(node, "id", None) or getattr(node, "attr", None)
                         if name == "compose_diagrams":
@@ -507,7 +510,9 @@ class TestOneCompositionKernel:
             ("oracle", "verify_structure_constants"),
             ("selftest", "check_composition_associativity"),
         }
-        # karoubi does not even import it
+        # one routine clears a morphism's constant denominators
+        assert clearers == {"homspaces"}
+        # karoubi does not even import compose_diagrams
         tree = ast.parse(pathlib.Path(karoubi.__file__).read_text())
         imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
         assert "_compose_terms" in imported and "compose_diagrams" not in imported
@@ -763,6 +768,50 @@ class TestTrustedSymmetrizers:
             promote(twice)
         assert main(["idem-check", "-f", json.dumps(morphism_to_json(twice))]) == 0
         assert json.loads(capsys.readouterr().out) == {"idempotent": False}
+
+
+class TestIntegerArithmetic:
+    """compose and trace clear the denominators +-f^lam/n! of a y_lam once
+    (homspaces._integral_terms): its idempotency check composes over the
+    ints, and its trace takes no Q(t) product."""
+
+    @staticmethod
+    def symmetrizers():
+        # the trusted y_lam of S and O up to size 4 and of GL up to total size 4
+        return [
+            karoubi._symmetrizer_object(flavor, lam).idem
+            for flavor, lam in TRUSTED_LABELS
+            if (sum(map(sum, lam)) if flavor == "GL" else sum(lam)) <= 4
+        ]
+
+    def test_idempotency_checks_compose_over_the_ints(self, monkeypatch):
+        kernel, seen = homspaces._compose_terms, set()
+
+        def spy(fs, gs):
+            seen.update(type(c) for _, c in fs + gs)
+            return kernel(fs, gs)
+
+        ys = self.symmetrizers()
+        assert len(ys) == 24 + 38
+        monkeypatch.setattr(homspaces, "_compose_terms", spy)
+        assert all(is_idempotent(y) for y in ys)
+        assert seen == {int}
+
+    def test_traces_take_no_q_t_product(self, monkeypatch):
+        ys = self.symmetrizers()
+        expected = []
+        for y in ys:
+            total = RatFunc(0)
+            for d, c in y.terms.items():
+                total = total + c * t_power(diagrams.closure_components(d))
+            expected.append(total)
+
+        def product(self, other):
+            raise AssertionError("RatFunc product in the trace of a y_lam")
+
+        monkeypatch.setattr(RatFunc, "__mul__", product)
+        monkeypatch.setattr(RatFunc, "__rmul__", product)
+        assert [trace(y) for y in ys] == expected
 
 
 class TestSymmetrizerMemo:

@@ -489,12 +489,32 @@ class TestConstantOrSelf:
         # karoubi and homspaces use the ratfunc helper, and no module but
         # ratfunc reads the parts of a RatFunc that a second copy would read
         assert karoubi.constant_or_self is homspaces.constant_or_self is ratfunc.constant_or_self
-        readers = set()
+        assert karoubi._integral_terms is homspaces._integral_terms
+        readers, clearers = set(), set()
         for path in sorted(pathlib.Path(interpcat.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
             if path.name != "ratfunc.py":
-                for node in ast.walk(ast.parse(path.read_text())):
+                for node in ast.walk(tree):
                     if isinstance(node, ast.Attribute) and node.attr in ("num", "den", "coeffs"):
                         readers.add(path.stem)
                     if isinstance(node, ast.FunctionDef) and node.name in ("_scalar", "constant_or_self"):
                         readers.add(path.stem)
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        if (
+                            isinstance(node, ast.Call)
+                            and getattr(node.func, "attr", None) == "lcm"
+                            and any(getattr(n, "attr", None) == "denominator" for n in ast.walk(node))
+                        ):
+                            clearers.add((path.stem, fn.name))
         assert not readers
+        # math.lcm of denominators: a morphism's constant coefficients only in
+        # homspaces._integral_terms; besides it, the oracle clears the values
+        # of the coefficients at an integer t, where a coefficient such as 1/t
+        # still has a denominator, and RatFunc.__str__ scales its display
+        assert clearers == {
+            ("homspaces", "_integral_terms"),
+            ("oracle", "morphism_matrix"),
+            ("ratfunc", "__str__"),
+        }
