@@ -23,12 +23,14 @@ keyed by a flavor string look the class up in DIAGRAM_CLASSES.
 Every other kernel is written once, on Diagram.  _tensor and _braiding merge
 two rows color by color (_merge_rows).  _compose and _closure run on one
 union-find (_components): a matching is a set partition whose blocks have
-size 2, with the same composition law.  _compose and _identity build through
+size 2, with the same composition law.  _compose and _permutation (behind
+_identity, _braiding and every Young symmetrizer term) build through
 _trusted, which neither sorts nor validates: the union-find emits the blocks
 in canonical order (sources ascending before targets, each block keyed by its
 least endpoint), and the composite of two valid diagrams covers its
-endpoints once and keeps the walled color rules.  Every other entry point
-(the validated constructors, _build, JSON) validates.
+endpoints once and keeps the walled color rules, as do the pairs (i, -s(i))
+of a permutation s that keeps each color.  Outside input goes through the
+validated constructors, _build or JSON.
 
 pairing_table runs the same union-find over the closed picture of f glued
 to g, and counts its components, the exponent of t in Tr(f o g), without
@@ -188,8 +190,14 @@ class Diagram:
         return cls(source[0], target[0], tuple(map(tuple, blocks)))
 
     @classmethod
+    def _permutation(cls, data: tuple[int, ...], images: Sequence[int]) -> Diagram:
+        """The permutation diagram on data joining +i to -images[i - 1], for
+        images that keep each color's endpoints among themselves: unchecked."""
+        return cls._trusted(data, data, [(i, -j) for i, j in enumerate(images, 1)])
+
+    @classmethod
     def _identity(cls, data: tuple[int, ...]) -> Diagram:
-        return cls._trusted(data, data, [(i, -i) for i in range(1, sum(data) + 1)])
+        return cls._permutation(data, range(1, sum(data) + 1))
 
     @classmethod
     def _braiding(cls, a: tuple[int, ...], b: tuple[int, ...]) -> Diagram:
@@ -197,8 +205,8 @@ class Diagram:
         endpoint joins its places in the rows A (x) B and B (x) A."""
         data, a_source, b_source = _merge_rows(a, b)
         _, b_target, a_target = _merge_rows(b, a)
-        pairs = [(x, -y) for x, y in zip(a_source + b_source, a_target + b_target)]
-        return cls._build(data, data, pairs)
+        images = [y for _, y in sorted(zip(a_source + b_source, a_target + b_target))]
+        return cls._permutation(data, images)
 
     @classmethod
     def _from_json(cls, obj: dict, blocks: list) -> Diagram:

@@ -7,7 +7,9 @@ decomposition matrix K(lambda, mu) = [Y_lambda : L(mu)] is unitriangular with
 respect to size.  One routine builds y_lambda for every flavor: the tensor
 product of the normalized Young symmetrizers of the label's parts (lambda
 itself for S and O; the black and then the white partition for GL), each
-part's permutations on its own block of strands.
+part's permutations on its own block of strands.  Such a permutation keeps
+each color, so every term is built unchecked by Diagram._permutation, and
+all terms share the two coefficients +-norm.
 
 Each Y_lambda is built once per process and shared (symmetrizer_object).
 y_lambda is idempotent by construction, so Y_lambda is the one object that
@@ -83,31 +85,15 @@ def _row_fill(lam: Partition) -> list[list[int]]:
 
 
 def _subgroup_perms(n: int, cells: list[list[int]]):
-    """All permutations of 1..n stabilizing each cell set, as n-tuples."""
-    perms_per_cell = [list(itertools.permutations(cell)) for cell in cells]
-    for choice in itertools.product(*perms_per_cell):
-        sigma = list(range(1, n + 1))
+    """All permutations of 1..n stabilizing each ascending cell set, as
+    (n-tuple, sign) pairs: the sign is the parity of each cell's inversions."""
+    for choice in itertools.product(*map(itertools.permutations, cells)):
+        sigma, inversions = list(range(1, n + 1)), 0
         for cell, image in zip(cells, choice):
             for src, dst in zip(cell, image):
                 sigma[src - 1] = dst
-        yield tuple(sigma)
-
-
-def _perm_sign(sigma: tuple[int, ...]) -> int:
-    seen = [False] * len(sigma)
-    sign = 1
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+            inversions += sum(a > b for a, b in itertools.combinations(image, 2))
+        yield tuple(sigma), (-1) ** inversions
 
 
 def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -129,31 +115,33 @@ def _symmetrizer_terms(lam: Partition) -> list[tuple[tuple[int, ...], int]]:
     rows = _row_fill(lam)
     cols = [[rows[i][j] for i in range(len(lam)) if lam[i] > j] for j in range(lam[0] if lam else 0)]
     out = []
-    for p in _subgroup_perms(n, rows):
-        for q in _subgroup_perms(n, cols):
-            out.append((_perm_mul(p, q), _perm_sign(q)))
+    for p, _ in _subgroup_perms(n, rows):
+        for q, sign in _subgroup_perms(n, cols):
+            out.append((_perm_mul(p, q), sign))
     return out
 
 
 def _symmetrizer(flavor: str, lam) -> Morphism:
     """y_lam as the tensor product of the parts' Young symmetrizers, each
     part's permutations shifted onto its own block of strands.  Terms come
-    part by part (GL: blacks, then whites), each in _symmetrizer_terms order."""
+    part by part (GL: blacks, then whites), each in _symmetrizer_terms order:
+    a permutation keeping each color, with one of the two coefficients +-norm."""
     parts = _parts(flavor, _normalize_label(flavor, lam))
     data = tuple(sum(p) for p in parts)
     sig = ObjectSignature(flavor, data)
     norm = math.prod(Fraction(sn_irrep_dimension(p), math.factorial(sum(p))) for p in parts)
-    build = DIAGRAM_CLASSES[flavor]._build
+    coefficient = {1: RatFunc(norm), -1: RatFunc(-norm)}
+    permutation = DIAGRAM_CLASSES[flavor]._permutation
     terms: dict = {}
     for choice in itertools.product(*(_symmetrizer_terms(p) for p in parts)):
-        blocks, offset, sign = [], 0, 1
+        images, sign = [], 1
         for sigma, part_sign in choice:
-            blocks += [(offset + i, -(offset + j)) for i, j in enumerate(sigma, 1)]
-            offset += len(sigma)
+            offset = len(images)
+            images += [offset + j for j in sigma]
             sign *= part_sign
         # a row permutation times a column permutation is never repeated,
         # so each diagram gets exactly one term
-        terms[build(data, data, blocks)] = RatFunc(sign * norm)
+        terms[permutation(data, images)] = coefficient[sign]
     return Morphism(sig, sig, terms)
 
 

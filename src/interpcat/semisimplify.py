@@ -166,7 +166,9 @@ def gram_determinant_symbolic(l, m, flavor: str = "S") -> RatFunc:
 
 
 def is_negligible(f: Morphism, t0: Fraction | int) -> bool:
-    """True iff Tr(f o g)(t0) = 0 for every basis diagram g: target -> source."""
+    """True iff Tr(f o g)(t0) = 0 for every basis diagram g: target -> source.
+    Spaces over the Gram budget are refused before any g is enumerated."""
+    _gram_space(f.source, f.target, f.source.flavor)
     t0 = Fraction(t0)
     diagrams = list(f.terms)
     coefficients = [c.eval(t0) for c in f.terms.values()]

@@ -344,6 +344,27 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in capsys.readouterr().err
 
+    def test_oversized_negligible_refused_up_front(self, capsys):
+        # is_negligible scanned every basis diagram of Hom(target, source):
+        # 2.3 s for the identity of [5], and Bell(8) = 4140 diagrams for [4]
+        def identity_of(m):
+            diagram = {"flavor": "S", "top": m, "bottom": m,
+                       "blocks": [[i, -i] for i in range(1, m + 1)]}
+            return json.dumps({"source": {"flavor": "S", "m": m}, "target": {"flavor": "S", "m": m},
+                               "terms": [{"diagram": diagram, "coeff": "1"}]})
+
+        limit = semisimplify.MAX_GRAM_BASIS
+        assert limit == 300
+        start = time.perf_counter()
+        assert main(["negligible", "-f", identity_of(4), "--t", "2"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"Gram budget exceeded: at most {limit} basis diagrams" in err and "4140" in err
+        # Hom([3], [3]) has 203 diagrams, under the budget
+        assert run_json(capsys, "negligible", "-f", identity_of(3), "--t", "2") == {
+            "negligible": False
+        }
+
     @pytest.mark.parametrize("values", [[1, 2], "x"])
     def test_char_search_non_object_values_exit_2(self, capsys, values):
         moments = json.dumps({"flavor": "gl", "values": values})

@@ -12,7 +12,7 @@ import random
 import pytest
 
 import interpcat
-from interpcat import diagrams
+from interpcat import diagrams, karoubi
 from interpcat.diagrams import (
     DIAGRAM_CLASSES,
     brauer_diagram,
@@ -30,7 +30,8 @@ from interpcat.diagrams import (
     tensor_diagram,
     walled_diagram,
 )
-from interpcat.partitions import bell_number, double_factorial_odd
+from interpcat.homspaces import as_signature, swap
+from interpcat.partitions import bell_number, double_factorial_odd, partitions_of
 
 PI = partition_diagram(1, 1, [(1,), (-1,)])
 
@@ -390,6 +391,113 @@ class TestTrustedComposition:
                     assert d == rebuilt and hash(d) == hash(rebuilt), (p, q)
                     pairs += 1
         assert pairs > 0
+
+    @staticmethod
+    def _color_preserving(flavor: str):
+        """(data, images) for every permutation that keeps each color: S and O
+        up to 5 strands, GL with r + s <= 4."""
+        if flavor != "GL":
+            return [((n,), images) for n in range(6)
+                    for images in itertools.permutations(range(1, n + 1))]
+        return [
+            ((r, s), blacks + whites)
+            for r in range(5)
+            for s in range(5 - r)
+            for blacks in itertools.permutations(range(1, r + 1))
+            for whites in itertools.permutations(range(r + 1, r + s + 1))
+        ]
+
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_permutations_match_validated_rebuild(self, flavor):
+        cls = DIAGRAM_CLASSES[flavor]
+        cases = self._color_preserving(flavor)
+        for data, images in cases:
+            d = cls._permutation(data, images)
+            rebuilt = _rebuild(d)
+            assert d == rebuilt and hash(d) == hash(rebuilt), (data, images)
+            assert d._blocks == tuple((i, -j) for i, j in enumerate(images, 1))
+        # sum of n! for n <= 5; sum of r! s! for r + s <= 4
+        assert len(cases) == {"S": 154, "O": 154, "GL": 88}[flavor]
+
+    @pytest.mark.parametrize("flavor, largest", [("S", 3), ("O", 3), ("GL", 2)])
+    def test_swaps_match_validated_rebuild(self, flavor, largest):
+        sides = [as_signature(x, flavor) for x in _signatures(flavor, largest)]
+        for a, b in itertools.product(sides, repeat=2):
+            (d,) = swap(a, b).terms
+            rebuilt = _rebuild(d)
+            assert d == rebuilt and hash(d) == hash(rebuilt), (a, b)
+
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_symmetrizer_terms_match_validated_rebuild(self, flavor):
+        if flavor == "GL":
+            labels = [(black, white) for n in range(5) for r in range(n + 1)
+                      for black in partitions_of(r) for white in partitions_of(n - r)]
+        else:
+            labels = [lam for n in range(6) for lam in partitions_of(n)]
+        terms = 0
+        for lam in labels:
+            for d in karoubi._symmetrizer(flavor, lam).terms:
+                rebuilt = _rebuild(d)
+                assert d == rebuilt and hash(d) == hash(rebuilt), (lam, d)
+                terms += 1
+        assert terms > len(labels)
+
+
+class TestTrustedBuilders:
+    """_trusted skips every check, so only the diagram kernels reach it, and
+    _permutation, which trusts its caller to keep each color, serves diagrams
+    and the y_lam builder alone.  Outside input cannot take that path."""
+
+    @staticmethod
+    def _references(module: str, source: str, name: str) -> set[tuple[str, str]]:
+        """(module.scope, receiver) for every use of name, as an attribute or
+        a bare name; the receiver is the dotted text before the attribute."""
+        found = set()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, scope + [child.name])
+                    continue
+                if isinstance(child, ast.Attribute) and child.attr == name:
+                    found.add((".".join([module, *scope]), ast.unparse(child.value)))
+                elif isinstance(child, ast.Name) and child.id == name:
+                    found.add((".".join([module, *scope]), ""))
+                visit(child, scope)
+
+        visit(ast.parse(source), [])
+        return found
+
+    def _package_references(self, name: str) -> set[tuple[str, str]]:
+        found = set()
+        for path in sorted(pathlib.Path(interpcat.__file__).parent.glob("*.py")):
+            if path.name != "diagrams.py":
+                found |= self._references(path.stem, path.read_text(), name)
+        return found
+
+    def test_only_diagrams_build_trusted(self):
+        # KaroubiObject._trusted is another method: an object around a y_lam
+        assert self._package_references("_trusted") == {
+            ("karoubi._symmetrizer_object", "KaroubiObject")
+        }
+
+    def test_only_the_symmetrizer_builds_permutations(self):
+        assert self._package_references("_permutation") == {
+            ("karoubi._symmetrizer", "DIAGRAM_CLASSES[flavor]")
+        }
+
+    def test_the_scan_sees_each_form(self):
+        source = """
+x = D._trusted
+def a(cls):
+    return cls._trusted(1, 1, [])
+class K:
+    def b(self):
+        return _trusted
+"""
+        assert self._references("m", source, "_trusted") == {
+            ("m", "D"), ("m.a", "cls"), ("m.K.b", "")
+        }
 
 
 class TestPairingTable:

@@ -1,6 +1,7 @@
 """Idempotents, promotion, multiplicities, generic dimensions of simples."""
 
 import ast
+import itertools
 import json
 import math
 import pathlib
@@ -203,6 +204,55 @@ class TestOneSymmetrizerBuilder:
             assert karoubi.symmetrizer_terms(bip, "GL") == len(bipartition_symmetrizer(bip).terms)
         assert karoubi.symmetrizer_terms((4, 2, 1)) == 4 * 3 * 2 * 2 * (3 * 2 * 2)
         assert karoubi.symmetrizer_terms(((3,), (1, 1)), "GL") == 3 * 2 * 2
+
+
+def cycle_sign(sigma) -> int:
+    """(-1)^(n - number of cycles) of a permutation of 1..n."""
+    seen, cycles = set(), 0
+    for i in range(1, len(sigma) + 1):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = sigma[i - 1]
+    return (-1) ** (len(sigma) - cycles)
+
+
+class TestSymmetrizerBuild:
+    """y_lam's terms are permutation diagrams of Diagram._permutation, with
+    one shared coefficient per sign, and their signs come from the cells'
+    inversions.  The references above read _symmetrizer_terms, so its signs
+    are checked here against an independent count."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_signs_match_cycle_count(self, n):
+        for lam in partitions_of(n):
+            fill = karoubi._row_fill(lam)
+            rows = [set(row) for row in fill]
+            cols = [{row[j] for row in fill if len(row) > j} for j in range(lam[0] if lam else 0)]
+
+            def keeps(sigma, cells):
+                return all({sigma[i - 1] for i in cell} == cell for cell in cells)
+
+            perms = list(itertools.permutations(range(1, n + 1)))
+            expected = {
+                tuple(p[q[i] - 1] for i in range(n)): cycle_sign(q)
+                for p in perms if keeps(p, rows)
+                for q in perms if keeps(q, cols)
+            }
+            got = karoubi._symmetrizer_terms(lam)
+            assert len(got) == len(expected) and dict(got) == expected, lam
+
+    def test_no_validated_build_and_two_coefficients(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(diagrams, "_check_cover", lambda *args: checked.append(args))
+        labels = [("S", lam) for lam in SMALL_PARTITIONS + list(partitions_of(5))]
+        labels += [("O", lam) for _, lam in labels]
+        labels += [("GL", bip) for bip in SMALL_BIPARTITIONS]
+        for flavor, lam in labels:
+            y = young_symmetrizer(lam, flavor)
+            assert len({id(c) for c in y.terms.values()}) <= 2, (flavor, lam)
+        assert not checked
 
 
 class TestGlLabelNotAPair:
