@@ -15,8 +15,10 @@ from interpcat.cli import main
 from interpcat.diagrams import DIAGRAM_CLASSES, compose_diagrams, partition_diagram, walled_diagram
 from interpcat.homspaces import (
     Morphism,
+    coev,
     compose,
     diagram_morphism,
+    ev,
     hom_basis,
     identity,
     morphism_to_json,
@@ -344,6 +346,85 @@ class TestPromote:
     def test_rejects_brauer(self):
         with pytest.raises(ValueError):
             promote(identity(sig_o(1)))
+
+
+# The generators that promotion places beside identities: the commutative
+# Frobenius algebra of Rep(S_t) and the cup and cap of Rep(GL_t), built here
+# from public constructors, apart from karoubi.
+S_UNIT = diagram_morphism(partition_diagram(0, 1, [(-1,)]))
+S_COUNIT = diagram_morphism(partition_diagram(1, 0, [(1,)]))
+S_SPLIT = diagram_morphism(partition_diagram(1, 2, [(1, -1, -2)]))
+S_MERGE = diagram_morphism(partition_diagram(2, 1, [(1, 2, -1)]))
+GL_CUP = coev(sig_gl(1, 0))
+GL_CAP = ev(sig_gl(1, 0))
+
+
+def beside(left, g, right):
+    """id_left (x) g (x) id_right."""
+    return tensor(tensor(identity(left), g), identity(right))
+
+
+def reference_promotion(sig, t_is_zero):
+    """(phi, phi', c) for promotion from End(sig): phi' phi = c id, and
+    promote(f) = phi f phi' / c."""
+    if sig.flavor == "S":
+        (m,) = sig.data
+        if m == 0:
+            return S_UNIT, S_COUNIT, t
+        rest = sig_s(m - 1), sig_s(0)
+        return beside(rest[0], S_SPLIT, rest[1]), beside(rest[0], S_MERGE, rest[1]), RF_ONE
+    a, b = sig.data
+    cap = beside(sig_gl(a, 0), GL_CAP, sig_gl(0, b))
+    if not t_is_zero:
+        return beside(sig_gl(a, 0), GL_CUP, sig_gl(0, b)), cap, t
+    if b:  # the cup skips the first white, which the cap's path runs through
+        return beside(sig_gl(a, 1), GL_CUP, sig_gl(0, b - 1)), cap, RF_ONE
+    return beside(sig_gl(a - 1, 0), GL_CUP, sig_gl(1, 0)), cap, RF_ONE
+
+
+PROMOTION_CASES = [
+    (sig, t_is_zero)
+    for sig in [sig_s(m) for m in range(5)]
+    + [sig_gl(a, n - a) for n in range(4) for a in range(n + 1)]
+    for t_is_zero in (False, True)
+    if sig.size or not t_is_zero
+]
+
+
+def idempotents_of(sig):
+    """The identity of sig and every y_lam on it."""
+    if sig.flavor == "S":
+        return [identity(sig)] + [young_symmetrizer(lam) for lam in partitions_of(sig.size)]
+    a, b = sig.data
+    return [identity(sig)] + [
+        bipartition_symmetrizer((black, white))
+        for black in partitions_of(a)
+        for white in partitions_of(b)
+    ]
+
+
+class TestPromotionRelations:
+    """promote(f) = phi f phi' / c needs phi' phi = c id: c = t for the S unit
+    and counit and the generic GL cup and cap, c = 1 for split and merge and
+    the GL cup at t = 0."""
+
+    @pytest.mark.parametrize(
+        "sig, t_is_zero", PROMOTION_CASES,
+        ids=[f"{sig}-{'t0' if z else 'generic'}" for sig, z in PROMOTION_CASES],
+    )
+    def test_phi_prime_phi(self, sig, t_is_zero):
+        phi, phi_p, c = reference_promotion(sig, t_is_zero)
+        assert phi.source == sig and phi.target.size == sig.size + (1 if sig.flavor == "S" else 2)
+        assert compose(phi_p, phi) == identity(sig) * c
+
+    @pytest.mark.parametrize(
+        "sig, t_is_zero", PROMOTION_CASES,
+        ids=[f"{sig}-{'t0' if z else 'generic'}" for sig, z in PROMOTION_CASES],
+    )
+    def test_promote_is_phi_f_phi_prime(self, sig, t_is_zero):
+        phi, phi_p, c = reference_promotion(sig, t_is_zero)
+        for f in idempotents_of(sig):
+            assert promote(f, t_is_zero=t_is_zero) == compose(phi, compose(f, phi_p)) / c
 
 
 class TestKaroubiObject:
