@@ -18,10 +18,12 @@ the kernels that differ as private methods (_signature, _to_json) and
 classmethods (_build, _trusted, _basis, _basis_size, _from_json, _labels),
 and _colors, the length of its signature data: (m,) for S and O, the Diagram
 default, and (r, s) for GL, blacks then whites on each row.  Entry points
-keyed by a flavor string look the class up in DIAGRAM_CLASSES.
+keyed by a flavor string look the class up in DIAGRAM_CLASSES, and those
+that take endpoints check their data's length in one place (_endpoint).
 
 Every other kernel is written once, on Diagram.  _tensor and _braiding merge
-two rows color by color (_merge_rows).  _compose and _closure run on one
+two rows color by color (_merge_rows); _tensor also places every map of
+karoubi's promotion, a generator beside identities.  _compose and _closure run on one
 union-find (_components): a matching is a set partition whose blocks have
 size 2, with the same composition law.  _compose and _permutation (behind
 _identity, _braiding and every Young symmetrizer term) build through
@@ -501,12 +503,19 @@ def walled_diagram(
     return d
 
 
+def _endpoint(cls: type[Diagram], x) -> tuple[int, ...]:
+    """Signature data of an endpoint argument (_as_data) that fits cls: one
+    count per color, _colors of them."""
+    data = _as_data(x)
+    if len(data) != cls._colors:
+        raise ValueError(f"object endpoint {x!r} does not fit flavor {cls.flavor}")
+    return data
+
+
 def identity_diagram(flavor: str, x) -> Diagram:
     """The identity diagram of [m] (S, O) or [r, s] (GL)."""
-    cls, data = _diagram_class(flavor), _as_data(x)
-    if len(data) != cls._colors:
-        raise ValueError(f"object endpoint {x!r} does not fit flavor {flavor}")
-    return cls._identity(data)
+    cls = _diagram_class(flavor)
+    return cls._identity(_endpoint(cls, x))
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +705,8 @@ def enumerate_basis(flavor: str, source, target) -> list[Diagram]:
     diagrams.  The endpoints are checked on every call, so a bad one raises
     and caches nothing.
     """
-    return list(_cached_basis(_diagram_class(flavor), _as_data(source), _as_data(target)))
+    cls = _diagram_class(flavor)
+    return list(_cached_basis(cls, _endpoint(cls, source), _endpoint(cls, target)))
 
 
 # bounded: a classify round asks for 36 distinct bases
@@ -707,7 +717,8 @@ def _cached_basis(cls: type[Diagram], source, target) -> tuple[Diagram, ...]:
 
 def basis_size(flavor: str, source, target) -> int:
     """len(enumerate_basis(flavor, source, target)), without enumerating."""
-    return _diagram_class(flavor)._basis_size(_as_data(source), _as_data(target))
+    cls = _diagram_class(flavor)
+    return cls._basis_size(_endpoint(cls, source), _endpoint(cls, target))
 
 
 # ---------------------------------------------------------------------------

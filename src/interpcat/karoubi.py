@@ -11,6 +11,12 @@ part's permutations on its own block of strands.  Such a permutation keeps
 each color, so every term is built unchecked by Diagram._permutation, and
 all terms share the two coefficients +-norm.
 
+Promotion (promote) lifts an idempotent f on X to phi f phi' / c on a
+larger X', where phi' phi = c id and phi, phi' each place one generator beside
+identities (_beside, by tensor_diagram): S's split and merge, or unit and
+counit, and GL's cup and cap.  At t = 0 the GL cup sits one strand over, so
+that it and the cap make a strand rather than a loop and c = 1.
+
 Each Y_lambda is built once per process and shared (symmetrizer_object).
 y_lambda is idempotent by construction, so Y_lambda is the one object that
 skips the exact check f o f = f; every other KaroubiObject runs it, and so do
@@ -45,8 +51,10 @@ from functools import lru_cache
 
 from interpcat.diagrams import (
     DIAGRAM_CLASSES,
+    Diagram,
+    identity_diagram,
     partition_diagram,
-    walled_diagram,
+    tensor_diagram,
 )
 from interpcat.homspaces import (
     Morphism,
@@ -54,8 +62,10 @@ from interpcat.homspaces import (
     _compose_terms,
     _integral_terms,
     as_signature,
+    coev,
     compose,
     diagram_morphism,
+    ev,
     hom_basis,
     identity,
     trace,
@@ -182,89 +192,76 @@ def is_idempotent(f: Morphism) -> bool:
     return compose(f, f) == f
 
 
-def special_p(n: int) -> Morphism:
-    """The idempotent with strands 1..n-2 and block {n-1, n, (n-1)', n'}."""
-    if n <= 1:
-        raise ValueError("special_p needs n > 1")
-    blocks = [(i, -i) for i in range(1, n - 1)] + [(n - 1, n, -(n - 1), -n)]
-    return diagram_morphism(partition_diagram(n, n, blocks))
-
-
 # ---------------------------------------------------------------------------
 # promotion: idempotents one size up
 
-
-def _phi_s(n: int):
-    """phi_n: [n-1] -> [n] and phi'_n: [n] -> [n-1], with phi' phi = id."""
-    phi = partition_diagram(
-        n - 1, n, [(i, -i) for i in range(1, n - 1)] + [(n - 1, -(n - 1), -n)]
-    )
-    phi_p = partition_diagram(
-        n, n - 1, [(i, -i) for i in range(1, n - 1)] + [(n - 1, n, -(n - 1))]
-    )
-    return diagram_morphism(phi), diagram_morphism(phi_p)
-
-
-def _phi_gl(r: int, s: int):
-    """phi: [r-1, s-1] -> [r, s] with a coevaluation cup; phi' phi = t id."""
-    pairs = [(i, -i) for i in range(1, r)]
-    pairs += [((r - 1) + j, -(r + 1 + j)) for j in range(1, s)]  # white j -> white j+1
-    pairs.append((-r, -(r + 1)))  # cup: target black r, target white 1
-    phi = walled_diagram((r - 1, s - 1), (r, s), pairs)
-    pairs_p = [(i, -i) for i in range(1, r)]
-    pairs_p += [(r + 1 + j, -((r - 1) + j)) for j in range(1, s)]
-    pairs_p.append((r, r + 1))  # cap: source black r, source white 1
-    phi_p = walled_diagram((r, s), (r - 1, s - 1), pairs_p)
-    return diagram_morphism(phi), diagram_morphism(phi_p)
+# The generators that promotion places beside identities: the unit, counit,
+# split and merge of the commutative Frobenius algebra [1] of Rep(S_t), and
+# the cup 1 -> [1, 1] and cap [1, 1] -> 1 of the object [1, 0] of Rep(GL_t).
+_UNIT = partition_diagram(0, 1, [(-1,)])
+_COUNIT = partition_diagram(1, 0, [(1,)])
+_SPLIT = partition_diagram(1, 2, [(1, -1, -2)])
+_MERGE = partition_diagram(2, 1, [(1, 2, -1)])
+_SPLIT_MERGE = partition_diagram(2, 2, [(1, 2, -1, -2)])  # split o merge
+(_CUP,) = coev(ObjectSignature("GL", (1, 0))).terms
+(_CAP,) = ev(ObjectSignature("GL", (1, 0))).terms
 
 
-def _phi_gl_t0(r: int, s: int) -> Morphism:
-    """The t = 0 replacement for phi, with phi' phi = id exactly."""
-    if s >= 2:
-        pairs = [(i, -i) for i in range(1, r)]
-        pairs.append((r, -(r + 1)))  # white 1 -> white 1
-        pairs += [((r - 1) + j, -(r + j + 1)) for j in range(2, s)]  # white j -> j+1
-        pairs.append((-r, -(r + 2)))  # cup: target black r, target white 2
-        return diagram_morphism(walled_diagram((r - 1, s - 1), (r, s), pairs))
-    if s == 1 and r >= 2:
-        pairs = [(i, -i) for i in range(1, r - 1)]
-        pairs.append((r - 1, -r))  # last black slides over
-        pairs.append((-(r - 1), -(r + 1)))  # cup: target black r-1, target white 1
-        return diagram_morphism(walled_diagram((r - 1, 0), (r, 1), pairs))
-    raise ValueError("no t = 0 promotion from End([0, 0])")
+def _beside(left, g: Diagram, right) -> Diagram:
+    """id_left (x) g (x) id_right, for endpoint data left and right of g's flavor."""
+    ids = [identity_diagram(g.flavor, x) for x in (left, right)]
+    return tensor_diagram(tensor_diagram(ids[0], g), ids[1])
+
+
+def special_p(n: int) -> Morphism:
+    """The idempotent with strands 1..n-2 and block {n-1, n, (n-1)', n'}:
+    id_{n-2} (x) (split o merge)."""
+    if n <= 1:
+        raise ValueError("special_p needs n > 1")
+    return diagram_morphism(_beside(n - 2, _SPLIT_MERGE, 0))
 
 
 def promote(f: Morphism, t_is_zero: bool = False) -> Morphism:
-    """Idempotent one size up realizing ([n], f~) ~ ([n-1], f).
+    """Idempotent one size up realizing ([n], f~) ~ ([n-1], f): f~ = phi f phi' / c.
 
-    S flavor: f in End([m]) -> f~ in End([m+1]); GL flavor: f in
-    End([r-1, s-1]) -> f~ in End([r, s]) (with the 1/t normalization unless
-    t_is_zero, in which case the separate t = 0 diagrams are used).
+    S: End([m]) -> End([m+1]), phi = id_{m-1} (x) split, phi' = id_{m-1} (x)
+    merge and c = 1; from [0], the unit and counit with c = t, so none at
+    t = 0.  GL: End([a, b]) -> End([a+1, b+1]), phi = id_[a,0] (x) cup (x)
+    id_[0,b], phi' the same with the cap, and c = t.  If t_is_zero, phi =
+    id_[a,1] (x) cup (x) id_[0,b-1], or id_[a-1,0] (x) cup (x) id_[1,0] when
+    b = 0.  The cup then skips the strand the cap's path comes in on, the
+    first white (or the last black), and leaves by the next one: the cup and
+    cap meet at one endpoint, not two, so they close no loop and c = 1.
     """
     if not is_idempotent(f):
         raise ValueError("promote needs an idempotent input")
     flavor = f.source.flavor
     if flavor == "S":
-        m = f.source.data[0]
-        if m == 0:
-            if t_is_zero:
-                raise ValueError("L(empty) does not promote at t = 0")
-            mu = diagram_morphism(partition_diagram(0, 1, [(-1,)]))
-            mu_p = diagram_morphism(partition_diagram(1, 0, [(1,)]))
-            return compose(mu, compose(f, mu_p)) / RF_T
-        phi, phi_p = _phi_s(m + 1)
-        return compose(phi, compose(f, phi_p))
-    if flavor == "GL":
+        (m,) = f.source.data
+        if m:
+            phi, phi_p, loop = _beside(m - 1, _SPLIT, 0), _beside(m - 1, _MERGE, 0), False
+        elif t_is_zero:
+            raise ValueError("L(empty) does not promote at t = 0")
+        else:
+            phi, phi_p, loop = _UNIT, _COUNIT, True
+    elif flavor == "GL":
         a, b = f.source.data
-        r, s = a + 1, b + 1
-        phi, phi_p = _phi_gl(r, s)
-        if t_is_zero:
-            return compose(_phi_gl_t0(r, s), compose(f, phi_p))
-        return compose(phi, compose(f, phi_p)) / RF_T
-    raise ValueError(
-        "promotion is available for flavors S and GL only"
-        " (the Brauer tower is outside this library's classification scope)"
-    )
+        phi_p, loop = _beside((a, 0), _CAP, (0, b)), not t_is_zero
+        if loop:
+            phi = _beside((a, 0), _CUP, (0, b))
+        elif b:
+            phi = _beside((a, 1), _CUP, (0, b - 1))
+        elif a:
+            phi = _beside((a - 1, 0), _CUP, (1, 0))
+        else:
+            raise ValueError("no t = 0 promotion from End([0, 0])")
+    else:
+        raise ValueError(
+            "promotion is available for flavors S and GL only"
+            " (the Brauer tower is outside this library's classification scope)"
+        )
+    lifted = compose(diagram_morphism(phi), compose(f, diagram_morphism(phi_p)))
+    return lifted / RF_T if loop else lifted
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import interpcat
 from interpcat import diagrams, karoubi
 from interpcat.diagrams import (
     DIAGRAM_CLASSES,
+    basis_size,
     brauer_diagram,
     closure_components,
     coarsenings,
@@ -76,6 +77,16 @@ class TestCanonical:
         for flavor, x in [("S", (1, 2)), ("O", (1, 0)), ("GL", 2), ("GL", (1, 1, 1))]:
             with pytest.raises(ValueError, match="does not fit flavor"):
                 identity_diagram(flavor, x)
+
+    @pytest.mark.parametrize("build", [enumerate_basis, basis_size])
+    def test_bases_need_data_of_their_flavor(self, build):
+        # the same check as identity_diagram's: basis_size("S", (1, 2), 1)
+        # answered 2, and enumerate_basis failed while unpacking the data
+        fits = {"S": 1, "O": 1, "GL": (1, 0)}
+        for flavor, x in [("S", (1, 2)), ("O", (1, 0)), ("GL", 1), ("GL", (1, 1, 1))]:
+            for source, target in [(x, fits[flavor]), (fits[flavor], x)]:
+                with pytest.raises(ValueError, match=f"does not fit flavor {flavor}"):
+                    build(flavor, source, target)
 
     def test_walled_color_rules(self):
         # cross edge must preserve color
@@ -486,6 +497,20 @@ class TestTrustedBuilders:
             ("karoubi._symmetrizer", "DIAGRAM_CLASSES[flavor]")
         }
 
+    def test_karoubi_places_no_endpoints_by_hand(self):
+        # promotion and special_p place generators beside identities
+        # (tensor_diagram); the generators themselves are module constants.
+        # permutation_morphism validates the sigma its caller gives, and the
+        # tests use it as the reference for the y_lam terms.
+        source = pathlib.Path(karoubi.__file__).read_text()
+        in_functions = {
+            (scope, name)
+            for name in ("_build", "partition_diagram", "brauer_diagram", "walled_diagram")
+            for scope, _ in self._references("karoubi", source, name)
+            if scope != "karoubi"
+        }
+        assert in_functions == {("karoubi.permutation_morphism", "_build")}
+
     def test_the_scan_sees_each_form(self):
         source = """
 x = D._trusted
@@ -644,7 +669,7 @@ FLAVOR_BRANCHES = {
     "keep parallel arcs",
     "homspaces.signature_to_json": "the wire format names GL counts r and s, S and O m",
     "homspaces.signature_from_json": "the same field names, read back",
-    "karoubi.promote": "S and GL each have their own promotion diagrams; O has none",
+    "karoubi.promote": "S promotes by its Frobenius generators, GL by its cup and cap; O has none",
     "karoubi._parts": "a GL label is a (black, white) pair of partitions",
     "karoubi._normalize_label": "the same label shapes",
     "oracle.diagram_matrix": "only S has the strict delta matrices",
