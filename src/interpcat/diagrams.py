@@ -22,8 +22,7 @@ keyed by a flavor string look the class up in DIAGRAM_CLASSES, and those
 that take endpoints check their data's length in one place (_endpoint).
 
 Every other kernel is written once, on Diagram.  _tensor and _braiding merge
-two rows color by color (_merge_rows); _tensor also places every map of
-karoubi's promotion, a generator beside identities.  _compose and _closure run on one
+two rows color by color (_merge_rows).  _compose and _closure run on one
 union-find (_components): a matching is a set partition whose blocks have
 size 2, with the same composition law.  _compose and _permutation (behind
 _identity, _braiding and every Young symmetrizer term) build through
@@ -32,7 +31,8 @@ in canonical order (sources ascending before targets, each block keyed by its
 least endpoint), and the composite of two valid diagrams covers its
 endpoints once and keeps the walled color rules, as do the pairs (i, -s(i))
 of a permutation s that keeps each color.  Outside input goes through the
-validated constructors, _build or JSON.
+validated constructors, _build or JSON.  _tensor also builds each map of
+karoubi's promotion: a generator beside identities.
 
 pairing_table runs the same union-find over the closed picture of f glued
 to g, and counts its components, the exponent of t in Tr(f o g), without

@@ -11,11 +11,10 @@ part's permutations on its own block of strands.  Such a permutation keeps
 each color, so every term is built unchecked by Diagram._permutation, and
 all terms share the two coefficients +-norm.
 
-Promotion (promote) lifts an idempotent f on X to phi f phi' / c on a
-larger X', where phi' phi = c id and phi, phi' each place one generator beside
-identities (_beside, by tensor_diagram): S's split and merge, or unit and
-counit, and GL's cup and cap.  At t = 0 the GL cup sits one strand over, so
-that it and the cap make a strand rather than a loop and c = 1.
+Promotion (promote) lifts an idempotent f on X to phi f phi' / c, where
+phi' phi = c id and phi, phi' each place one generator beside identities
+(_beside): S's split and merge or unit and counit, GL's cup and cap, with
+the t = 0 cup one strand over so that the cup and cap close no loop.
 
 Each Y_lambda is built once per process and shared (symmetrizer_object).
 y_lambda is idempotent by construction, so Y_lambda is the one object that
@@ -209,8 +208,10 @@ _SPLIT_MERGE = partition_diagram(2, 2, [(1, 2, -1, -2)])  # split o merge
 
 def _beside(left, g: Diagram, right) -> Diagram:
     """id_left (x) g (x) id_right, for endpoint data left and right of g's flavor."""
-    ids = [identity_diagram(g.flavor, x) for x in (left, right)]
-    return tensor_diagram(tensor_diagram(ids[0], g), ids[1])
+    flavor = g.flavor
+    return tensor_diagram(
+        tensor_diagram(identity_diagram(flavor, left), g), identity_diagram(flavor, right)
+    )
 
 
 def special_p(n: int) -> Morphism:
