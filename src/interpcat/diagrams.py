@@ -24,23 +24,26 @@ that take endpoints check their data's length in one place (_endpoint).
 Every other kernel is written once, on Diagram.  _tensor and _braiding merge
 two rows color by color (_merge_rows).  _compose and _closure run on one
 union-find (_components): a matching is a set partition whose blocks have
-size 2, with the same composition law.  _compose and _permutation (behind
-_identity, _braiding and every Young symmetrizer term) build through
+size 2, with the same composition law.  _compose, _tensor and _permutation
+(behind _identity, _braiding and every Young symmetrizer term) build through
 _trusted, which neither sorts nor validates: the union-find emits the blocks
 in canonical order (sources ascending before targets, each block keyed by its
-least endpoint), and the composite of two valid diagrams covers its
-endpoints once and keeps the walled color rules, as do the pairs (i, -s(i))
-of a permutation s that keeps each color.  Outside input goes through the
-validated constructors, _build or JSON.  _tensor also builds each map of
-karoubi's promotion: a generator beside identities.
+least endpoint), and _tensor sorts its blocks into that order
+(_canonical_blocks).  The composite or the tensor product of two valid
+diagrams covers its endpoints once and keeps the walled color rules, as do
+the pairs (i, -s(i)) of a permutation s that keeps each color.  Outside
+input goes through the validated constructors, _build or JSON.  _tensor
+also builds each map of karoubi's promotion: a generator beside identities.
 
 pairing_table runs the same union-find over the closed picture of f glued
 to g, and counts its components, the exponent of t in Tr(f o g), without
-building the composite.  _row_transpositions gives, for each swap of two
-adjacent endpoints of one row and one color, the permutation it makes of a
-basis and of the basis paired with it, by relabelling each diagram once and
-looking up its canonical blocks; semisimplify uses them to run one
-union-find row per orbit of a pairing table.
+building the composite: f's blocks are merged once per row, and each column
+resumes from those roots with g's blocks.  _row_transpositions gives, for
+each swap of two adjacent endpoints of one row and one color, the
+permutation it makes of a basis and of the basis paired with it, by
+relabelling each diagram once and looking up its canonical blocks;
+semisimplify uses them to run one union-find row per orbit of a pairing
+table.
 
 Composition convention: compose_diagrams(p, q) is "p after q" -- q maps
 [k] -> [l], p maps [l] -> [m], and the second return value is the exponent
@@ -122,14 +125,20 @@ def _as_data(x) -> tuple[int, ...]:
     return data
 
 
-def _components(n: int, layers: Iterable[tuple[Iterable[Sequence[int]], int, int]]) -> list[int]:
+def _components(
+    n: int,
+    layers: Iterable[tuple[Iterable[Sequence[int]], int, int]],
+    start: Sequence[int] | None = None,
+) -> list[int]:
     """Union-find over the nodes 0..n-1.
 
     layers holds (blocks, source_offset, target_offset) triples: endpoint +i
     of a block is node source_offset + i, endpoint -j is node target_offset + j.
     Merges the nodes of every block and returns the root of every node, the
-    least node of its component."""
-    parent = list(range(n))
+    least node of its component.  start, the roots returned by an earlier
+    call, resumes from its merges: the result equals one call with the layers
+    of both."""
+    parent = list(range(n) if start is None else start)
     for blocks, s, t in layers:
         for block in blocks:
             root = -1
@@ -238,7 +247,7 @@ class Diagram:
             for d, new_source, new_target in ((self, p_source, p_target), (q, q_source, q_target))
             for block in d._blocks
         ]
-        return self._build(source, target, blocks)
+        return self._trusted(source, target, _canonical_blocks(blocks))
 
     def _closure(self) -> int:
         source, target = self._signature()
@@ -547,8 +556,10 @@ def pairing_table(fs: Sequence[Diagram], gs: Sequence[Diagram]) -> list[bytes]:
     Every f maps [l] -> [m] and every g maps [m] -> [l], all of one flavor.
     Tr(f o g) = t^N, where N counts the components of the closed picture:
     f's target row glued to g's source row and g's target row to f's source
-    row.  No composite diagram is built.  Row i is a bytes object whose
-    byte j is N for (fs[i], gs[j]); N <= l + m, which must be below 256.
+    row.  No composite diagram is built: f's blocks are merged once for its
+    row, and each entry resumes the union-find from those roots with g's
+    blocks (_components' start).  Row i is a bytes object whose byte j is N
+    for (fs[i], gs[j]); N <= l + m, which must be below 256.
     """
     if not fs:
         return []
@@ -564,10 +575,10 @@ def pairing_table(fs: Sequence[Diagram], gs: Sequence[Diagram]) -> list[bytes]:
     l = sum(source)
     n = l + sum(target)
     # node ids: 0..l-1 the source row of f (= g's target row), l..n-1 its target row
-    columns = [(g._blocks, l - 1, -1) for g in gs]
+    columns = [((g._blocks, l - 1, -1),) for g in gs]
     return [
-        bytes(len(set(_components(n, (row, column)))) for column in columns)
-        for row in [(f._blocks, -1, l - 1) for f in fs]
+        bytes(len(set(_components(n, column, roots))) for column in columns)
+        for roots in [_components(n, ((f._blocks, -1, l - 1),)) for f in fs]
     ]
 
 

@@ -4,7 +4,12 @@
   2^61 - 1 and proved over Z by kernel vectors, all checked in one product
   per row of packed integers.  Repeated rows and columns are dropped first.
   Every rank in the library is one.  right_nullspace returns the same
-  kernel vectors, after dropping repeated rows only.
+  kernel vectors, after dropping repeated rows only.  The elimination mod p
+  reduces a value only where it is read (a pivot test, a multiplier, a
+  pivot row when it is scaled, a back-substitution row before it is used);
+  an update is a - x * b with 0 <= x, b < p, and an entry takes at most one
+  per pivot, so with r pivots no entry exceeds p + r p^2 in absolute value.
+  Every value read is the one an elimination reducing at each step reads.
 - One dense forward elimination over a field (Fraction or RatFunc).  Over
   Q(t) it serves only determinant; over Q, the fallbacks of integer_rank
   and right_nullspace, and dense_rank, the tests' reference rank.
@@ -143,12 +148,21 @@ def _lift(u: int) -> tuple[int, int] | None:
 
 
 def _eliminate_mod_p(rows: list[list[int]]) -> list[int]:
-    """Bring rows of residues mod p to row echelon form in place, each pivot
-    scaled to 1; returns the pivot column of row 0, 1, ..."""
+    """Bring rows of residues mod p to row echelon form mod p in place, each
+    pivot scaled to 1; returns the pivot column of row 0, 1, ...
+
+    An entry is reduced only where it is read: as row[col] % p, to find a
+    pivot or the multiple x of the pivot row to subtract.  A row update is
+    a - x * b with no reduction, and a pivot row is reduced once, when it is
+    scaled.  So pivot row i holds residues from pivots[i] on, and every
+    other entry is congruent mod p to the fully reduced elimination's (0
+    left of a pivot).  Each update subtracts x * b with 0 <= x, b < p, and
+    a row takes at most one update per pivot, so with r pivots no entry
+    exceeds p + r p^2 in absolute value."""
     pivots: list[int] = []
     for col in range(len(rows[0])):
         r = len(pivots)
-        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        i = next((i for i in range(r, len(rows)) if rows[i][col] % _P), None)
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
@@ -156,9 +170,9 @@ def _eliminate_mod_p(rows: list[list[int]]) -> list[int]:
         tail = [x * inv % _P for x in rows[r][col:]]
         rows[r][col:] = tail
         for row in rows[r + 1 :]:
-            x = row[col]
+            x = row[col] % _P
             if x:
-                row[col:] = [(a - x * b) % _P for a, b in zip(row[col:], tail)]
+                row[col:] = [a - x * b for a, b in zip(row[col:], tail)]
         pivots.append(col)
     return pivots
 
@@ -203,14 +217,18 @@ def _lifted_kernel(rows: Sequence[Sequence[int]]) -> tuple[int, list[dict] | Non
     pivot_set = set(pivots)
     free = [c for c in range(len(rows[0])) if c not in pivot_set]
     # back-substitution on the free columns only: afterwards pivot row i reads
-    # 1 at pivots[i], 0 at the other pivot columns and blocks[i] at the free ones
+    # 1 at pivots[i], 0 at the other pivot columns and blocks[i] at the free
+    # ones.  As in _eliminate_mod_p, an update is a - x * b, unreduced (x lies
+    # in a pivot row's reduced tail), and blocks[k] is reduced once, when it
+    # is final and used as below
     blocks = [[row[f] for f in free] for row in residues[:r]]
     for k in reversed(range(r)):
-        col, below = pivots[k], blocks[k]
+        col = pivots[k]
+        blocks[k] = below = [b % _P for b in blocks[k]]
         for i in range(k):
             x = residues[i][col]
             if x:
-                blocks[i] = [(a - x * b) % _P for a, b in zip(blocks[i], below)]
+                blocks[i] = [a - x * b for a, b in zip(blocks[i], below)]
     kernel, cleared = [], []
     for j, f in enumerate(free):
         # v[f] = 1, v[pivots[i]] = -blocks[i][j], 0 elsewhere

@@ -131,25 +131,33 @@ def verify_structure_constants(l, m, k, n: int, flavor: str = "S") -> dict:
 
     For every pair (A: l -> m, B: m -> k) of basis diagrams, the matrix
     product of B and A must equal n^power times the matrix of the composed
-    diagram.  Returns {"pairs", "violations", "passed"}.
+    diagram.  Each diagram's matrix is built once per call, in one dict that
+    serves both legs and every composite; a matrix depends only on its
+    diagram and n, so every pair is still checked against its own
+    composite.  Returns {"pairs", "violations", "passed"}.
     """
     sl = as_signature(l, flavor)
     sm = as_signature(m, flavor)
     sk = as_signature(k, flavor)
     for a, b in ((sl, sm), (sm, sk), (sl, sk)):
         _check_budget(n, a.size, b.size)
-    first_legs = hom_basis(sl, sm)
+    matrices: dict[Diagram, np.ndarray] = {}
+
+    def matrix(d: Diagram) -> np.ndarray:
+        if d not in matrices:
+            matrices[d] = diagram_matrix(d, n)
+        return matrices[d]
+
     second_legs = hom_basis(sm, sk)
-    mat_cache_a = [diagram_matrix(d, n) for d in first_legs]
-    mat_cache_b = [diagram_matrix(d, n) for d in second_legs]
     violations = []
     pairs = 0
-    for a, mat_a in zip(first_legs, mat_cache_a):
-        for b, mat_b in zip(second_legs, mat_cache_b):
+    for a in hom_basis(sl, sm):
+        mat_a = matrix(a)
+        for b in second_legs:
             pairs += 1
             composed, power = compose_diagrams(b, a)
-            lhs = mat_b @ mat_a
-            rhs = n**power * diagram_matrix(composed, n)
+            lhs = matrix(b) @ mat_a
+            rhs = n**power * matrix(composed)
             if not np.array_equal(lhs, rhs):
                 violations.append({"first": str(a), "second": str(b), "t_power": power})
     return {"pairs": pairs, "violations": violations, "passed": not violations}

@@ -454,6 +454,24 @@ class TestTrustedComposition:
         assert terms > len(labels)
 
 
+    @pytest.mark.parametrize("flavor, largest", [("S", 3), ("O", 4), ("GL", 4)])
+    def test_tensor_products_match_validated_rebuild(self, flavor, largest):
+        # tensor_diagram builds through _trusted after sorting the blocks;
+        # every pair of basis diagrams with at most `largest` endpoints each
+        if flavor == "GL":
+            sides = _signatures(flavor, 2)
+            spaces = [(a, b) for a in sides for b in sides if sum(a) + sum(b) <= largest]
+        else:
+            spaces = [(a, n - a) for n in range(largest + 1) for a in range(n + 1)]
+        ds = [d for a, b in spaces for d in enumerate_basis(flavor, a, b)]
+        for p in ds:
+            for q in ds:
+                d = tensor_diagram(p, q)
+                rebuilt = _rebuild(d)
+                assert d == rebuilt and hash(d) == hash(rebuilt), (p, q)
+        assert len(ds) ** 2 == {"S": 841, "O": 361, "GL": 529}[flavor]
+
+
 class TestTrustedBuilders:
     """_trusted skips every check, so only the diagram kernels reach it, and
     _permutation, which trusts its caller to keep each color, serves diagrams
@@ -546,6 +564,22 @@ class TestPairingTable:
             entries += len(fs) * len(gs)
         assert entries > 0
 
+    @pytest.mark.parametrize(
+        "flavor, source, target", [("S", 2, 3), ("O", 2, 4), ("GL", (2, 1), (2, 1))]
+    )
+    def test_matches_the_per_pair_union_find(self, flavor, source, target):
+        # each entry resumes from the roots of f's row; merging f's and g's
+        # blocks in one _components call gives the same counts
+        fs, gs = enumerate_basis(flavor, source, target), enumerate_basis(flavor, target, source)
+        l, m = (sum(data) for data in fs[0]._signature())
+
+        def entry(f, g) -> int:
+            layers = [(f._blocks, -1, l - 1), (g._blocks, l - 1, -1)]
+            return len(set(diagrams._components(l + m, layers)))
+
+        per_pair = [bytes(entry(f, g) for g in gs) for f in fs]
+        assert pairing_table(fs, gs) == per_pair
+
     def test_worked_trace(self):
         # Tr(pi o pi) = t^2: both singletons close into their own component
         assert pairing_table([PI, identity_diagram("S", 1)], [PI]) == [b"\x02", b"\x01"]
@@ -571,6 +605,38 @@ class TestPairingTable:
     def test_mixed_flavors_raise(self):
         with pytest.raises(TypeError):
             pairing_table(enumerate_basis("S", 1, 1), enumerate_basis("O", 1, 1))
+
+
+class TestComponentsStart:
+    """_components resumes from the roots of an earlier call."""
+
+    @staticmethod
+    def _random_blocks(rng: random.Random, top: int, bottom: int) -> list[list[int]]:
+        """A random set partition of the endpoints of [top] -> [bottom], in
+        blocks of 1 to 3 endpoints."""
+        endpoints = list(range(1, top + 1)) + [-j for j in range(1, bottom + 1)]
+        rng.shuffle(endpoints)
+        blocks = []
+        while endpoints:
+            size = rng.randint(1, 3)
+            blocks.append(endpoints[:size])
+            endpoints = endpoints[size:]
+        return blocks
+
+    def test_resumed_roots_equal_one_call(self):
+        rng = random.Random("components start")
+        for _ in range(300):
+            top, bottom = rng.randint(0, 6), rng.randint(0, 6)
+            n = top + bottom
+            # a's rows as in pairing_table's f, b's as in its g; c merges a's again
+            a = (self._random_blocks(rng, top, bottom), -1, top - 1)
+            b = (self._random_blocks(rng, bottom, top), top - 1, -1)
+            c = (self._random_blocks(rng, top, bottom), -1, top - 1)
+            roots = diagrams._components(n, [a])
+            start = list(roots)
+            assert diagrams._components(n, [b], roots) == diagrams._components(n, [a, b])
+            assert diagrams._components(n, [b, c], roots) == diagrams._components(n, [a, b, c])
+            assert roots == start
 
 
 def _random_pairs(flavor: str, rng: random.Random, count: int) -> list:

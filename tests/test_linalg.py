@@ -1,5 +1,7 @@
 """Dense elimination: rank, determinant and nullspace share one pass.  The
-integer rank is certified over Z, with Fraction elimination as its fallback."""
+integer rank is certified over Z, with Fraction elimination as its fallback.
+The elimination mod p, which reduces only where it reads, is pinned to the
+one that reduces at every step, kept here as the reference."""
 
 import math
 import random
@@ -7,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from interpcat import linalg
+from interpcat import linalg, semisimplify
+from interpcat.diagrams import basis_size
 from interpcat.linalg import (
     dense_rank,
     determinant,
@@ -15,6 +18,7 @@ from interpcat.linalg import (
     right_nullspace,
 )
 from interpcat.ratfunc import RF_T, RatFunc
+from interpcat.semisimplify import MAX_GRAM_BASIS
 
 F = Fraction
 t = RF_T
@@ -289,3 +293,172 @@ class TestPackedCheck:
                 v[c] = v.get(c, 0) + rng.choice([1, -1])
             expected = all(self.slots([row], [v]) == [0] for row in rows for v in vectors)
             assert linalg._annihilates(rows, vectors) == expected
+
+
+P = linalg._P
+
+
+def _reference_eliminate(rows: list[list[int]]) -> list[int]:
+    """The elimination mod p that reduces every entry at every step: each
+    row update is (a - x b) mod p.  _eliminate_mod_p must match it."""
+    pivots: list[int] = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][col], -1, P)
+        tail = [x * inv % P for x in rows[r][col:]]
+        rows[r][col:] = tail
+        for row in rows[r + 1 :]:
+            x = row[col]
+            if x:
+                row[col:] = [(a - x * b) % P for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+    return pivots
+
+
+def _reference_lifted_kernel(rows, pivots, echelon):
+    """_lifted_kernel's result from _reference_eliminate's pivots and echelon
+    rows, with a back-substitution that also reduces at every step; the lift
+    and the check over Z are the library's."""
+    r = len(pivots)
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    blocks = [[row[f] for f in free] for row in echelon[:r]]
+    for k in reversed(range(r)):
+        col, below = pivots[k], blocks[k]
+        for i in range(k):
+            x = echelon[i][col]
+            if x:
+                blocks[i] = [(a - x * b) % P for a, b in zip(blocks[i], below)]
+    kernel, cleared = [], []
+    for j, f in enumerate(free):
+        lifted = {f: (1, 1)}
+        for i, col in enumerate(pivots):
+            if blocks[i][j]:
+                entry = linalg._lift(P - blocks[i][j])
+                if entry is None:
+                    return r, None
+                lifted[col] = entry
+        denom = math.lcm(*(d for _, d in lifted.values()))
+        kernel.append(lifted)
+        cleared.append({col: n * (denom // d) for col, (n, d) in lifted.items()})
+    return r, kernel if linalg._annihilates(rows, cleared) else None
+
+
+def _assert_matches_reference(matrix, result):
+    """_eliminate_mod_p finds the reference's pivots and leaves rows congruent
+    mod p to its echelon rows, and result, _lifted_kernel(matrix), is the
+    reference's."""
+    lazy = [[x % P for x in row] for row in matrix]
+    echelon = [list(row) for row in lazy]
+    pivots = _reference_eliminate(echelon)
+    assert linalg._eliminate_mod_p(lazy) == pivots
+    assert [[x % P for x in row] for row in lazy] == echelon
+    assert result == _reference_lifted_kernel(matrix, pivots, echelon)
+
+
+def _fuzz_matrices(count: int) -> list[list[list[int]]]:
+    """Seeded planted-rank matrices in five kinds: plain, every entry
+    shifted by 2^70, multiples of p added to some entries, some rows times
+    p, and rows repeated."""
+    rng = random.Random("lazy reduction")
+    out = []
+    for n in range(count):
+        k, m, r = rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 8)
+        matrix = _planted(rng, k, m, r)
+        kind = n % 5
+        if kind == 1:
+            matrix = [[x + 2**70 for x in row] for row in matrix]
+        elif kind == 2:
+            matrix = [[x + P * rng.choice([0, 0, 1, -3]) for x in row] for row in matrix]
+        elif kind == 3:
+            matrix = [[x * P for x in row] if rng.random() < 0.3 else row for row in matrix]
+        elif kind == 4:
+            matrix = [list(row) for row in matrix for _ in range(rng.randint(1, 3))]
+            rng.shuffle(matrix)
+        out.append(matrix)
+    return out
+
+
+def _budget_gram_spaces():
+    """(flavor, source, target) for every nonzero Hom space under the Gram
+    budget: l + m <= 10 for S and O, r1 + s2 <= 10 for GL."""
+    spaces = [("S", l, n - l) for n in range(11) for l in range(n + 1)]
+    spaces += [("O", l, n - l) for n in range(0, 11, 2) for l in range(n + 1)]
+    spaces += [
+        ("GL", (r1, n - r2), (r2, n - r1))
+        for n in range(11) for r1 in range(n + 1) for r2 in range(n + 1)
+    ]
+    return [sp for sp in spaces if 0 < basis_size(*sp) <= MAX_GRAM_BASIS]
+
+
+# split at 15 basis diagrams: the smaller spaces take about 0.2 s at all six
+# points, the larger ones about 45 s, on a 2-CPU VM
+BUDGET_SPACES = _budget_gram_spaces()
+SMALL_SPACES = [sp for sp in BUDGET_SPACES if basis_size(*sp) <= 15]
+LARGE_SPACES = [sp for sp in BUDGET_SPACES if basis_size(*sp) > 15]
+GRAM_POINTS = [0, 1, 2, 3, -1, F(1, 2)]
+
+
+class TestLazyReduction:
+    """_eliminate_mod_p and the back-substitution reduce a value mod p only
+    where it is read.  Pinned to the elimination that reduces at every step:
+    the same pivots, echelon rows congruent mod p, the same kernel vectors."""
+
+    def test_fuzz_matches_the_reference(self):
+        failed = certified = 0
+        for matrix in _fuzz_matrices(400):
+            result = linalg._lifted_kernel(matrix)
+            _assert_matches_reference(matrix, result)
+            failed += result[1] is None
+            certified += result[1] is not None
+        # both branches of _lifted_kernel are reached
+        assert failed > 40 and certified > 200
+
+    @staticmethod
+    def _gram_kernels(monkeypatch, spaces, points):
+        """(matrix, result) of every _lifted_kernel call that the Gram rank
+        and the negligible basis make on spaces at points: integer_rank of the
+        cleared Gram rows and right_nullspace of their transpose."""
+        calls = []
+        lifted_kernel = linalg._lifted_kernel
+
+        def spy(rows):
+            calls.append((rows, lifted_kernel(rows)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(linalg, "_lifted_kernel", spy)
+        for flavor, source, target in spaces:
+            src, tgt = semisimplify._gram_space(source, target, flavor)
+            for t0 in points:
+                rows = semisimplify._gram_entries(src, tgt, F(t0), cleared=True)
+                integer_rank(rows)
+                right_nullspace([list(col) for col in zip(*rows)])
+        assert len(calls) == 2 * len(points) * len(spaces)
+        return calls
+
+    def test_small_gram_spaces_match_the_reference(self, monkeypatch):
+        for matrix, result in self._gram_kernels(monkeypatch, SMALL_SPACES, GRAM_POINTS):
+            _assert_matches_reference(matrix, result)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("t0", GRAM_POINTS)
+    def test_large_gram_spaces_match_the_reference(self, monkeypatch, t0):
+        for matrix, result in self._gram_kernels(monkeypatch, LARGE_SPACES, [t0]):
+            _assert_matches_reference(matrix, result)
+
+    def test_entries_stay_within_the_growth_bound(self):
+        matrices = _fuzz_matrices(100)
+        src, tgt = semisimplify._gram_space(4, 4, "O")
+        matrices.append(semisimplify._gram_entries(src, tgt, F(2), cleared=True))
+        unreduced = 0
+        for matrix in matrices:
+            rows = [[x % P for x in row] for row in matrix]
+            r = len(linalg._eliminate_mod_p(rows))
+            top = max(abs(x) for row in rows for x in row)
+            assert top <= P + r * P**2
+            unreduced += top >= P
+        # the bound is not vacuous: entries are left unreduced
+        assert unreduced > 10

@@ -12,6 +12,7 @@ from interpcat.diagrams import (
 )
 from interpcat.homspaces import diagram_morphism, identity, sig_gl, sig_s
 from interpcat.karoubi import KaroubiObject, young_symmetrizer
+from interpcat import oracle
 from interpcat.linalg import integer_rank
 from interpcat.oracle import (
     delta_matrix,
@@ -132,6 +133,68 @@ class TestStructureConstants:
         rep = verify_structure_constants(0, 2, 0, 2)
         assert set(rep) == {"pairs", "violations", "passed"}
         assert rep["pairs"] == bell_number(2) ** 2
+
+
+class TestStructureConstantViolations:
+    """verify_structure_constants builds each diagram's matrix once per call;
+    a wrong power or a wrong composite must still be reported for its pair."""
+
+    L, M, K, N = 2, 1, 2, 3
+
+    def _pairs(self):
+        return [(a, b) for a in enumerate_basis("S", self.L, self.M)
+                for b in enumerate_basis("S", self.M, self.K)]
+
+    def _report_with(self, monkeypatch, wrong: dict):
+        """The report when compose_diagrams(b, a) returns wrong[(a, b)]."""
+        def patched(b, a):
+            return wrong.get((a, b)) or compose_diagrams(b, a)
+
+        monkeypatch.setattr(oracle, "compose_diagrams", patched)
+        return verify_structure_constants(self.L, self.M, self.K, self.N)
+
+    @staticmethod
+    def _violation(a, b, power):
+        return {"first": str(a), "second": str(b), "t_power": power}
+
+    def test_wrong_power_is_reported(self, monkeypatch):
+        a, b = self._pairs()[3]
+        composed, power = compose_diagrams(b, a)
+        rep = self._report_with(monkeypatch, {(a, b): (composed, power + 1)})
+        assert rep["violations"] == [self._violation(a, b, power + 1)]
+        assert not rep["passed"] and rep["pairs"] == len(self._pairs())
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_wrong_shared_composite_is_reported(self, monkeypatch, where):
+        # the wrong composite is the true one of several other pairs: its
+        # matrix is first built for the faulty pair and then served to the
+        # others (first), or is in the memo before the faulty pair (last)
+        pairs = self._pairs()
+        composites = [compose_diagrams(b, a) for a, b in pairs]
+        shared = max(set(composites), key=composites.count)
+        sharing = [i for i, c in enumerate(composites) if c[0] == shared[0]]
+        others = [i for i in range(len(pairs)) if i not in sharing]
+        assert len(sharing) >= 3
+        i = others[0] if where == "first" else others[-1]
+        assert (i < sharing[0]) if where == "first" else (i > sharing[0])
+        a, b = pairs[i]
+        rep = self._report_with(monkeypatch, {(a, b): (shared[0], composites[i][1])})
+        assert rep["violations"] == [self._violation(a, b, composites[i][1])]
+        assert not rep["passed"]
+
+    def test_each_matrix_is_built_once(self, monkeypatch):
+        built = []
+
+        def spy(d, n):
+            built.append(d)
+            return diagram_matrix(d, n)
+
+        monkeypatch.setattr(oracle, "diagram_matrix", spy)
+        rep = verify_structure_constants(self.L, self.M, self.K, self.N)
+        legs = {d for pair in self._pairs() for d in pair}
+        composites = {compose_diagrams(b, a)[0] for a, b in self._pairs()}
+        assert rep["passed"]
+        assert sorted(map(str, built)) == sorted(map(str, legs | composites))
 
 
 class TestHomDimClassical:

@@ -653,6 +653,16 @@ class TestQuotientDim:
                 for m in range(3 - l):
                     assert quotient_dim(l, m, n) == classical(l, m, n), (l, m, n)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, rank", [(2, 64), (3, 365)])
+    def test_stirling_sums_above_the_budget(self, n, rank):
+        # S Hom([3], [4]) has Bell(7) = 877 diagrams, over MAX_GRAM_BASIS, so
+        # its Gram rows come through _gram_space's limit; about 1.1 and 2.6 s
+        src, tgt = semisimplify._gram_space(3, 4, "S", limit=bell_number(7))
+        rows = semisimplify._gram_entries(src, tgt, Fraction(n), cleared=True)
+        assert len(rows) == 877 > MAX_GRAM_BASIS
+        assert linalg.integer_rank(rows) == rank == sum(_stirling2(7, k) for k in range(n + 1))
+
 
 class TestAnnihilated:
     def test_examples(self):
