@@ -14,26 +14,30 @@ Flavors:
                        opposite colors
 
 Per-flavor behaviour lives on these classes and nowhere else: each carries
-the kernels that differ as private methods (_signature, _to_json) and
-classmethods (_build, _trusted, _basis, _basis_size, _from_json, _labels),
-and _colors, the length of its signature data: (m,) for S and O, the Diagram
-default, and (r, s) for GL, blacks then whites on each row.  Entry points
-keyed by a flavor string look the class up in DIAGRAM_CLASSES, and those
-that take endpoints check their data's length in one place (_endpoint).
+the kernels that differ as private methods (_signature, _to_json,
+_check_colors) and classmethods (_trusted, _basis, _basis_size, _from_json,
+_labels), its _kind for messages, _pairs for a matching, and _colors, the
+length of its signature data: (m,) for S and O, the Diagram default, and
+(r, s) for GL, blacks then whites on each row.  Entry points keyed by a
+flavor string look the class up in DIAGRAM_CLASSES, and those that take
+endpoints check their data in one place (_endpoint).
 
-Every other kernel is written once, on Diagram.  _tensor and _braiding merge
-two rows color by color (_merge_rows).  _compose and _closure run on one
-union-find (_components): a matching is a set partition whose blocks have
-size 2, with the same composition law.  _compose, _tensor and _permutation
-(behind _identity, _braiding and every Young symmetrizer term) build through
-_trusted, which neither sorts nor validates: the union-find emits the blocks
-in canonical order (sources ascending before targets, each block keyed by its
-least endpoint), and _tensor sorts its blocks into that order
-(_canonical_blocks).  The composite or the tensor product of two valid
-diagrams covers its endpoints once and keeps the walled color rules, as do
-the pairs (i, -s(i)) of a permutation s that keeps each color.  Outside
-input goes through the validated constructors, _build or JSON.  _tensor
-also builds each map of karoubi's promotion: a generator beside identities.
+Diagram._build is the one validated constructor, for outside input: the
+three public constructors, JSON, and the diagrams homspaces and karoubi
+place by hand.  It checks the endpoint data (_endpoint), sorts the blocks
+(_canonical_blocks), then checks pairs, the cover (_check_cover) and the
+color rules (_check_colors).  Every other kernel is written once, on
+Diagram, and builds what it derives from valid diagrams through _trusted,
+which neither sorts nor validates; tests pin each such build to its
+validated rebuild.  The union-find (_components), the S and O bases and
+_permutation (behind _identity, _braiding and every Young symmetrizer term)
+emit canonical blocks (sources ascending before targets, each block keyed
+by its least endpoint); _tensor, _flip, the GL basis and
+coarsenings_with_moebius sort theirs (_canonical_blocks).  _tensor and
+_braiding merge two rows color by color (_merge_rows), and _tensor builds
+each map of karoubi's promotion: a generator beside identities.  _compose
+and _closure run on one union-find: a matching is a set partition whose
+blocks have size 2, with the same composition law.
 
 pairing_table runs the same union-find over the closed picture of f glued
 to g, and counts its components, the exponent of t in Tr(f o g), without
@@ -88,6 +92,8 @@ def _check_cover(blocks: Sequence[Sequence[int]], top: int, bottom: int, kind: s
         if not b:
             raise ValueError(f"{kind} has an empty block")
         for x in b:
+            if not is_int(x):
+                raise ValueError(f"{kind}: endpoint {x!r} is not an integer")
             if x in seen:
                 raise ValueError(f"{kind}: endpoint {x} appears in two blocks")
             seen.add(x)
@@ -95,16 +101,6 @@ def _check_cover(blocks: Sequence[Sequence[int]], top: int, bottom: int, kind: s
         missing = expected - seen
         extra = seen - expected
         raise ValueError(f"{kind}: endpoints mismatch (missing {missing}, extra {extra})")
-
-
-def _check_matching(pairs, top: int, bottom: int, kind: str) -> tuple[tuple[int, ...], ...]:
-    """Canonical blocks of a perfect matching of the endpoints of [top] -> [bottom]."""
-    ps = _canonical_blocks(pairs)
-    for p in ps:
-        if len(p) != 2:
-            raise ValueError(f"{kind} blocks must be pairs")
-    _check_cover(ps, top, bottom, kind)
-    return ps
 
 
 def _pretty(block: Iterable[int]) -> str:
@@ -176,10 +172,11 @@ def _merge_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple, list[int
 
 class Diagram:
     """Kernels shared by the three diagram classes, written against their
-    `flavor`, `_blocks` (blocks or pairs), `_build`, `_trusted`, `_signature`."""
+    `flavor`, `_kind`, `_blocks` (blocks or pairs), `_trusted`, `_signature`."""
 
     flavor: str
     _colors = 1
+    _pairs = False  # a matching: every block is a pair
 
     # Diagrams are dict keys throughout, so each stores its hash once: the
     # value the generated dataclass hash would give, hash of the compared
@@ -199,6 +196,23 @@ class Diagram:
     def _trusted(cls, source, target, blocks) -> Diagram:
         """Diagram from blocks known to be valid and canonical: no checks."""
         return cls(source[0], target[0], tuple(map(tuple, blocks)))
+
+    @classmethod
+    def _build(cls, source, target, blocks) -> Diagram:
+        """The one validated constructor: endpoint data that fits cls, blocks
+        in canonical order, pairs for a matching, each endpoint an integer
+        covered once, then the color rule.  Any failure is a ValueError."""
+        source, target = _endpoint(cls, source), _endpoint(cls, target)
+        blocks = _canonical_blocks(blocks)
+        if cls._pairs and any(len(b) != 2 for b in blocks):
+            raise ValueError(f"{cls._kind} blocks must be pairs")
+        _check_cover(blocks, sum(source), sum(target), cls._kind)
+        d = cls._trusted(source, target, blocks)
+        d._check_colors()
+        return d
+
+    def _check_colors(self) -> None:
+        """The flavor's rule beyond pairs and cover: none for S and O."""
 
     @classmethod
     def _permutation(cls, data: tuple[int, ...], images: Sequence[int]) -> Diagram:
@@ -221,7 +235,7 @@ class Diagram:
 
     @classmethod
     def _from_json(cls, obj: dict, blocks: list) -> Diagram:
-        return cls._build((obj["top"],), (obj["bottom"],), blocks)
+        return cls._build(obj["top"], obj["bottom"], blocks)
 
     def _to_json(self) -> dict:
         """{"flavor": ..., "top": l, "bottom": m, "blocks": [[...]]} with signed ints."""
@@ -235,7 +249,8 @@ class Diagram:
 
     def _flip(self) -> Diagram:
         source, target = self._signature()
-        return self._build(target, source, [tuple(-x for x in b) for b in self._blocks])
+        blocks = _canonical_blocks([-x for x in b] for b in self._blocks)
+        return self._trusted(target, source, blocks)
 
     def _tensor(self, q: Diagram) -> Diagram:
         """Disjoint union, each row merged with q's color by color."""
@@ -298,21 +313,18 @@ class PartitionDiagram(Diagram):
     __hash__ = Diagram.__hash__
 
     flavor = "S"
+    _kind = "partition diagram"
     _blocks = property(lambda self: self.blocks)
 
     def __str__(self) -> str:
         return f"P[{self.top}->{self.bottom}: {', '.join(map(_pretty, self.blocks))}]"
 
     @classmethod
-    def _build(cls, source, target, blocks) -> PartitionDiagram:
-        return partition_diagram(source[0], target[0], blocks)
-
-    @classmethod
     def _basis(cls, source, target) -> list[PartitionDiagram]:
         """All Bell(l+m) partition diagrams, in restricted-growth order."""
         (l,), (m,) = source, target
         pts = list(range(1, l + 1)) + [-j for j in range(1, m + 1)]
-        return [partition_diagram(l, m, blocks) for blocks in _set_partitions_of(pts)]
+        return [cls._trusted(source, target, blocks) for blocks in _set_partitions_of(pts)]
 
     @classmethod
     def _basis_size(cls, source, target) -> int:
@@ -336,14 +348,12 @@ class BrauerDiagram(Diagram):
     __hash__ = Diagram.__hash__
 
     flavor = "O"
+    _kind = "Brauer diagram"
+    _pairs = True
     _blocks = property(lambda self: self.pairs)
 
     def __str__(self) -> str:
         return f"B[{self.top}->{self.bottom}: {', '.join(map(_pretty, self.pairs))}]"
-
-    @classmethod
-    def _build(cls, source, target, pairs) -> BrauerDiagram:
-        return brauer_diagram(source[0], target[0], pairs)
 
     @classmethod
     def _basis(cls, source, target) -> list[BrauerDiagram]:
@@ -352,7 +362,7 @@ class BrauerDiagram(Diagram):
         if (l + m) % 2:
             return []
         pts = list(range(1, l + 1)) + [-j for j in range(1, m + 1)]
-        return [brauer_diagram(l, m, pairs) for pairs in _matchings_of(pts)]
+        return [cls._trusted(source, target, pairs) for pairs in _matchings_of(pts)]
 
     @classmethod
     def _basis_size(cls, source, target) -> int:
@@ -381,7 +391,9 @@ class WalledDiagram(Diagram):
     __hash__ = Diagram.__hash__
 
     flavor = "GL"
+    _kind = "walled diagram"
     _colors = 2
+    _pairs = True
     _blocks = property(lambda self: self.pairs)
 
     def color(self, x: int) -> int:
@@ -403,9 +415,13 @@ class WalledDiagram(Diagram):
     def _trusted(cls, source, target, pairs) -> WalledDiagram:
         return cls(source, target, tuple(map(tuple, pairs)))
 
-    @classmethod
-    def _build(cls, source, target, pairs) -> WalledDiagram:
-        return walled_diagram(source, target, pairs)
+    def _check_colors(self) -> None:
+        for a, b in self.pairs:
+            same_row = (a > 0) == (b > 0)
+            if same_row and self.color(a) == self.color(b):
+                raise ValueError(f"same-row edge {(a, b)} must join opposite colors")
+            if not same_row and self.color(a) != self.color(b):
+                raise ValueError(f"cross-row edge {(a, b)} must join equal colors")
 
     @classmethod
     def _basis(cls, source, target) -> list[WalledDiagram]:
@@ -420,7 +436,7 @@ class WalledDiagram(Diagram):
         side_a = [+i for i in range(1, r1 + 1)] + [-(r2 + j) for j in range(1, s2 + 1)]
         side_b = [-j for j in range(1, r2 + 1)] + [+(r1 + i) for i in range(1, s1 + 1)]
         return [
-            walled_diagram(source, target, list(zip(side_a, perm)))
+            cls._trusted(source, target, _canonical_blocks(zip(side_a, perm)))
             for perm in itertools.permutations(side_b)
         ]
 
@@ -451,7 +467,7 @@ class WalledDiagram(Diagram):
         target = _colors_to_signature(obj["bottom_colors"], "bottom_colors")
         if sum(source) != obj["top"] or sum(target) != obj["bottom"]:
             raise ValueError("color strings disagree with 'top'/'bottom' counts")
-        return walled_diagram(source, target, blocks)
+        return cls._build(source, target, blocks)
 
     def _to_json(self) -> dict:
         (r1, s1), (r2, s2) = self.source, self.target
@@ -481,35 +497,17 @@ def _diagram_class(flavor: str) -> type[Diagram]:
 
 def partition_diagram(top: int, bottom: int, blocks: Iterable[Iterable[int]]) -> PartitionDiagram:
     """Canonicalize and validate a partition diagram."""
-    bs = _canonical_blocks(blocks)
-    _check_cover(bs, top, bottom, "partition diagram")
-    return PartitionDiagram(top, bottom, bs)
+    return PartitionDiagram._build(top, bottom, blocks)
 
 
 def brauer_diagram(top: int, bottom: int, pairs: Iterable[Iterable[int]]) -> BrauerDiagram:
-    if (top + bottom) % 2:
-        raise ValueError("Brauer diagram needs an even number of endpoints")
-    return BrauerDiagram(top, bottom, _check_matching(pairs, top, bottom, "Brauer diagram"))
+    return BrauerDiagram._build(top, bottom, pairs)
 
 
 def walled_diagram(
-    source: tuple[int, int] | Sequence[int],
-    target: tuple[int, int] | Sequence[int],
-    pairs: Iterable[Iterable[int]],
+    source: Sequence[int], target: Sequence[int], pairs: Iterable[Iterable[int]]
 ) -> WalledDiagram:
-    r1, s1 = source
-    r2, s2 = target
-    if r1 + s2 != r2 + s1:
-        raise ValueError("walled diagram signature violates r1 + s2 = r2 + s1")
-    ps = _check_matching(pairs, r1 + s1, r2 + s2, "walled diagram")
-    d = WalledDiagram((r1, s1), (r2, s2), ps)
-    for a, b in ps:
-        same_row = (a > 0) == (b > 0)
-        if same_row and d.color(a) == d.color(b):
-            raise ValueError(f"same-row edge {(a, b)} must join opposite colors")
-        if not same_row and d.color(a) != d.color(b):
-            raise ValueError(f"cross-row edge {(a, b)} must join equal colors")
-    return d
+    return WalledDiagram._build(source, target, pairs)
 
 
 def _endpoint(cls: type[Diagram], x) -> tuple[int, ...]:
@@ -653,7 +651,7 @@ def coarsenings_with_moebius(p: PartitionDiagram) -> Iterator[tuple[PartitionDia
             for group in grouping
         ]
         mu = math.prod((-1) ** (len(g) - 1) * math.factorial(len(g) - 1) for g in grouping)
-        yield partition_diagram(p.top, p.bottom, merged), mu
+        yield p._trusted(*p._signature(), _canonical_blocks(merged)), mu
 
 
 def coarsenings(p: PartitionDiagram) -> list[PartitionDiagram]:

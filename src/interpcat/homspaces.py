@@ -33,7 +33,6 @@ from interpcat.diagrams import (
     flip,
     identity_diagram,
     tensor_diagram,
-    walled_diagram,
 )
 from interpcat.partitions import is_int
 from interpcat.ratfunc import RF_ONE, Poly, RatFunc, constant_or_self, t_power
@@ -313,15 +312,15 @@ def _ev_diagram(sig: ObjectSignature) -> Diagram:
         r, s = sig.data
         # source is [s, r] (x) [r, s] = [s + r, r + s]; whites start at s + r
         r1 = s + r
-        pairs = []
+        source, pairs = (r1, r + s), []
         for k in range(1, r + 1):  # X's black k with X*'s white r + 1 - k
             pairs.append((s + k, r1 + (r + 1 - k)))
         for j in range(1, s + 1):  # X*'s black s + 1 - j with X's white j
             pairs.append((s + 1 - j, r1 + r + j))
-        return walled_diagram((r1, r + s), (0, 0), pairs)
-    (m,) = sig.data
-    blocks = [(i, m + i) for i in range(1, m + 1)]
-    return DIAGRAM_CLASSES[sig.flavor]._build((2 * m,), (0,), blocks)
+    else:
+        (m,) = sig.data
+        source, pairs = (2 * m,), [(i, m + i) for i in range(1, m + 1)]
+    return DIAGRAM_CLASSES[sig.flavor]._build(source, (0,) * len(source), pairs)
 
 
 def ev(sig: ObjectSignature) -> Morphism:

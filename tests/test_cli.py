@@ -534,6 +534,29 @@ class TestExitCodes:
         assert main(["trace", "-f", empty]) == 2
         assert capsys.readouterr().err == "schema error: -f: partition diagram has an empty block\n"
 
+    @pytest.mark.parametrize("command", ["compose", "tensor"])
+    @pytest.mark.parametrize(
+        "bad, other",
+        [
+            ({"flavor": "S", "top": -1, "bottom": 0, "blocks": []},
+             {"flavor": "S", "top": 1, "bottom": 1, "blocks": [[1, -1]]}),
+            ({"flavor": "O", "top": -2, "bottom": 0, "blocks": []},
+             {"flavor": "O", "top": 1, "bottom": 1, "blocks": [[1, -1]]}),
+        ],
+    )
+    def test_negative_diagram_endpoint_exit_2(self, capsys, command, bad, other):
+        # both exited 0: tensor printed a diagram with "top": -1 and a block [-1, -1]
+        assert main([command, "-P", json.dumps(bad), "-Q", json.dumps(other)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: -P: ") and "Traceback" not in err
+        assert "negative count" in err
+
+    def test_negative_diagram_endpoint_in_a_trace_exit_2(self, capsys):
+        # exited 1 with "bad signature data (-1,) for flavor S"
+        payload = {"flavor": "S", "top": -1, "bottom": -1, "blocks": []}
+        assert main(["trace", "-f", json.dumps(payload)]) == 2
+        assert capsys.readouterr().err == "schema error: -f: object endpoint -1 has a negative count\n"
+
     @pytest.mark.parametrize(
         "field, argv",
         [

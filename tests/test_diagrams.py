@@ -33,6 +33,7 @@ from interpcat.diagrams import (
 )
 from interpcat.homspaces import as_signature, swap
 from interpcat.partitions import bell_number, double_factorial_odd, partitions_of
+from interpcat.semisimplify import MAX_GRAM_BASIS
 
 PI = partition_diagram(1, 1, [(1,), (-1,)])
 
@@ -97,6 +98,64 @@ class TestCanonical:
             walled_diagram((2, 0), (0, 2), [(1, 2), (-1, -2)])
         # the cup-cap endomorphism of [1, 1] is fine
         walled_diagram((1, 1), (1, 1), [(1, 2), (-1, -2)])
+
+
+class TestValidatedBuilder:
+    """Diagram._build checks outside diagrams once, in order: endpoint data,
+    pairs for a matching, the cover, the walled color rules.  Each rule has
+    one message, whichever constructor or row count breaks it."""
+
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            # the first four were accepted
+            (partition_diagram, (-2, 0, []), "object endpoint -2 has a negative count"),
+            (brauer_diagram, (True, 1, [(1, -1)]), "object endpoint True is not an integer"),
+            (partition_diagram, (1, 1, [(True, -1)]), "partition diagram: endpoint True is not an integer"),
+            (walled_diagram, ((-1, 0), (-1, 0), []), r"object endpoint \(-1, 0\) has a negative count"),
+            # raised Python's "too many values to unpack"
+            (walled_diagram, ((1, 0, 0), (1, 0, 0), [(1, -1)]), "does not fit flavor GL"),
+        ],
+    )
+    def test_endpoint_data(self, build, args, message):
+        with pytest.raises(ValueError, match=message):
+            build(*args)
+
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (brauer_diagram, (1, 1, [(1, -1, 2)]), "Brauer diagram blocks must be pairs"),
+            (walled_diagram, ((1, 1), (1, 1), [(1, 2, -1), (-2,)]), "walled diagram blocks must be pairs"),
+            (partition_diagram, (1, 1, [(1, -1), ()]), "partition diagram has an empty block"),
+            (partition_diagram, (2, 1, [(1, -1)]),
+             r"partition diagram: endpoints mismatch \(missing \{2\}, extra set\(\)\)"),
+            (partition_diagram, (2, 0, [(1, 2), (2,)]), "partition diagram: endpoint 2 appears in two blocks"),
+            (walled_diagram, ((2, 0), (0, 2), [(1, 2), (-1, -2)]),
+             r"same-row edge \(1, 2\) must join opposite colors"),
+            (walled_diagram, ((1, 1), (1, 1), [(1, -2), (2, -1)]),
+             r"cross-row edge \(1, -2\) must join equal colors"),
+            # an odd O row said "Brauer diagram needs an even number of
+            # endpoints", and an unbalanced GL signature "walled diagram
+            # signature violates r1 + s2 = r2 + s1"; pairs, cover and colors
+            # imply both
+            (brauer_diagram, (1, 0, [(1,)]), "Brauer diagram blocks must be pairs"),
+            (brauer_diagram, (3, 0, [(1, 2)]), r"Brauer diagram: endpoints mismatch \(missing \{3\}"),
+            (walled_diagram, ((1, 0), (0, 0), [(1,)]), "walled diagram blocks must be pairs"),
+            (walled_diagram, ((1, 0), (0, 0), []), r"walled diagram: endpoints mismatch \(missing \{1\}"),
+            (walled_diagram, ((1, 0), (0, 1), [(1, -1)]),
+             r"cross-row edge \(1, -1\) must join equal colors"),
+        ],
+    )
+    def test_one_rule_one_message(self, build, args, message):
+        with pytest.raises(ValueError, match=message):
+            build(*args)
+
+    def test_json_takes_the_same_checks(self):
+        blob = {"flavor": "O", "top": -2, "bottom": 0, "blocks": []}
+        with pytest.raises(ValueError, match="object endpoint -2 has a negative count"):
+            diagram_from_json(blob)
+        with pytest.raises(ValueError, match="Brauer diagram blocks must be pairs"):
+            diagram_from_json({**blob, "top": 1, "blocks": [[1]]})
 
 
 class TestStoredHash:
@@ -471,11 +530,59 @@ class TestTrustedComposition:
                 assert d == rebuilt and hash(d) == hash(rebuilt), (p, q)
         assert len(ds) ** 2 == {"S": 841, "O": 361, "GL": 529}[flavor]
 
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_bases_and_flips_match_validated_rebuild(self, flavor):
+        # every space with at most MAX_GRAM_BASIS diagrams: l + m <= 6 for S,
+        # l + m <= 8 for O and r1 + s2 <= 5 for GL
+        sides = _signatures(flavor, 8 if flavor != "GL" else 5)
+        ds = [
+            d
+            for a, b in itertools.product(sides, repeat=2)
+            if basis_size(flavor, a, b) <= MAX_GRAM_BASIS
+            for d in enumerate_basis(flavor, a, b)
+        ]
+        for d in ds + [flip(d) for d in ds]:
+            rebuilt = _rebuild(d)
+            assert d == rebuilt and hash(d) == hash(rebuilt), d
+        assert len(ds) == {"S": 1837, "O": 1069, "GL": 5039}[flavor]
+
+    def test_coarsenings_match_validated_rebuild(self):
+        ds = [d for n in range(5) for l in range(n + 1) for d in enumerate_basis("S", l, n - l)]
+        found = 0
+        for p in ds:
+            for coarser in coarsenings(p):
+                rebuilt = _rebuild(coarser)
+                assert coarser == rebuilt and hash(coarser) == hash(rebuilt), (p, coarser)
+                found += 1
+        assert found == sum(bell_number(len(p.blocks)) for p in ds)
+
+    def test_derived_diagrams_skip_the_cover_check(self, monkeypatch):
+        # _check_cover runs only in Diagram._build: bases, flips, coarsenings,
+        # tensor products and composites are built unchecked
+        checked = []
+        monkeypatch.setattr(diagrams, "_check_cover", lambda *args: checked.append(args))
+        diagrams._cached_basis.cache_clear()
+        compose_diagrams.cache_clear()
+        for flavor, x in [("S", 2), ("O", 2), ("GL", (1, 1))]:
+            basis = enumerate_basis(flavor, x, x)
+            for p in basis:
+                flip(p)
+                for q in basis:
+                    tensor_diagram(p, q)
+                    compose_diagrams(p, q)
+        for p in enumerate_basis("S", 2, 1):
+            coarsenings(p)
+        assert not checked
+        # the spy sees a validated build
+        partition_diagram(1, 0, [(1,)])
+        assert len(checked) == 1
+
 
 class TestTrustedBuilders:
     """_trusted skips every check, so only the diagram kernels reach it, and
     _permutation, which trusts its caller to keep each color, serves diagrams
-    and the y_lam builder alone.  Outside input cannot take that path."""
+    and the y_lam builder alone.  Outside input cannot take that path: it
+    goes through Diagram._build, the one place that checks the cover."""
 
     @staticmethod
     def _references(module: str, source: str, name: str) -> set[tuple[str, str]]:
@@ -528,6 +635,35 @@ class TestTrustedBuilders:
             if scope != "karoubi"
         }
         assert in_functions == {("karoubi.permutation_morphism", "_build")}
+
+    def test_only_the_validated_builder_checks_the_cover(self):
+        source = pathlib.Path(diagrams.__file__).read_text()
+        found = self._references("diagrams", source, "_check_cover")
+        assert found | self._package_references("_check_cover") == {("diagrams.Diagram._build", "")}
+
+    def test_validated_builds_outside_diagrams(self):
+        assert {scope for scope, _ in self._package_references("_build")} == {
+            "homspaces._ev_diagram",
+            "karoubi.permutation_morphism",
+        }
+
+    def test_derived_diagrams_build_unchecked(self):
+        # the three public constructors wrap Diagram._build, and only JSON
+        # reaches either inside diagrams: _basis, _flip, _tensor, _compose,
+        # _permutation and coarsenings_with_moebius build through _trusted
+        source = pathlib.Path(diagrams.__file__).read_text()
+        found = {
+            scope
+            for name in ("_build", "partition_diagram", "brauer_diagram", "walled_diagram")
+            for scope, _ in self._references("diagrams", source, name)
+        }
+        assert found == {
+            "diagrams.Diagram._from_json",
+            "diagrams.WalledDiagram._from_json",
+            "diagrams.partition_diagram",
+            "diagrams.brauer_diagram",
+            "diagrams.walled_diagram",
+        }
 
     def test_the_scan_sees_each_form(self):
         source = """

@@ -13,9 +13,11 @@ from interpcat.diagrams import (
     brauer_diagram,
     closure_components,
     compose_diagrams,
+    diagram_from_json,
     enumerate_basis,
     identity_diagram,
     partition_diagram,
+    refines,
     tensor_diagram,
     walled_diagram,
 )
@@ -34,6 +36,7 @@ from interpcat.homspaces import (
     identity,
     morphism_from_json,
     morphism_to_json,
+    signature_from_json,
     sig_gl,
     sig_o,
     sig_s,
@@ -356,6 +359,52 @@ class TestWireFormat:
         assert "basis" not in blob
         blob = morphism_to_json(identity(sig_s(1)))
         assert blob["basis"] == "e"
+
+
+GL_BLOB = {"flavor": "GL", "top": 1, "bottom": 1, "blocks": [[1, -1]],
+           "top_colors": "1", "bottom_colors": "1"}
+S_TERM = {"diagram": {"flavor": "S", "top": 1, "bottom": 1, "blocks": [[1, -1]]}, "coeff": "1"}
+S1 = {"flavor": "S", "m": 1}
+
+
+class TestRefusals:
+    """Each raise of diagrams and homspaces that no other tier-1 test reached."""
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: diagram_from_json({k: v for k, v in GL_BLOB.items() if k != "top_colors"}),
+             ValueError, "diagram JSON missing field 'top_colors'"),
+            (lambda: diagram_from_json({k: v for k, v in GL_BLOB.items() if k != "bottom_colors"}),
+             ValueError, "diagram JSON missing field 'bottom_colors'"),
+            (lambda: diagram_from_json({**GL_BLOB, "top_colors": "10"}),
+             ValueError, "color strings disagree with 'top'/'bottom' counts"),
+            (lambda: tensor_diagram(identity_diagram("S", 1), identity_diagram("O", 1)),
+             TypeError, "cannot tensor diagrams of different flavors"),
+            (lambda: refines(PI, partition_diagram(1, 0, [(1,)])),
+             ValueError, "refinement needs identical endpoint sets"),
+            (lambda: sig_s(1).tensor(sig_o(1)),
+             ValueError, "cannot tensor signatures of different flavors"),
+            (lambda: hom_basis(sig_s(1), sig_o(1)), ValueError, "Hom between different flavors"),
+            (lambda: identity(sig_s(1)) + identity(sig_s(2)),
+             ValueError, "cannot add morphisms with different signatures"),
+            (lambda: swap(sig_s(1), sig_o(1)), ValueError, "cannot swap signatures of different flavors"),
+            (lambda: signature_from_json({"m": 1}), ValueError, "signature JSON missing field 'flavor'"),
+            (lambda: morphism_from_json({"source": S1, "target": S1, "terms": [{"coeff": "1"}]}),
+             ValueError, r"morphism JSON missing field 'terms\[0\]\.diagram'"),
+            (lambda: morphism_from_json(
+                {"source": S1, "target": S1, "terms": [S_TERM, {"diagram": S_TERM["diagram"]}]}),
+             ValueError, r"morphism JSON missing field 'terms\[1\]\.coeff'"),
+        ],
+        ids=[
+            "gl-json-top-colors", "gl-json-bottom-colors", "gl-json-counts", "tensor-diagram-flavors",
+            "refines-endpoints", "signature-tensor-flavors", "hom-basis-flavors", "add-signatures",
+            "swap-flavors", "signature-json-flavor", "morphism-json-diagram", "morphism-json-coeff",
+        ],
+    )
+    def test_raises(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
 
 
 class TestAsSignature:
