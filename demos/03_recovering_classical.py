@@ -57,7 +57,7 @@ for n in range(4):
 # --- the matrix oracle -------------------------------------------------------
 
 print("\ne-matrix of pi at n = 3 (the all-ones averaging map):")
-print(e_matrix(pi, 3))
+print("[" + "\n ".join("[" + " ".join(map(str, row)) + "]" for row in e_matrix(pi, 3)) + "]")
 
 rep = verify_structure_constants(2, 1, 2, 3)
 print("\nstructure constants on Hom([2],[1]) x Hom([1],[2]) at n = 3:",

@@ -16,7 +16,7 @@ Module map:
   homspaces    morphisms, composition, trace, duality, basis change
   karoubi      idempotents, promotion, decomposition, simple dimensions
   semisimplify Gram matrices of the trace pairing, negligible morphisms
-  oracle       classical matrix realizations at integer t (numpy)
+  oracle       classical matrix realizations at integer t
   symfun       LR coefficients, stable multiplicities, character moments
   selftest     named invariant suites (also exposed via the CLI)
   cli          the `interpcat` command-line front end

@@ -24,9 +24,10 @@ endpoints check their data in one place (_endpoint).
 
 Diagram._build is the one validated constructor, for outside input: the
 three public constructors, JSON, and the diagrams homspaces and karoubi
-place by hand.  It checks the endpoint data (_endpoint), sorts the blocks
-(_canonical_blocks), then checks pairs, the cover (_check_cover) and the
-color rules (_check_colors).  Every other kernel is written once, on
+place by hand.  It checks the endpoint data (_endpoint), checks that each
+block is iterable and each endpoint an integer (_integer_blocks), sorts the
+blocks (_canonical_blocks), then checks pairs, the cover (_check_cover) and
+the color rules (_check_colors).  Every other kernel is written once, on
 Diagram, and builds what it derives from valid diagrams through _trusted,
 which neither sorts nor validates; tests pin each such build to its
 validated rebuild.  The union-find (_components), the S and O bases and
@@ -85,6 +86,19 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...],
     return tuple(bs)
 
 
+def _integer_blocks(blocks, kind: str) -> list[tuple[int, ...]]:
+    """The blocks as tuples, once each is iterable and each endpoint an
+    integer, so that sorting them cannot raise TypeError."""
+    try:
+        blocks = [tuple(b) for b in blocks]
+    except TypeError:
+        raise ValueError(f"{kind} blocks must be iterables of endpoints") from None
+    for x in itertools.chain.from_iterable(blocks):
+        if not is_int(x):
+            raise ValueError(f"{kind}: endpoint {x!r} is not an integer")
+    return blocks
+
+
 def _check_cover(blocks: Sequence[Sequence[int]], top: int, bottom: int, kind: str):
     expected = set(range(1, top + 1)) | {-j for j in range(1, bottom + 1)}
     seen: set[int] = set()
@@ -92,8 +106,6 @@ def _check_cover(blocks: Sequence[Sequence[int]], top: int, bottom: int, kind: s
         if not b:
             raise ValueError(f"{kind} has an empty block")
         for x in b:
-            if not is_int(x):
-                raise ValueError(f"{kind}: endpoint {x!r} is not an integer")
             if x in seen:
                 raise ValueError(f"{kind}: endpoint {x} appears in two blocks")
             seen.add(x)
@@ -199,11 +211,12 @@ class Diagram:
 
     @classmethod
     def _build(cls, source, target, blocks) -> Diagram:
-        """The one validated constructor: endpoint data that fits cls, blocks
-        in canonical order, pairs for a matching, each endpoint an integer
-        covered once, then the color rule.  Any failure is a ValueError."""
+        """The one validated constructor: endpoint data that fits cls,
+        iterable blocks of integer endpoints in canonical order, pairs for a
+        matching, each endpoint covered once, then the color rule.  Any
+        failure is a ValueError."""
         source, target = _endpoint(cls, source), _endpoint(cls, target)
-        blocks = _canonical_blocks(blocks)
+        blocks = _canonical_blocks(_integer_blocks(blocks, cls._kind))
         if cls._pairs and any(len(b) != 2 for b in blocks):
             raise ValueError(f"{cls._kind} blocks must be pairs")
         _check_cover(blocks, sum(source), sum(target), cls._kind)

@@ -8,20 +8,29 @@ interpolation categories to the classical ones: structure constants are
 verified pair by pair, and image ranks of idempotents give classical
 dimensions of interpolated objects.
 
-Diagram matrices are numpy int64 within an explicit size budget: their
-entries are 0/1 and the entries of their products are bounded by
-n^l <= 10^6, far below overflow.  A morphism's matrix sums diagram matrices
-with arbitrary integer scales, so it is accumulated in Python ints
-(dtype=object).  Ranks over Q are linalg.integer_rank of these integer
-matrices: a rank mod 2^61 - 1, proved over Z by kernel vectors, with exact
-Fraction elimination as the fallback.
+A matrix is a list of rows of Python ints, one row per target index and one
+column per source index, within an explicit size budget.  Index tuples
+flatten row-major with the first tensor factor most significant.  A
+diagram's entry is 1 where its blocks can take values that give the row and
+the column (distinct values for a delta matrix), and 0 elsewhere, so each
+matrix is built from the flat-index weights of its blocks
+(_block_weights): the e matrix from itertools.product over the block values,
+one shifted copy of a single row per row (_relaxed_rows), the delta matrix
+from itertools.permutations (_strict_rows).  A morphism's matrix sums
+diagram matrices with arbitrary integer scales.
+
+verify_structure_constants compares B A with n^power times the matrix of the
+composite for every pair, one packed int per row (_packed): every slot holds
+one exact entry, so the comparison is in full.  Ranks over Q are
+linalg.integer_rank of integer rows: a rank mod 2^61 - 1, proved over Z by
+kernel vectors, with exact Fraction elimination as the fallback.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from itertools import chain, compress, permutations, product, repeat
+from operator import add, mul
 
 from interpcat.diagrams import Diagram, PartitionDiagram, compose_diagrams
 from interpcat.homspaces import Morphism, as_signature, hom_basis
@@ -31,6 +40,9 @@ from interpcat.ratfunc import PoleError
 
 MAX_ENTRIES = 10**6
 
+# a 0/1 byte as an ASCII binary digit
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def _check_budget(n: int, l: int, m: int):
     if n**l * n**m > MAX_ENTRIES:
@@ -39,62 +51,85 @@ def _check_budget(n: int, l: int, m: int):
         )
 
 
-def _group_weights(groups, l: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group contributions to the flat source/target indices.
-
-    Index tuples flatten row-major with the first tensor factor most
-    significant, so slot j of the source contributes value * n^(l-1-j).
-    """
-    w_src = np.zeros(len(groups), dtype=np.int64)
-    w_tgt = np.zeros(len(groups), dtype=np.int64)
-    for g, members in enumerate(groups):
-        for x in members:
+def _block_weights(blocks, l: int, m: int, n: int) -> list[tuple[int, int, bool]]:
+    """(source weight, target weight, has a target endpoint) per block: a
+    block with value v adds v times its weights to the flat indices, since
+    slot j of the source contributes value * n^(l-1-j)."""
+    powers = [n**j for j in range(max(l, m))]
+    weights = []
+    for block in blocks:
+        src = tgt = 0
+        for x in block:
             if x > 0:
-                w_src[g] += n ** (l - x)
+                src += powers[l - x]
             else:
-                w_tgt[g] += n ** (m + x)
-    return w_src, w_tgt
+                tgt += powers[m + x]
+        weights.append((src, tgt, min(block) < 0))
+    return weights
 
 
-def _assignment_matrix(count: int, n: int) -> np.ndarray:
-    """All n^count value assignments, one per row."""
-    if count == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.indices((n,) * count, dtype=np.int64).reshape(count, -1).T
+def _zero_rows(count: int, width: int) -> list[list[int]]:
+    """count rows of width zeros, each its own list."""
+    return list(map(list, [[0] * width] * count))
 
 
-def _contraction_matrix(groups, l: int, m: int, n: int, distinct: bool) -> np.ndarray:
-    """0/1 matrix with a 1 wherever each group of endpoints shares one value."""
-    mat = np.zeros((n**m, n**l), dtype=np.int64)
-    if distinct and len(groups) > n:
-        return mat
-    vals = _assignment_matrix(len(groups), n)
-    if distinct and len(groups) > 1:
-        ordered = np.sort(vals, axis=1)
-        vals = vals[(np.diff(ordered, axis=1) != 0).all(axis=1)]
-    w_src, w_tgt = _group_weights(groups, l, m, n)
-    mat[vals @ w_tgt, vals @ w_src] = 1
-    return mat
+def _index_sums(weights: list[int], n: int) -> list[int]:
+    """sum_g v_g weights[g] for every value assignment v, in the order of
+    itertools.product(range(n), repeat=len(weights))."""
+    sums = [0]
+    for w in weights:
+        sums = [s + x for s, x in product(sums, [w * v for v in range(n)])]
+    return sums
 
 
-def _pattern_matrix(d: Diagram, n: int, distinct: bool) -> np.ndarray:
+def _relaxed_rows(weights, l: int, m: int, n: int) -> list[list[int]]:
+    """e matrix: the blocks with a target endpoint fix the row and add a base
+    to the column; the other blocks add the same offsets to every base, so
+    each row is one shifted copy of the row with base 0."""
+    width = n**l
+    if not width:  # n = 0 and l > 0: no columns
+        return [[] for _ in range(n**m)]
+    fixed = [(src, tgt) for src, tgt, bottom in weights if bottom]
+    # zeros, then the row with base 0: the row with base b is a window of it
+    shifted = bytearray(2 * width)
+    for offset in _index_sums([src for src, _, bottom in weights if not bottom], n):
+        shifted[width + offset] = 1
+    rows = _zero_rows(n**m, width)
+    bases = _index_sums([src for src, _ in fixed], n)
+    for base, row in zip(bases, _index_sums([tgt for _, tgt in fixed], n)):
+        rows[row] = list(shifted[width - base : 2 * width - base])
+    return rows
+
+
+def _strict_rows(weights, l: int, m: int, n: int) -> list[list[int]]:
+    """delta matrix: one 1 per assignment of distinct values to the blocks."""
+    rows = _zero_rows(n**m, n**l)
+    w_src = [src for src, _, _ in weights]
+    w_tgt = [tgt for _, tgt, _ in weights]
+    for vals in permutations(range(n), len(weights)):
+        rows[sum(map(mul, vals, w_tgt))][sum(map(mul, vals, w_src))] = 1
+    return rows
+
+
+def _pattern_matrix(d: Diagram, n: int, distinct: bool) -> list[list[int]]:
     source, target = d._signature()
     l, m = sum(source), sum(target)
     _check_budget(n, l, m)
-    return _contraction_matrix(d._blocks, l, m, n, distinct)
+    build = _strict_rows if distinct else _relaxed_rows
+    return build(_block_weights(d._blocks, l, m, n), l, m, n)
 
 
-def delta_matrix(p: PartitionDiagram, n: int) -> np.ndarray:
+def delta_matrix(p: PartitionDiagram, n: int) -> list[list[int]]:
     """Matrix of the strict equality pattern: blocks take distinct values."""
     return _pattern_matrix(p, n, distinct=True)
 
 
-def e_matrix(p: PartitionDiagram, n: int) -> np.ndarray:
+def e_matrix(p: PartitionDiagram, n: int) -> list[list[int]]:
     """Matrix of the relaxed equality pattern: blocks take arbitrary values."""
     return _pattern_matrix(p, n, distinct=False)
 
 
-def diagram_matrix(d: Diagram, n: int, basis: str = "e") -> np.ndarray:
+def diagram_matrix(d: Diagram, n: int, basis: str = "e") -> list[list[int]]:
     """Classical matrix of a single diagram at parameter value n.
 
     basis = "delta" selects the strict-orbit matrix of an S diagram.  A
@@ -105,8 +140,8 @@ def diagram_matrix(d: Diagram, n: int, basis: str = "e") -> np.ndarray:
     return _pattern_matrix(d, n, distinct=basis == "delta" and d.flavor == "S")
 
 
-def morphism_matrix(f: Morphism, n: int) -> tuple[np.ndarray, int]:
-    """(numerator matrix, denominator) of f's matrix with t evaluated at n.
+def morphism_matrix(f: Morphism, n: int) -> tuple[list[list[int]], int]:
+    """(numerator rows, denominator) of f's matrix with t evaluated at n.
 
     The rational matrix is numerators/denominator; a pole of any coefficient
     at t = n raises PoleError ("idempotent not defined at this integer").
@@ -118,12 +153,34 @@ def morphism_matrix(f: Morphism, n: int) -> tuple[np.ndarray, int]:
     except PoleError as exc:
         raise PoleError(f"morphism not defined at this integer: {exc}") from exc
     denom = math.lcm(*(c.denominator for c in coeffs.values()))
-    # exact integers: int64 would wrap silently on large scales
-    mat = np.zeros((n**sig_m, n**sig_l), dtype=object)
+    mat = _zero_rows(n**sig_m, n**sig_l)
     for d, c in coeffs.items():
         scale = c.numerator * (denom // c.denominator)
-        mat = mat + scale * diagram_matrix(d, n).astype(object)
+        mat = [
+            list(map(add, acc, map(scale.__mul__, row)))
+            for acc, row in zip(mat, diagram_matrix(d, n))
+        ]
     return mat, denom
+
+
+def _slot_width(middle: int, scale: int) -> int:
+    """Bits per slot of _packed in verify_structure_constants.
+
+    An entry of B A counts middle indices, so it is at most middle = n^m; an
+    entry of n^power C is 0 or scale = n^power.  Both sides are nonnegative
+    and compared for equality, so w = the bit length of the larger bound is
+    the narrowest width at which no slot carries into the next."""
+    return max(middle, scale, 1).bit_length()
+
+
+def _packed(row: list[int], w: int) -> int:
+    """A 0/1 row as one int: entry s in the w-bit slot at 2^(w (len - 1 - s))."""
+    digits = bytes(row).translate(_DIGITS)
+    if w > 1:
+        padded = bytearray(b"0") * (len(row) * w)
+        padded[w - 1 :: w] = digits
+        digits = padded
+    return int(digits or b"0", 2)
 
 
 def verify_structure_constants(l, m, k, n: int, flavor: str = "S") -> dict:
@@ -131,34 +188,52 @@ def verify_structure_constants(l, m, k, n: int, flavor: str = "S") -> dict:
 
     For every pair (A: l -> m, B: m -> k) of basis diagrams, the matrix
     product of B and A must equal n^power times the matrix of the composed
-    diagram.  Each diagram's matrix is built once per call, in one dict that
-    serves both legs and every composite; a matrix depends only on its
-    diagram and n, so every pair is still checked against its own
-    composite.  Returns {"pairs", "violations", "passed"}.
+    diagram.  Rows are compared packed (_packed), w bits per entry: row r of
+    B A is the sum of A's packed rows at the columns where row r of B has a
+    1, and must equal n^power times the composite's packed row r.  w is
+    _slot_width of n^m and the largest n^power of the call, so no slot
+    carries and equal packed rows mean equal entries.  Each diagram's matrix
+    is built once per call; a matrix depends only on its diagram and n, so
+    every pair is still checked against its own composite.  Returns
+    {"pairs", "violations", "passed"}.
     """
     sl = as_signature(l, flavor)
     sm = as_signature(m, flavor)
     sk = as_signature(k, flavor)
     for a, b in ((sl, sm), (sm, sk), (sl, sk)):
         _check_budget(n, a.size, b.size)
-    matrices: dict[Diagram, np.ndarray] = {}
+    first_legs, second_legs = hom_basis(sl, sm), hom_basis(sm, sk)
+    composites = [[compose_diagrams(b, a) for b in second_legs] for a in first_legs]
+    top = max((power for row in composites for _, power in row), default=0)
+    w = _slot_width(n**sm.size, n**top)
+    # B enters through the columns of its 1s, every other diagram through
+    # its packed rows; a B that is also a first leg or a composite reuses
+    # its matrix
+    matrices = {b: diagram_matrix(b, n) for b in second_legs}
+    middle = range(n**sm.size)
+    # most rows are zero, and == with a zero row is the cheap test
+    zero_middle, zero_source = [0] * n**sm.size, [0] * n**sl.size
+    ones = [
+        [list(compress(middle, row)) if row != zero_middle else [] for row in matrices[b]]
+        for b in second_legs
+    ]
+    packed: dict[Diagram, list[int]] = {}
 
-    def matrix(d: Diagram) -> np.ndarray:
-        if d not in matrices:
-            matrices[d] = diagram_matrix(d, n)
-        return matrices[d]
+    def packed_rows(d: Diagram) -> list[int]:
+        if d not in packed:
+            rows = matrices[d] if d in matrices else diagram_matrix(d, n)
+            packed[d] = [_packed(row, w) if row != zero_source else 0 for row in rows]
+        return packed[d]
 
-    second_legs = hom_basis(sm, sk)
     violations = []
     pairs = 0
-    for a in hom_basis(sl, sm):
-        mat_a = matrix(a)
-        for b in second_legs:
+    for a, a_composites in zip(first_legs, composites):
+        rows_a = packed_rows(a).__getitem__
+        for b, ones_b, (composed, power) in zip(second_legs, ones, a_composites):
             pairs += 1
-            composed, power = compose_diagrams(b, a)
-            lhs = matrix(b) @ mat_a
-            rhs = n**power * matrix(composed)
-            if not np.array_equal(lhs, rhs):
+            lhs = list(map(sum, map(map, repeat(rows_a), ones_b)))
+            scale = n**power
+            if lhs != [scale * x for x in packed_rows(composed)]:
                 violations.append({"first": str(a), "second": str(b), "t_power": power})
     return {"pairs": pairs, "violations": violations, "passed": not violations}
 
@@ -172,7 +247,10 @@ def hom_dim_classical(l, m, n: int, flavor: str = "S") -> int:
     sl = as_signature(l, flavor)
     sm = as_signature(m, flavor)
     _check_budget(n, sl.size, sm.size)
-    rows = [diagram_matrix(d, n, basis="delta").reshape(-1).tolist() for d in hom_basis(sl, sm)]
+    rows = [
+        list(chain.from_iterable(diagram_matrix(d, n, basis="delta")))
+        for d in hom_basis(sl, sm)
+    ]
     return integer_rank(rows)
 
 
@@ -184,4 +262,4 @@ def functor_image_rank(X: KaroubiObject, n: int) -> int:
     matrix rank (exact, over Q).
     """
     mat, _ = morphism_matrix(X.idem, n)
-    return integer_rank(mat.tolist())
+    return integer_rank(mat)

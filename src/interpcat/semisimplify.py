@@ -38,7 +38,7 @@ from interpcat.diagrams import _row_transpositions, basis_size, enumerate_basis,
 from interpcat.homspaces import Morphism, as_signature, hom_basis
 from interpcat.partitions import check_partition, partitions_of
 from interpcat.linalg import determinant, integer_rank, right_nullspace
-from interpcat.ratfunc import RatFunc, t_power
+from interpcat.ratfunc import RF_ONE, RatFunc, t_power
 
 Partition = tuple[int, ...]
 
@@ -160,9 +160,12 @@ def gram(l, m, t0: Fraction | int | None, flavor: str = "S") -> GramReport:
 
 def gram_determinant_symbolic(l, m, flavor: str = "S") -> RatFunc:
     """Determinant of the symbolic Gram matrix (small Hom spaces only),
-    refusing spaces over the budget before building the matrix."""
+    refusing spaces over the budget before building the matrix.  An empty
+    Hom basis, such as O's Hom([1], [0]), gives the 0 x 0 matrix, whose
+    determinant is 1."""
     _gram_space(l, m, flavor, MAX_SYMBOLIC_DET_BASIS)
-    return determinant(gram_matrix_symbolic(l, m, flavor))
+    matrix = gram_matrix_symbolic(l, m, flavor)
+    return determinant(matrix) if matrix else RF_ONE
 
 
 def is_negligible(f: Morphism, t0: Fraction | int) -> bool:

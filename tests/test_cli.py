@@ -706,7 +706,29 @@ class TestPayloadTypeFuzz:
         assert swaps >= 5
 
 
+NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+import interpcat.cli
+assert "numpy" not in sys.modules, "import interpcat.cli"
+for argv in (
+    ["dim", "--flavor", "S", "--m", "2"],
+    ["lr", "--lambda", "[2,1]", "--mu", "[1]", "--nu", "[1,1]"],
+    ["oracle-check", "-l", "2", "-m", "1", "-k", "2", "--n", "3"],
+    ["selftest", "--level", "quick"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert interpcat.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+
+
 class TestSubprocess:
+    def test_no_command_imports_numpy(self):
+        # the package is stdlib only: neither its import nor these commands,
+        # the matrix oracle's included, load numpy
+        proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "interpcat", "lr", "--lambda", "[2,1]", "--mu", "[1]", "--nu", "[1,1]"],

@@ -109,7 +109,7 @@ def classical_multiplicity(X: KaroubiObject, mu, n: int) -> Fraction:
             moved = 0
             for d in digits:
                 moved = moved * n + g[d]
-            tr += int(mat[moved, flat_i])
+            tr += mat[moved][flat_i]
         total += Fraction(class_size(rho, n) * sn_character(padded, rho) * tr, den)
     return total / math.factorial(n)
 

@@ -150,6 +150,23 @@ class TestValidatedBuilder:
         with pytest.raises(ValueError, match=message):
             build(*args)
 
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            # both raised Python's TypeError from the sort of the blocks
+            (partition_diagram, (1, 0, [("a",)]), "partition diagram: endpoint 'a' is not an integer"),
+            (partition_diagram, (1, 0, [1]), "partition diagram blocks must be iterables of endpoints"),
+            (partition_diagram, (1, 0, 5), "partition diagram blocks must be iterables of endpoints"),
+            (brauer_diagram, (1, 1, [(1, None)]), "Brauer diagram: endpoint None is not an integer"),
+            (walled_diagram, ((1, 0), (1, 0), [(1, -1), None]),
+             "walled diagram blocks must be iterables of endpoints"),
+            (partition_diagram, (1, 0, [(1.0,)]), "partition diagram: endpoint 1.0 is not an integer"),
+        ],
+    )
+    def test_blocks_are_checked_before_they_are_sorted(self, build, args, message):
+        with pytest.raises(ValueError, match=message):
+            build(*args)
+
     def test_json_takes_the_same_checks(self):
         blob = {"flavor": "O", "top": -2, "bottom": 0, "blocks": []}
         with pytest.raises(ValueError, match="object endpoint -2 has a negative count"):

@@ -41,6 +41,21 @@ class TestDense:
     def test_symbolic_determinant(self):
         assert determinant([[t, t], [t, t * t]]) == t * t * t - t * t
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[F(1), F(2)]], "determinant needs a square matrix"),
+            ([[F(1)], [F(2)]], "determinant needs a square matrix"),
+            ([[F(1), F(2)], [F(3)]], "determinant needs a square matrix"),
+            # no field element to return: semisimplify's empty Gram matrix
+            # answers 1 itself
+            ([], "determinant of an empty matrix is undefined here"),
+        ],
+    )
+    def test_determinant_refusals(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            determinant(matrix)
+
     def test_rank_skips_pivotless_columns(self):
         matrix = [[F(0), F(1), F(2), F(3)], [F(0), F(2), F(4), F(7)], [F(0), F(0), F(0), F(1)]]
         assert dense_rank(matrix) == 2

@@ -33,7 +33,7 @@ from interpcat.homspaces import (
 )
 from interpcat.linalg import dense_rank, right_nullspace
 from interpcat.partitions import bell_number
-from interpcat.ratfunc import RatFunc, RF_T
+from interpcat.ratfunc import RF_ONE, RatFunc, RF_T
 from interpcat.selftest import random_morphism
 from interpcat import linalg, semisimplify
 from interpcat.semisimplify import (
@@ -70,6 +70,16 @@ class TestGram:
         assert gram_determinant_symbolic(sig_gl(1, 1), sig_gl(1, 1), "GL") == t * t * (t * t - 1)
         with pytest.raises(ValueError, match="15 basis diagrams.* has 24"):
             gram_determinant_symbolic(sig_gl(2, 2), sig_gl(2, 2), "GL")
+
+    @pytest.mark.parametrize(
+        "l, m, flavor", [(1, 0, "O"), (0, 3, "O"), (2, 1, "O"), (sig_gl(1, 0), sig_gl(0, 0), "GL")]
+    )
+    def test_symbolic_determinant_of_an_empty_space(self, l, m, flavor):
+        # no basis diagram: the Gram matrix is 0 x 0, of rank 0 at every t,
+        # and its determinant is 1 (it raised "determinant of an empty matrix")
+        assert gram(l, m, 2, flavor).rank == 0
+        assert gram(l, m, None, flavor).gram == []
+        assert gram_determinant_symbolic(l, m, flavor) == RF_ONE
 
     @pytest.mark.parametrize("l, m", [(sig_gl(1, 0), sig_s(1)), (sig_s(1), sig_gl(1, 0))])
     def test_mixed_flavors_refused(self, l, m):

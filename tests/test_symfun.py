@@ -5,10 +5,10 @@ import json
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from interpcat import symfun
@@ -69,10 +69,14 @@ def reference_check_partition(lam):
     return lam
 
 
+class _IntSubclass(int):
+    """An integral part that is not exactly an int: accepted, read as int."""
+
+
 @pytest.mark.parametrize(
     "lam",
     [(), [3, 2, 1], (1, 1), (2, 0), (0,), (-1,), (1, 2), (3, -1, -2), (2, 2, 0), (4, 1, 2),
-     (0, 0), [2.0], [True], (5, 3, 3, 1), "ab", 3, None, (np.int64(2), 1)],
+     (0, 0), [2.0], [True], (5, 3, 3, 1), "ab", 3, None, (Decimal(2), 1), (_IntSubclass(2), 1)],
 )
 def test_check_partition_matches_two_passes(lam):
     def outcome(check):
