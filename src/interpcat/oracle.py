@@ -68,11 +68,6 @@ def _block_weights(blocks, l: int, m: int, n: int) -> list[tuple[int, int, bool]
     return weights
 
 
-def _zero_rows(count: int, width: int) -> list[list[int]]:
-    """count rows of width zeros, each its own list."""
-    return list(map(list, [[0] * width] * count))
-
-
 def _index_sums(weights: list[int], n: int) -> list[int]:
     """sum_g v_g weights[g] for every value assignment v, in the order of
     itertools.product(range(n), repeat=len(weights))."""
@@ -91,19 +86,19 @@ def _relaxed_rows(weights, l: int, m: int, n: int) -> list[list[int]]:
         return [[] for _ in range(n**m)]
     fixed = [(src, tgt) for src, tgt, bottom in weights if bottom]
     # zeros, then the row with base 0: the row with base b is a window of it
-    shifted = bytearray(2 * width)
+    shifted = [0] * (2 * width)
     for offset in _index_sums([src for src, _, bottom in weights if not bottom], n):
         shifted[width + offset] = 1
-    rows = _zero_rows(n**m, width)
+    rows = [[0] * width for _ in range(n**m)]
     bases = _index_sums([src for src, _ in fixed], n)
     for base, row in zip(bases, _index_sums([tgt for _, tgt in fixed], n)):
-        rows[row] = list(shifted[width - base : 2 * width - base])
+        rows[row] = shifted[width - base : 2 * width - base]
     return rows
 
 
 def _strict_rows(weights, l: int, m: int, n: int) -> list[list[int]]:
     """delta matrix: one 1 per assignment of distinct values to the blocks."""
-    rows = _zero_rows(n**m, n**l)
+    rows = [[0] * n**l for _ in range(n**m)]
     w_src = [src for src, _, _ in weights]
     w_tgt = [tgt for _, tgt, _ in weights]
     for vals in permutations(range(n), len(weights)):
@@ -153,7 +148,7 @@ def morphism_matrix(f: Morphism, n: int) -> tuple[list[list[int]], int]:
     except PoleError as exc:
         raise PoleError(f"morphism not defined at this integer: {exc}") from exc
     denom = math.lcm(*(c.denominator for c in coeffs.values()))
-    mat = _zero_rows(n**sig_m, n**sig_l)
+    mat = [[0] * n**sig_l for _ in range(n**sig_m)]
     for d, c in coeffs.items():
         scale = c.numerator * (denom // c.denominator)
         mat = [
@@ -175,11 +170,8 @@ def _slot_width(middle: int, scale: int) -> int:
 
 def _packed(row: list[int], w: int) -> int:
     """A 0/1 row as one int: entry s in the w-bit slot at 2^(w (len - 1 - s))."""
-    digits = bytes(row).translate(_DIGITS)
-    if w > 1:
-        padded = bytearray(b"0") * (len(row) * w)
-        padded[w - 1 :: w] = digits
-        digits = padded
+    digits = bytearray(b"0") * (len(row) * w)
+    digits[w - 1 :: w] = bytes(row).translate(_DIGITS)
     return int(digits or b"0", 2)
 
 
@@ -193,8 +185,9 @@ def verify_structure_constants(l, m, k, n: int, flavor: str = "S") -> dict:
     1, and must equal n^power times the composite's packed row r.  w is
     _slot_width of n^m and the largest n^power of the call, so no slot
     carries and equal packed rows mean equal entries.  Each diagram's matrix
-    is built once per call; a matrix depends only on its diagram and n, so
-    every pair is still checked against its own composite.  Returns
+    is built once per call and kept only packed, or as the columns of its 1s;
+    a matrix depends only on its diagram and n, so every pair is still
+    checked against its own composite.  Returns
     {"pairs", "violations", "passed"}.
     """
     sl = as_signature(l, flavor)
@@ -206,34 +199,38 @@ def verify_structure_constants(l, m, k, n: int, flavor: str = "S") -> dict:
     composites = [[compose_diagrams(b, a) for b in second_legs] for a in first_legs]
     top = max((power for row in composites for _, power in row), default=0)
     w = _slot_width(n**sm.size, n**top)
-    # B enters through the columns of its 1s, every other diagram through
-    # its packed rows; a B that is also a first leg or a composite reuses
-    # its matrix
-    matrices = {b: diagram_matrix(b, n) for b in second_legs}
     middle = range(n**sm.size)
-    # most rows are zero, and == with a zero row is the cheap test
+    # most rows are zero, and != with a zero row is the cheap test
     zero_middle, zero_source = [0] * n**sm.size, [0] * n**sl.size
-    ones = [
-        [list(compress(middle, row)) if row != zero_middle else [] for row in matrices[b]]
-        for b in second_legs
-    ]
-    packed: dict[Diagram, list[int]] = {}
 
-    def packed_rows(d: Diagram) -> list[int]:
-        if d not in packed:
-            rows = matrices[d] if d in matrices else diagram_matrix(d, n)
-            packed[d] = [_packed(row, w) if row != zero_source else 0 for row in rows]
-        return packed[d]
+    def pack(rows: list[list[int]]) -> list[int]:
+        return [_packed(row, w) if row != zero_source else 0 for row in rows]
+
+    # B enters through the columns of its 1s, A and the composites through
+    # their packed rows; a B that is also one of those is packed from the
+    # same build, and no dense matrix outlives its packing
+    packed: dict[Diagram, list[int] | None] = dict.fromkeys(
+        chain(first_legs, (c for row in composites for c, _ in row))
+    )
+    ones = []
+    for b in second_legs:
+        rows = diagram_matrix(b, n)
+        ones.append([list(compress(middle, row)) if row != zero_middle else [] for row in rows])
+        if b in packed:
+            packed[b] = pack(rows)
+    for d, rows in packed.items():
+        if rows is None:
+            packed[d] = pack(diagram_matrix(d, n))
 
     violations = []
     pairs = 0
     for a, a_composites in zip(first_legs, composites):
-        rows_a = packed_rows(a).__getitem__
+        rows_a = packed[a].__getitem__
         for b, ones_b, (composed, power) in zip(second_legs, ones, a_composites):
             pairs += 1
             lhs = list(map(sum, map(map, repeat(rows_a), ones_b)))
             scale = n**power
-            if lhs != [scale * x for x in packed_rows(composed)]:
+            if lhs != [scale * x for x in packed[composed]]:
                 violations.append({"first": str(a), "second": str(b), "t_power": power})
     return {"pairs": pairs, "violations": violations, "passed": not violations}
 

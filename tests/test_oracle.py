@@ -161,6 +161,18 @@ class TestStructureConstants:
         rep = verify_structure_constants(l, m, k, n, flavor)
         assert rep["passed"] and rep["pairs"] > 0
 
+    @pytest.mark.parametrize("l, m, k, n", [(1, 1, 2, 2), (2, 2, 1, 3)])
+    def test_second_legs_that_are_composites(self, l, m, k, n):
+        # with l = m a second leg can also be a composite: one build of it
+        # gives both the columns of its 1s and its packed rows
+        second_legs = enumerate_basis("S", m, k)
+        composites = {
+            compose_diagrams(b, a)[0] for a in enumerate_basis("S", l, m) for b in second_legs
+        }
+        assert composites & set(second_legs)
+        rep = verify_structure_constants(l, m, k, n)
+        assert rep["passed"] and rep["pairs"] == bell_number(l + m) * bell_number(m + k)
+
     def test_report_shape(self):
         rep = verify_structure_constants(0, 2, 0, 2)
         assert set(rep) == {"pairs", "violations", "passed"}

@@ -1,29 +1,29 @@
 """Cold start of interpcat: `import interpcat` and one CLI call, each in a
 fresh process, for one source tree or two trees alternating.
 
-    python3 tools/coldstart.py .                      # this tree
-    python3 tools/coldstart.py OLD_TREE NEW_TREE --runs 15 --json out.json
+    python3 tools/coldstart.py .                  # this tree
+    python3 tools/coldstart.py OLD_TREE NEW_TREE  # two trees alternating
 
-A tree is a directory with `src/interpcat`.  Every round runs each command
-once per tree, in an order that flips from round to round, so a drift of the
-machine's speed falls on both trees alike.  One discarded run per command and
-tree comes first: it writes the bytecode cache, as an installed package has
-one.  For each command and tree the script prints the median and the
-quartiles of the wall time (process start to exit) and the median peak RSS
-of the child.  `python -c pass` is timed too, as the floor of any call.
-Stdlib only; it starts one process at a time.
+A tree is a directory with `src/interpcat`.  Each of the 15 rounds runs
+each command once per tree, in an order that flips from round to round, so
+a drift of the machine's speed falls on both trees alike.  One discarded run
+per command and tree comes first: it writes the bytecode cache, as an
+installed package has one.  For each command and tree the script prints the
+median and the quartiles of the wall time (process start to exit) and the
+median peak RSS of the child.  `python -c pass` is timed too, as the floor
+of any call.  Stdlib only; it starts one process at a time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
 import subprocess
 import sys
 import time
 
+ROUNDS = 15
 COMMANDS = {
     "python -c pass": ["-c", "pass"],
     "import interpcat": ["-c", "import interpcat"],
@@ -47,23 +47,9 @@ def run_once(tree: str | None, args: list[str]) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024
 
 
-def summary(samples: list[tuple[float, float]]) -> dict:
-    walls = sorted(w for w, _ in samples)
-    q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
-    return {
-        "median_s": round(median, 4),
-        "q1_s": round(q1, 4),
-        "q3_s": round(q3, 4),
-        "rss_mb": round(statistics.median(r for _, r in samples), 1),
-        "runs": len(walls),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="+", help="one or two directories holding src/interpcat")
-    parser.add_argument("--runs", type=int, default=15, help="rounds (default 15)")
-    parser.add_argument("--json", help="also write the summary to this file")
     args = parser.parse_args(argv)
     if len(args.trees) > 2:
         parser.error("give one tree or two")
@@ -76,18 +62,17 @@ def main(argv=None) -> int:
     samples: dict[tuple, list] = {job: [] for job in jobs}
     for tree, name in jobs:
         run_once(tree, COMMANDS[name])
-    for r in range(args.runs):
+    for r in range(ROUNDS):
         for tree, name in jobs if r % 2 == 0 else reversed(jobs):
             samples[tree, name].append(run_once(tree, COMMANDS[name]))
-    report = [{"tree": tree, "command": name, **summary(samples[tree, name])} for tree, name in jobs]
-    for row in report:
+    for tree, name in jobs:
+        walls = [wall for wall, _ in samples[tree, name]]
+        q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+        rss = statistics.median(rss for _, rss in samples[tree, name])
         print(
-            f"{row['tree'] or '-':<28} {row['command']:<22} median {row['median_s']:.4f} s"
-            f"  q1 {row['q1_s']:.4f}  q3 {row['q3_s']:.4f}  rss {row['rss_mb']:.1f} MB"
+            f"{tree or '-':<28} {name:<22} median {median:.4f} s"
+            f"  q1 {q1:.4f}  q3 {q3:.4f}  rss {rss:.1f} MB"
         )
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(report, f, indent=1)
     return 0
 
 
