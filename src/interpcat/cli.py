@@ -317,10 +317,21 @@ def cmd_functor_rank(args):
     return {"rank": oracle.functor_image_rank(X, _nonnegative(args.n, "--n"))}
 
 
+# The LR fill visits every LR tableau, so its time grows with the coefficient
+# itself.  The worst cases found on a 2-CPU VM: |lambda| = 50, 0.11 s (c =
+# 10,008); 55, 0.44 s (c = 36,624); 66, 4.3 s (c = 108,048).  A single column
+# of 4000 boxes ran out of recursion depth.
+MAX_LR_SIZE = 50
+
+
 def cmd_lr(args):
     lam = _partition(_load_payload(args.lam, "--lambda"), "--lambda")
     mu = _partition(_load_payload(args.mu, "--mu"), "--mu")
     nu = _partition(_load_payload(args.nu, "--nu"), "--nu")
+    if sum(lam) > MAX_LR_SIZE:
+        raise ValueError(
+            f"lr budget exceeded: |lambda| = {sum(lam)} > MAX_LR_SIZE = {MAX_LR_SIZE}"
+        )
     return {"coefficient": symfun.lr_coefficient(lam, mu, nu)}
 
 

@@ -379,8 +379,7 @@ class BrauerDiagram(Diagram):
 
     @classmethod
     def _basis_size(cls, source, target) -> int:
-        n = source[0] + target[0]
-        return 0 if n % 2 else double_factorial_odd(n)
+        return double_factorial_odd(source[0] + target[0])
 
     @classmethod
     def _labels(cls, data) -> list[tuple[int, ...]]:

@@ -196,8 +196,9 @@ def _integral_terms(f: Morphism) -> tuple[int, list]:
 def _compose_terms(fs, gs) -> dict:
     """{d: sum of c_f c_g t^N} over the pairs of (diagram, coefficient) lists
     fs and gs, where (d, N) = compose_diagrams(d_f, d_g): the one loop that
-    composes sparse combinations of diagrams, for compose and for the trace
-    in karoubi._hom_dim.  Both clear denominators first (_integral_terms),
+    composes sparse combinations of diagrams, for compose and for the class
+    sums of karoubi._Traces (d o e_X per basis diagram d, and s o m per
+    class representative s).  Both clear denominators first (_integral_terms),
     so constant coefficients multiply and add as ints; only a coefficient or
     a closed component that carries t brings in Q(t) arithmetic."""
     out: dict = {}

@@ -26,17 +26,21 @@ triangular solve (_multiplicities): [X : L(lambda)] is dim Hom(X, Y_lambda),
 minus K(lambda, mu) [X : L(mu)] over the strictly smaller mu, by induction
 on size.  Hom(X, Y) is the image of the idempotent P(d) = e_Y o d o e_X on
 the diagram space, so its dimension is the trace of P: the sum over basis
-diagrams d of the coefficient of d in e_Y o d o e_X.  Both halves of the
-sandwich go through the homspaces composition kernel: d o e_X once per basis
-diagram d, and e_Y o m once per diagram m of the Hom space that those reach,
-indexed by m within the one Hom space.  The sum is a constant of Q(t).  Each
-idempotent is scaled once to clear the denominators of its constant
-coefficients (homspaces._integral_terms, as in compose and trace), the sum
-runs over Z, and one division ends it; no dimension is taken at a sample
-point, so every generic-t answer is exact and independent of any seed.  K
-has one home, _symmetrizer_decomposition: the same solve with X = Y_lambda
-over the labels below lambda.  The generic dimensions of simples follow by
-the trace accounting
+diagrams d of the coefficient of d in e_Y o d o e_X.  That trace is taken by
+class sums (_Traces): d o e_X is composed once per basis diagram d and per
+(X, target signature), shared by every label of that size, and e_Y's terms
+are grouped by conjugacy class (_class_key: a permutation's colored cycle
+type; any other diagram alone).  The trace against a permutation is a class
+function, so each class costs one trace, at one representative, shared by
+every Y of the signature; a class whose coefficients sum to 0 costs none.
+Every composition goes through the homspaces composition kernel.  The sum
+is a constant of Q(t).  Each idempotent is scaled once to clear the
+denominators of its constant coefficients (homspaces._integral_terms, as in
+compose and trace), the sum runs over Z, and one division ends it; no
+dimension is taken at a sample point, so every generic-t answer is exact and
+independent of any seed.  K has one home, _symmetrizer_decomposition: the
+same solve with X = Y_lambda over the labels below lambda.  The generic
+dimensions of simples follow by the trace accounting
 dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
 """
 
@@ -352,45 +356,114 @@ def _symmetrizer_object(flavor: str, lam: Label) -> KaroubiObject:
 # generic multiplicities
 
 
+def _class_key(d: Diagram):
+    """The key that e_Y's terms are summed by in _hom_dim: for a permutation
+    diagram, its cycle type with each cycle tagged by its color (endpoint
+    i <= data[0] is black; S and O have one color), as sorted (black, length)
+    pairs; any other diagram is its own key.  Two permutations that keep
+    each color are conjugate by such a permutation exactly when their keys
+    agree."""
+    source, target = d._signature()
+    blocks = d._blocks
+    n = sum(source)
+    # n blocks of two, none with two sources (a canonical block lists its
+    # sources first), join each source +i to one target -j
+    if source != target or len(blocks) != n or any(len(b) != 2 or b[1] > 0 for b in blocks):
+        return d
+    image = [0] * n
+    for i, j in blocks:
+        image[i - 1] = -j - 1
+    seen = [False] * n
+    cycles = []
+    for start in range(n):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i], i, length = True, image[i], length + 1
+        if length:
+            cycles.append((start < source[0], length))
+    return tuple(sorted(cycles))
+
+
+class _Traces:
+    """The X side of _hom_dim's traces from X into one target signature y,
+    shared by every Y of that signature: R_d = d o e_X, composed once per
+    basis diagram d and kept by column, columns[m] = {d: R_d[m]}; and chi,
+    one trace per class key, taken at the first representative asked for."""
+
+    def __init__(self, X: KaroubiObject, target: ObjectSignature):
+        self.basis = hom_basis(X.sig, target)
+        self.nx, ex = _integral_terms(X.idem)
+        self.columns: dict = {}
+        for d in self.basis:
+            for m, c in _compose_terms([(d, 1)], ex).items():
+                if c:
+                    self.columns.setdefault(m, {})[d] = c
+        self.chi: dict = {}
+
+    def _chi(self, s: Diagram):
+        """sum_d sum_m R_d[m] (s o m)[d]: s o m once per column m."""
+        total = 0
+        for m, column in self.columns.items():
+            for d, v in _compose_terms([(s, 1)], [(m, 1)]).items():
+                c = column.get(d)
+                if c:
+                    total += c * v
+        return total
+
+    def hom_dim(self, Y: KaroubiObject) -> int:
+        """dim Hom(X, Y) for a Y of the target signature (see _hom_dim)."""
+        ny, ey = _integral_terms(Y.idem)
+        sums: dict = {}
+        representative: dict = {}
+        for s, c in ey:
+            key = _class_key(s)
+            sums[key] = sums.get(key, 0) + c
+            representative.setdefault(key, s)
+        total = 0
+        for key, c in sums.items():
+            if c:
+                if key not in self.chi:
+                    self.chi[key] = self._chi(representative[key])
+                total += c * self.chi[key]
+        total = constant_or_self(total)
+        if not isinstance(total, RatFunc):
+            q, r = divmod(total, self.nx * ny)
+            if not r and 0 <= q <= len(self.basis):
+                return q
+        raise ArithmeticError(
+            f"the trace {total / Fraction(self.nx * ny)} of e_Y o - o e_X is not a dimension"
+        )
+
+
 def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
     """dim Hom(X, Y) at generic t: the trace of the idempotent
-    P(d) = e_Y o d o e_X on the diagram space Hom(x, y).
+    P(d) = e_Y o d o e_X on the diagram space Hom(x, y), by class sums.
 
     Over a field of characteristic 0 the trace of an idempotent is its rank,
-    so dim Hom(X, Y) is the sum over basis diagrams d of the coefficient of d
-    in e_Y o d o e_X: an exact constant of Q(t), with no elimination and no
-    sample point.  Both halves of the sandwich go through the homspaces
-    kernel: R_d = d o e_X once per basis diagram d, and L_m = e_Y o m once
-    per diagram m that some R_d reaches, in a dict local to this Hom space;
-    the trace is the sum over d and m of R_d[m] L_m[d].  Each idempotent is
-    first scaled by the lcm n of its constant coefficients' denominators
-    (homspaces._integral_terms), so the sum runs over Z, and over Q(t) only
-    where a t enters it, from a closed loop or a non-constant coefficient;
-    one division by n_X n_Y ends it.  A sum that is not a multiple q n_X n_Y
-    with q an integer in [0, |basis|] means an idempotent was wrong, and
-    raises ArithmeticError."""
-    basis = hom_basis(X.sig, Y.sig)
-    nx, ex = _integral_terms(X.idem)
-    ny, ey = _integral_terms(Y.idem)
-    left: dict = {}
-    total = 0
-    for d in basis:
-        for m, cm in _compose_terms([(d, 1)], ex).items():
-            if not cm:
-                continue
-            if m not in left:
-                left[m] = _compose_terms(ey, [(m, 1)])
-            c = left[m].get(d)
-            if c:
-                total += cm * c
-    total = constant_or_self(total)
-    if not isinstance(total, RatFunc):
-        q, r = divmod(total, nx * ny)
-        if not r and 0 <= q <= len(basis):
-            return q
-    raise ArithmeticError(
-        f"the trace {total / Fraction(nx * ny)} of e_Y o - o e_X is not a dimension"
-    )
+    so dim Hom(X, Y) = tr P, an exact constant of Q(t), with no elimination
+    and no sample point.  Write R(d) = d o e_X and, for a diagram s of
+    End(y), L_s(d) = s o d.  With e_Y = sum_s c_s s, P = sum_s c_s L_s R, so
+    tr P = sum_s c_s chi(s), where
+    chi(s) = tr(L_s R) = sum_d sum_m R_d[m] (s o m)[d].
+
+    chi is a class function on the permutations g of y that keep each color.
+    Composing with g closes no component, so L_g permutes the basis
+    diagrams, with inverse L_{g^-1}; L_g L_s = L_{g o s}; and L_g R = R L_g,
+    since g o (d o e_X) = (g o d) o e_X.  So
+    chi(g o s o g^-1) = tr(L_g L_s R L_g^-1) = tr(L_s R) = chi(s).  Such
+    permutations are conjugate exactly when their _class_key agree, so
+    tr P = sum over keys of (the sum of c_s over the key) chi(one s of it).
+    A diagram that is not a permutation is its own key.
+
+    _Traces holds R and chi for (X, y), so _multiplicities shares them
+    between every label of one size, and a key whose coefficients sum to 0
+    costs nothing.  Each idempotent is first scaled by the lcm n of its
+    constant coefficients' denominators (homspaces._integral_terms), so the
+    sum runs over Z, and over Q(t) only where a t enters it, from a closed
+    loop or a non-constant coefficient; one division by n_X n_Y ends it.  A
+    sum that is not a multiple q n_X n_Y with q an integer in [0, |basis|]
+    means an idempotent was wrong, and raises ArithmeticError."""
+    return _Traces(X, Y.sig).hom_dim(Y)
 
 
 # bounded: one small dict per symmetrizer label
@@ -415,8 +488,12 @@ def _multiplicities(X: KaroubiObject, labels: list[Label]) -> dict[Label, int]:
     K(lam, mu) [X : L(mu)] over the strictly smaller mu, exactly."""
     flavor = X.sig.flavor
     mult: dict[Label, int] = {}
+    traces: dict[ObjectSignature, _Traces] = {}
     for lam in labels:
-        value = _hom_dim(X, _symmetrizer_object(flavor, lam))
+        Y = _symmetrizer_object(flavor, lam)
+        if Y.sig not in traces:
+            traces[Y.sig] = _Traces(X, Y.sig)
+        value = traces[Y.sig].hom_dim(Y)
         for mu, k in _symmetrizer_decomposition(flavor, lam).items():
             value -= k * mult[mu]
         if value < 0:

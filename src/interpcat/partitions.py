@@ -116,9 +116,10 @@ def bell_number(n: int) -> int:
 
 
 def double_factorial_odd(n: int) -> int:
-    """(n-1)!! for even n: the number of perfect matchings of n points."""
+    """The number of perfect matchings of n points: (n-1)!! for even n, and
+    0 for odd n."""
     if n % 2:
-        raise ValueError("no perfect matchings of an odd set")
+        return 0
     out = 1
     for k in range(1, n, 2):
         out *= k

@@ -528,6 +528,25 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err == f"error: dimension budget exceeded: degree {limit + 1} > MAX_DIMENSION_DEGREE = {limit}\n"
 
+    def test_lr_budget_exit_1(self, capsys):
+        # the fill visits every LR tableau: c = 108,048 at |lambda| = 66 took
+        # 4.3 s, and a column of 4000 boxes ran out of recursion depth
+        limit = cli.MAX_LR_SIZE
+        assert limit == 50
+        at = ["--lambda", "[10,9,8,7,6,5,4,1]", "--mu", "[6,5,4,3,2,1,1]", "--nu", "[7,6,5,4,3,2,1]"]
+        assert run_json(capsys, "lr", *at) == {"coefficient": 1616}
+        over = [
+            ("[11,9,8,7,6,5,4,1]", "[6,5,4,3,2,1,1]", "[7,6,5,4,3,2,1]"),
+            ("[11,10,9,8,7,6,5,4,3,2,1]", "[8,7,6,5,4,3]", "[8,7,6,5,4,2,1]"),
+            (json.dumps([1] * 4000), json.dumps([1] * 2000), json.dumps([1] * 2000)),
+        ]
+        for lam, mu, nu in over:
+            start = time.perf_counter()
+            assert main(["lr", "--lambda", lam, "--mu", mu, "--nu", nu]) == 1
+            assert time.perf_counter() - start < 1.0
+            size = sum(json.loads(lam))
+            assert capsys.readouterr().err == f"error: lr budget exceeded: |lambda| = {size} > MAX_LR_SIZE = {limit}\n"
+
     def test_empty_block_exit_2(self, capsys):
         # an empty block crashed with an IndexError while the blocks were sorted
         empty = '{"flavor":"S","top":1,"bottom":1,"blocks":[[1,-1],[]]}'

@@ -357,6 +357,13 @@ class TestBases:
         assert enumerate_basis("O", 1, 2) == []
         assert len(enumerate_basis("O", 3, 3)) == double_factorial_odd(6)
 
+    def test_matching_counts(self):
+        # an odd set has no perfect matching, so its count is 0, not a raise
+        assert [double_factorial_odd(n) for n in range(8)] == [1, 0, 1, 0, 3, 0, 15, 0]
+        for l, m in [(1, 2), (3, 0), (2, 2), (3, 3)]:
+            count = double_factorial_odd(l + m)
+            assert diagrams.basis_size("O", l, m) == len(enumerate_basis("O", l, m)) == count
+
     def test_counts_gl(self):
         assert len(enumerate_basis("GL", (1, 1), (1, 1))) == 2
         assert enumerate_basis("GL", (1, 0), (0, 1)) == []

@@ -46,7 +46,7 @@ from interpcat.karoubi import (
 )
 from interpcat.linalg import dense_rank
 from interpcat.partitions import partitions_of, sn_irrep_dimension
-from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, t_power
+from interpcat.ratfunc import RatFunc, RF_ONE, RF_T, constant_or_self, t_power
 from interpcat.selftest import gl_weyl_dimension, hook_content_dimension
 
 t = RF_T
@@ -593,22 +593,48 @@ class TestExactHomRank:
         assert len(runs) == len(set(runs))
 
     def test_each_sandwich_half_is_composed_once(self, monkeypatch):
-        # L = e_Y o m is built once per diagram m of the Hom space, however
-        # many basis diagrams d reach m through d o e_X: every half of the
-        # (2) -> (2, 1) sandwich meets compose_diagrams once, memo hits included
-        X, Y = symmetrizer_object((2,)), symmetrizer_object((2, 1))
-        calls = []
+        # R_d = d o e_X is composed once per basis diagram d of each target
+        # signature, shared by every label of that size; chi is taken once
+        # per class key, by one representative s, as s o m once per diagram
+        # m that R reaches
+        X = symmetrizer_object((2, 1))
+        labels = karoubi._labels_below("S", (2, 1)) + [(2, 1)]
+        for lam in labels:  # the K solves, memoized, compose their own traces
+            karoubi._symmetrizer_decomposition("S", lam)
+        _, ex = homspaces._integral_terms(X.idem)
+        compose_terms = karoubi._compose_terms
+        right, chi = {}, []
 
-        def spy(p, q):
-            calls.append((p, q))
-            return compose_diagrams(p, q)
+        def spy(fs, gs):
+            out = compose_terms(fs, gs)
+            if gs == ex:
+                ((d, _),) = fs
+                assert d not in right
+                right[d] = out
+            else:
+                ((s, _),), ((m, _),) = fs, gs
+                chi.append((s, m))
+            return out
 
-        for module in (homspaces, karoubi):
-            monkeypatch.setattr(module, "compose_diagrams", spy, raising=False)
-        assert _hom_dim(X, Y) == 10
-        left = [(p, q) for p, q in calls if p in Y.idem.terms]
-        assert len(left) > len(Y.idem.terms) and len(left) % len(Y.idem.terms) == 0
-        assert len(calls) == len(set(calls))
+        monkeypatch.setattr(karoubi, "_compose_terms", spy)
+        assert karoubi._multiplicities(X, labels) == {
+            (): 1, (1,): 3, (2,): 2, (1, 1): 2, (2, 1): 1,
+        }
+        targets = dict.fromkeys(symmetrizer_object(lam).sig for lam in labels)
+        bases = {sig: hom_basis(X.sig, sig) for sig in targets}
+        assert list(right) == [d for basis in bases.values() for d in basis]
+        representatives = dict.fromkeys(s for s, _ in chi)
+        keys = [(s.bottom, karoubi._class_key(s)) for s in representatives]
+        assert len(keys) == len(set(keys))
+        # the (2, 1) classes: the identity, the 3-cycles, and no transposition,
+        # whose class sum in y_(2, 1) is 0
+        assert sorted(k for n, k in keys if n == 3) == [
+            ((True, 1), (True, 1), (True, 1)), ((True, 3),),
+        ]
+        for s in representatives:
+            reached = {m for d in bases[sig_s(s.bottom)] for m, c in right[d].items() if c}
+            composed = [m for r, m in chi if r == s]
+            assert len(composed) == len(set(composed)) and set(composed) == reached
 
 
 class TestOneCompositionKernel:
@@ -712,6 +738,104 @@ class TestHomDimGuard:
         X = KaroubiObject._trusted(diagram_morphism(PI))
         with pytest.raises(ArithmeticError):
             _hom_dim(X, X)
+
+
+def reference_hom_dim(X, Y):
+    """dim Hom(X, Y) by the trace of d -> e_Y o d o e_X taken in two halves,
+    term by term: R_d = d o e_X once per basis diagram d, L_m = e_Y o m once
+    per diagram m that some R_d reaches, and the sum over d and m of
+    R_d[m] L_m[d], over Z after clearing, divided once by n_X n_Y."""
+    nx, ex = homspaces._integral_terms(X.idem)
+    ny, ey = homspaces._integral_terms(Y.idem)
+    left, total = {}, 0
+    for d in hom_basis(X.sig, Y.sig):
+        for m, cm in homspaces._compose_terms([(d, 1)], ex).items():
+            if m not in left:
+                left[m] = homspaces._compose_terms(ey, [(m, 1)])
+            total += cm * left[m].get(d, 0)
+    q, r = divmod(constant_or_self(total), nx * ny)
+    assert not r
+    return q
+
+
+def identity_spaces():
+    """object_of_identity of every signature up to the budget, against the
+    symmetrizer object of every label that its Hom spaces reach."""
+    for flavor, budget in karoubi._SIZE_BUDGET.items():
+        for size in range(budget + 1):
+            for data in ([(r, size - r) for r in range(size + 1)] if flavor == "GL" else [(size,)]):
+                X = object_of_identity(homspaces.ObjectSignature(flavor, data))
+                for lam in DIAGRAM_CLASSES[flavor]._labels(data):
+                    yield X, symmetrizer_object(lam, flavor)
+
+
+class TestClassSums:
+    """_hom_dim sums e_Y's terms per conjugacy class and takes one trace per
+    class; it equals the trace taken term by term."""
+
+    def test_trace_spaces_match_the_reference(self):
+        for X, Y in TestTraceAgainstElimination.spaces():
+            assert _hom_dim(X, Y) == reference_hom_dim(X, Y), (X.sig, Y.sig)
+
+    def test_k_spaces_match_the_reference(self):
+        for flavor, lam in K_CASES:
+            X = symmetrizer_object(lam, flavor)
+            for mu in [lam] + karoubi._labels_below(flavor, lam):
+                Y = symmetrizer_object(mu, flavor)
+                assert _hom_dim(X, Y) == reference_hom_dim(X, Y), (lam, mu)
+
+    def test_identity_objects_match_the_reference(self):
+        # every size up to each budget; the S objects of size 4 are slow
+        for X, Y in identity_spaces():
+            if X.sig != sig_s(4):
+                assert _hom_dim(X, Y) == reference_hom_dim(X, Y), (X.sig, Y.sig)
+
+    @pytest.mark.slow
+    def test_largest_identity_object_matches_the_reference(self):
+        for X, Y in identity_spaces():
+            if X.sig == sig_s(4):
+                assert _hom_dim(X, Y) == reference_hom_dim(X, Y), Y.sig
+
+    def test_class_keys(self):
+        P = DIAGRAM_CLASSES["S"]._permutation
+        assert karoubi._class_key(P((4,), [2, 3, 1, 4])) == ((True, 1), (True, 3))
+        assert karoubi._class_key(P((4,), [1, 3, 2, 4])) == karoubi._class_key(P((4,), [4, 2, 3, 1]))
+        assert karoubi._class_key(P((0,), [])) == ()
+        # a diagram that is not a permutation is its own key, also when it
+        # has as many blocks of two as a permutation: a cup and a cap
+        others = [
+            PI,
+            partition_diagram(2, 2, [(1, -2), (2,), (-1,)]),
+            partition_diagram(1, 2, [(1, -1, -2)]),
+            partition_diagram(2, 2, [(1, 2), (-1, -2)]),
+            diagrams.brauer_diagram(2, 2, [(1, 2), (-1, -2)]),
+            diagrams.brauer_diagram(3, 3, [(1, -3), (2, 3), (-1, -2)]),
+            walled_diagram((1, 1), (1, 1), [(1, 2), (-1, -2)]),
+        ]
+        for d in others:
+            assert karoubi._class_key(d) is d
+
+    def test_gl_keys_keep_the_color(self):
+        # a black and a white transposition are not conjugate by a permutation
+        # that keeps each color, so they get different keys; with one key,
+        # the asymmetric Y_((2), (1, 1)) sums their coefficients +1/4 and
+        # -1/4 to 0, and its End is no longer a dimension
+        W = DIAGRAM_CLASSES["GL"]._permutation
+        black, white = W((2, 2), [2, 1, 3, 4]), W((2, 2), [1, 2, 4, 3])
+        assert karoubi._class_key(black) == ((False, 1), (False, 1), (True, 2))
+        assert karoubi._class_key(white) == ((False, 2), (True, 1), (True, 1))
+        X = symmetrizer_object(((2,), (1, 1)), "GL")
+        Y = symmetrizer_object(((1, 1), (2,)), "GL")
+        for A, B, dim in ((X, X, 2), (Y, Y, 2), (X, Y, 1), (Y, X, 1)):
+            assert _hom_dim(A, B) == reference_hom_dim(A, B) == sandwich_rank(A, B) == dim
+
+    def test_zero_class_sums_take_no_trace(self):
+        # y_(2, 1) has coefficient sum 0 on the transpositions, so End(Y_(2, 1))
+        # takes two traces: the identity and the 3-cycles
+        Y = symmetrizer_object((2, 1))
+        traces = karoubi._Traces(Y, Y.sig)
+        assert traces.hom_dim(Y) == 19
+        assert sorted(traces.chi) == [((True, 1), (True, 1), (True, 1)), ((True, 3),)]
 
 
 class TestDecompose:

@@ -684,3 +684,7 @@ class TestAnnihilated:
         # (1) survives at n = 2: |lambda| + lambda_1 = 2 <= 2
         assert (1,) not in annihilated_simples(2, 2)
         assert (1,) in annihilated_simples(1, 1)
+
+    def test_negative_n_raises(self):
+        with pytest.raises(ValueError, match="expects a nonnegative integer n"):
+            annihilated_simples(-1, 2)
