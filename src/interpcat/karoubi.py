@@ -391,6 +391,7 @@ class _Traces:
     one trace per class key, taken at the first representative asked for."""
 
     def __init__(self, X: KaroubiObject, target: ObjectSignature):
+        self.target = target
         self.basis = hom_basis(X.sig, target)
         self.nx, ex = _integral_terms(X.idem)
         self.columns: dict = {}
@@ -488,12 +489,12 @@ def _multiplicities(X: KaroubiObject, labels: list[Label]) -> dict[Label, int]:
     K(lam, mu) [X : L(mu)] over the strictly smaller mu, exactly."""
     flavor = X.sig.flavor
     mult: dict[Label, int] = {}
-    traces: dict[ObjectSignature, _Traces] = {}
+    traces = None  # labels come size by size, so only the current size's is kept
     for lam in labels:
         Y = _symmetrizer_object(flavor, lam)
-        if Y.sig not in traces:
-            traces[Y.sig] = _Traces(X, Y.sig)
-        value = traces[Y.sig].hom_dim(Y)
+        if traces is None or traces.target != Y.sig:
+            traces = _Traces(X, Y.sig)
+        value = traces.hom_dim(Y)
         for mu, k in _symmetrizer_decomposition(flavor, lam).items():
             value -= k * mult[mu]
         if value < 0:

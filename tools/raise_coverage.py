@@ -1,14 +1,13 @@
 """Every `raise` statement in src/interpcat that the tier-1 suite never runs.
 
-    python3 tools/raise_coverage.py              # the tier-1 suite
-    python3 tools/raise_coverage.py tests/test_cli.py -k budget
+    python3 tools/raise_coverage.py
 
-Runs pytest in this process, with any arguments given passed on, under a
-sys.settrace line tracer that traces only the frames of src/interpcat/.
-Then it prints each `raise` that no test reached, as path:line and its
-source line, and the count per module.  Tests that start a fresh
-interpreter (the CLI subprocess tests) are not traced, so a raise that only
-they reach is listed.  The traced suite takes about six times as long as
+Runs the tier-1 suite with pytest in this process, under a sys.settrace
+line tracer that traces only the frames of src/interpcat/.  Then it prints
+each `raise` that no test reached, as path:line and its source line, and
+the count per module.  Tests that start a fresh interpreter (the CLI
+subprocess tests) are not traced, so a raise that only they reach is
+listed.  The traced suite takes about six times as long as
 the untraced one.  Stdlib only, apart from pytest, which runs the suite.
 Not a test itself: it reports and exits with pytest's status.
 """
@@ -18,7 +17,6 @@ from __future__ import annotations
 import ast
 import os
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,7 +41,7 @@ def _line_tracer(path: str, lines: set[int], reached: set):
     return local
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     wanted = raise_lines()
     reached: set[tuple[str, int]] = set()
     tracers = {path: _line_tracer(path, lines, reached) for path, lines in wanted.items()}
@@ -58,13 +56,11 @@ def main(argv: list[str]) -> int:
     import pytest
 
     os.chdir(ROOT)
-    threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
+        status = pytest.main(["-q", "-p", "no:cacheprovider"])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
 
     total = missed = 0
     for path, lines in wanted.items():
@@ -82,4 +78,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
