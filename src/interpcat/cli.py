@@ -99,18 +99,12 @@ def _diagram_or_morphism(text: str, field: str):
 
 
 def _endpoint(text: str, flavor: str, field: str):
-    """An int for S/O or an [r, s] pair for GL."""
+    """An int for S/O or an [r, s] pair for GL, as a signature."""
     payload = _load_payload(text, field)
-    if flavor == "GL":
-        if (
-            not isinstance(payload, list)
-            or len(payload) != 2
-            or not all(is_int(x) and x >= 0 for x in payload)
-        ):
-            raise SchemaError(f"{field}: GL endpoints are [r, s] pairs")
-    else:
+    if flavor != "GL":
+        # the grammar takes a bare int, where a signature also takes [m]
         _nonnegative(payload, field)
-    return as_signature(payload, flavor)
+    return _from_json(lambda x: as_signature(x, flavor), payload, field)
 
 
 def _nonnegative(value, field: str) -> int:
@@ -319,19 +313,30 @@ def cmd_functor_rank(args):
 
 # The LR fill visits every LR tableau, so its time grows with the coefficient
 # itself.  The worst cases found on a 2-CPU VM: |lambda| = 50, 0.11 s (c =
-# 10,008); 55, 0.44 s (c = 36,624); 66, 4.3 s (c = 108,048).  A single column
-# of 4000 boxes ran out of recursion depth.
+# 10,008); 55, 0.44 s (c = 36,624); 66, 4.3 s (c = 108,048).  The fill and
+# sub_partitions recurse once per cell or row, so a column of 3000 boxes ran
+# out of recursion depth in lr, pairing, mult-gl, mult-osp and hc-stable.
+# For all but lr the limit bounds the depth, not the time: pairing at
+# |lambda| = |mu| = 50 took 54 s, and mult-osp on three 50-box partitions
+# ran for over 180 s.
 MAX_LR_SIZE = 50
+
+
+def _check_lr_size(command: str, names: str, *partitions) -> None:
+    """Refuse, before any work, a partition of more than MAX_LR_SIZE boxes;
+    names holds each partition's name, as the message gives it."""
+    for name, lam in zip(names.split(), partitions):
+        if sum(lam) > MAX_LR_SIZE:
+            raise ValueError(
+                f"{command} budget exceeded: |{name}| = {sum(lam)} > MAX_LR_SIZE = {MAX_LR_SIZE}"
+            )
 
 
 def cmd_lr(args):
     lam = _partition(_load_payload(args.lam, "--lambda"), "--lambda")
     mu = _partition(_load_payload(args.mu, "--mu"), "--mu")
     nu = _partition(_load_payload(args.nu, "--nu"), "--nu")
-    if sum(lam) > MAX_LR_SIZE:
-        raise ValueError(
-            f"lr budget exceeded: |lambda| = {sum(lam)} > MAX_LR_SIZE = {MAX_LR_SIZE}"
-        )
+    _check_lr_size("lr", "lambda", lam)
     return {"coefficient": symfun.lr_coefficient(lam, mu, nu)}
 
 
@@ -340,6 +345,7 @@ def cmd_pairing(args):
     nu = _partition(_load_payload(args.nu, "--nu"), "--nu")
     mu = _partition(_load_payload(args.mu, "--mu"), "--mu")
     nubar = _partition(_load_payload(args.nubar, "--nubar"), "--nubar")
+    _check_lr_size("pairing", "lambda nu mu nubar", lam, nu, mu, nubar)
     return {"value": symfun.skew_schur_pairing(lam, nu, mu, nubar)}
 
 
@@ -348,6 +354,7 @@ def cmd_mult_gl(args):
     mu = _partition(_load_payload(args.mu, "--mu"), "--mu")
     nu = _partition(_load_payload(args.nu, "--nu"), "--nu")
     nubar = _partition(_load_payload(args.nubar, "--nubar"), "--nubar")
+    _check_lr_size("mult-gl", "lambda mu nu nubar", lam, mu, nu, nubar)
     return {"multiplicity": symfun.gl_mixed_multiplicity(lam, mu, nu, nubar)}
 
 
@@ -355,6 +362,7 @@ def cmd_mult_osp(args):
     lam = _partition(_load_payload(args.lam, "--lambda"), "--lambda")
     mu = _partition(_load_payload(args.mu, "--mu"), "--mu")
     nu = _partition(_load_payload(args.nu, "--nu"), "--nu")
+    _check_lr_size("mult-osp", "lambda mu nu", lam, mu, nu)
     return {"multiplicity": symfun.osp_multiplicity(lam, mu, nu)}
 
 
@@ -408,6 +416,8 @@ def cmd_hc_stable(args):
     else:
         nu = _partition(_load_payload(args.nu, "--nu"), "--nu")
     check_n = None if args.check_n is None else _nonnegative(args.check_n, "--check-n")
+    nus = nu if args.flavor == "gl" else (nu,)
+    _check_lr_size("hc-stable", "gamma delta nu nubar", shift.gamma, shift.delta, *nus)
     out = {"multiplicity": symfun.stable_hc_multiplicity(shift, nu, args.flavor)}
     if check_n is not None:
         lam, mu = symfun.shift_instance(shift, check_n)

@@ -19,8 +19,10 @@ _check_colors) and classmethods (_trusted, _basis, _basis_size, _from_json,
 _labels), its _kind for messages, _pairs for a matching, and _colors, the
 length of its signature data: (m,) for S and O, the Diagram default, and
 (r, s) for GL, blacks then whites on each row.  Entry points keyed by a
-flavor string look the class up in DIAGRAM_CLASSES, and those that take
-endpoints check their data in one place (_endpoint).
+flavor string look the class up (_diagram_class).  _endpoint is the one
+check of signature data, with one message per malformed shape: the entry
+points here that take endpoints, homspaces.ObjectSignature (and so
+as_signature and signature JSON) and the CLI's endpoint flags all use it.
 
 Diagram._build is the one validated constructor, for outside input: the
 three public constructors, JSON, and the diagrams homspaces and karoubi
@@ -117,20 +119,6 @@ def _check_cover(blocks: Sequence[Sequence[int]], top: int, bottom: int, kind: s
 
 def _pretty(block: Iterable[int]) -> str:
     return "{" + ", ".join(str(x) if x > 0 else f"{-x}'" for x in block) + "}"
-
-
-def _as_data(x) -> tuple[int, ...]:
-    """Signature data of an endpoint argument: m -> (m,), (r, s) -> (r, s).
-    Anything else, a boolean or a negative count included, raises ValueError."""
-    if is_int(x):
-        data = (x,)
-    else:
-        data = tuple(x) if isinstance(x, (tuple, list)) else None
-        if data is None or not all(is_int(v) for v in data):
-            raise ValueError(f"object endpoint {x!r} is not an integer or a tuple of integers")
-    if min(data, default=0) < 0:
-        raise ValueError(f"object endpoint {x!r} has a negative count")
-    return data
 
 
 def _components(
@@ -247,8 +235,8 @@ class Diagram:
         return cls._permutation(data, images)
 
     @classmethod
-    def _from_json(cls, obj: dict, blocks: list) -> Diagram:
-        return cls._build(obj["top"], obj["bottom"], blocks)
+    def _from_json(cls, obj: dict) -> Diagram:
+        return cls._build(obj["top"], obj["bottom"], obj["blocks"])
 
     def _to_json(self) -> dict:
         """{"flavor": ..., "top": l, "bottom": m, "blocks": [[...]]} with signed ints."""
@@ -471,7 +459,7 @@ class WalledDiagram(Diagram):
         return out
 
     @classmethod
-    def _from_json(cls, obj: dict, blocks: list) -> WalledDiagram:
+    def _from_json(cls, obj: dict) -> WalledDiagram:
         for field in ("top_colors", "bottom_colors"):
             if field not in obj:
                 raise ValueError(f"diagram JSON missing field '{field}'")
@@ -479,7 +467,7 @@ class WalledDiagram(Diagram):
         target = _colors_to_signature(obj["bottom_colors"], "bottom_colors")
         if sum(source) != obj["top"] or sum(target) != obj["bottom"]:
             raise ValueError("color strings disagree with 'top'/'bottom' counts")
-        return cls._build(source, target, blocks)
+        return cls._build(source, target, obj["blocks"])
 
     def _to_json(self) -> dict:
         (r1, s1), (r2, s2) = self.source, self.target
@@ -523,9 +511,17 @@ def walled_diagram(
 
 
 def _endpoint(cls: type[Diagram], x) -> tuple[int, ...]:
-    """Signature data of an endpoint argument (_as_data) that fits cls: one
-    count per color, _colors of them."""
-    data = _as_data(x)
+    """Signature data of an endpoint argument that fits cls, one count per
+    color (_colors of them): m -> (m,), (r, s) -> (r, s).  Anything else, a
+    boolean or a negative count included, raises ValueError."""
+    if is_int(x):
+        data = (x,)
+    else:
+        data = tuple(x) if isinstance(x, (tuple, list)) else None
+        if data is None or not all(is_int(v) for v in data):
+            raise ValueError(f"object endpoint {x!r} is not an integer or a tuple of integers")
+    if min(data, default=0) < 0:
+        raise ValueError(f"object endpoint {x!r} has a negative count")
     if len(data) != cls._colors:
         raise ValueError(f"object endpoint {x!r} does not fit flavor {cls.flavor}")
     return data
@@ -773,10 +769,7 @@ def diagram_from_json(obj: dict) -> Diagram:
     for i, b in enumerate(obj["blocks"]):
         if not isinstance(b, list):
             raise ValueError(f"diagram JSON field 'blocks[{i}]' must be an array")
-    blocks = [tuple(b) for b in obj["blocks"]]
     for field in ("top", "bottom"):
         if not is_int(obj[field]):
             raise ValueError(f"diagram JSON field '{field}' must be an integer")
-    if not all(is_int(x) for b in blocks for x in b):
-        raise ValueError("diagram JSON block endpoints must be integers")
-    return cls._from_json(obj, blocks)
+    return cls._from_json(obj)

@@ -25,7 +25,8 @@ from fractions import Fraction
 from interpcat.diagrams import (
     DIAGRAM_CLASSES,
     Diagram,
-    _as_data,
+    _diagram_class,
+    _endpoint,
     closure_components,
     coarsenings_with_moebius,
     compose_diagrams,
@@ -34,26 +35,19 @@ from interpcat.diagrams import (
     identity_diagram,
     tensor_diagram,
 )
-from interpcat.partitions import is_int
 from interpcat.ratfunc import RF_ONE, Poly, RatFunc, constant_or_self, t_power
-
-FLAVORS = ("S", "GL", "O")
 
 
 @dataclass(frozen=True)
 class ObjectSignature:
-    """[m] for S and O flavors; [r, s] for GL."""
+    """[m] for S and O flavors; [r, s] for GL.  diagrams._endpoint checks
+    the data and normalizes it to a tuple."""
 
     flavor: str
     data: tuple[int, ...]
 
     def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        shape = type(self.data) is tuple and len(self.data) == DIAGRAM_CLASSES[self.flavor]._colors
-        # plain ints skip the is_int call: diagram_morphism builds two signatures
-        if not (shape and all((type(x) is int or is_int(x)) and x >= 0 for x in self.data)):
-            raise ValueError(f"bad signature data {self.data!r} for flavor {self.flavor}")
+        object.__setattr__(self, "data", _endpoint(_diagram_class(self.flavor), self.data))
 
     @property
     def size(self) -> int:
@@ -89,9 +83,7 @@ def sig_o(m: int) -> ObjectSignature:
 def as_signature(x, flavor: str) -> ObjectSignature:
     """x if it is a signature, else the flavor's signature with endpoint x:
     an int m for S and O, an (r, s) pair for GL."""
-    if isinstance(x, ObjectSignature):
-        return x
-    return ObjectSignature(flavor, _as_data(x))
+    return x if isinstance(x, ObjectSignature) else ObjectSignature(flavor, x)
 
 
 def hom_basis(source: ObjectSignature, target: ObjectSignature) -> list[Diagram]:

@@ -282,6 +282,20 @@ IDENTITY_S1 = json.dumps(
 HC_ARGS = ["hc-stable", "--a", "[0]", "--b", "[]", "--gamma", "[]", "--delta", "[]", "--nu", "[1]", "--nubar", "[1]"]
 
 
+# one valid call per command under MAX_LR_SIZE, keyed by its name and
+# flavor; each "[1]" is a partition the budget test swaps for a column
+LR_CALLS = {
+    "pairing": ["--lambda", "[1]", "--nu", "[]", "--mu", "[1]", "--nubar", "[]"],
+    "mult-gl": ["--lambda", "[1]", "--mu", "[1]", "--nu", "[]", "--nubar", "[]"],
+    "mult-osp": ["--lambda", "[1]", "--mu", "[1]", "--nu", "[]"],
+    "hc-stable gl": ["--a", "[0]", "--b", "[]", "--gamma", "[1]", "--delta", "[1]",
+                     "--nu", "[1]", "--nubar", "[1]"],
+    "hc-stable osp": ["--flavor", "osp", "--a", "[0]", "--b", "[]", "--gamma", "[1]",
+                      "--delta", "[1]", "--nu", "[1]"],
+}
+PARTITION_FLAGS = {"--lambda", "--mu", "--nu", "--nubar", "--gamma", "--delta"}
+
+
 class TestExitCodes:
     def test_negative_multiplicity_exit_1(self, capsys, monkeypatch):
         # the guard in the K inversion: ranks too small for K are an error
@@ -546,6 +560,85 @@ class TestExitCodes:
             assert time.perf_counter() - start < 1.0
             size = sum(json.loads(lam))
             assert capsys.readouterr().err == f"error: lr budget exceeded: |lambda| = {size} > MAX_LR_SIZE = {limit}\n"
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, argv in LR_CALLS.items() for flag in argv if flag in PARTITION_FLAGS],
+    )
+    def test_lr_size_budget_of_every_partition_exit_1(self, capsys, command, flag):
+        # each ran out of recursion depth on a long column and printed a
+        # RecursionError traceback with exit 1
+        argv = list(LR_CALLS[command])
+        argv[argv.index(flag) + 1] = json.dumps([1] * 3000)
+        start = time.perf_counter()
+        assert main([command.split()[0], *argv]) == 1
+        assert time.perf_counter() - start < 1.0
+        name, limit = flag[2:], cli.MAX_LR_SIZE
+        assert capsys.readouterr().err == (
+            f"error: {command.split()[0]} budget exceeded: |{name}| = 3000 > MAX_LR_SIZE = {limit}\n"
+        )
+
+    @pytest.mark.parametrize("command", list(LR_CALLS))
+    def test_lr_size_budget_admits_the_limit(self, capsys, command):
+        column = json.dumps([1] * cli.MAX_LR_SIZE)
+        argv = [column if x == "[1]" else x for x in LR_CALLS[command]]
+        assert main([command.split()[0], *argv]) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["trace", "-f", "@{tmp}/missing.json"], "-f: cannot read file {tmp}/missing.json: "),
+            (["trace", "-f", "@{tmp}/bad.json"], "-f: file {tmp}/bad.json is not valid JSON: "),
+            (["trace", "-f", "{tmp}/bad.json"], "-f: file {tmp}/bad.json is not valid JSON: "),
+            (["gram", "-l", "two", "-m", "1", "--t", "2"],
+             "-l: neither inline JSON nor a readable file: 'two'\n"),
+            (["simple-dim", "--lambda", "[1,2]"],
+             "--lambda: (1, 2) is not a partition (weakly decreasing, positive)\n"),
+            (["compose", "-P", '{"flavor":"S","top":1,"bottom":1,"blocks":[[1,-1]]}', "-Q", IDENTITY_S1],
+             "-P and -Q must both be diagrams or both be morphisms\n"),
+            (["negligible", "-f", IDENTITY_S1, "--t", "1/0"],
+             "--t: not a rational number: '1/0'\n"),
+            (["dim", "--flavor", "GL", "--r", "1"], "--r/--s: required for flavor GL\n"),
+            (["dim", "--flavor", "O"], "--m: required for flavors S, O, Sp\n"),
+            (["gram", "-l", "1", "-m", "1"], "--t: required unless --symbolic is given\n"),
+            (["triple", "--mode", "encode", "-k", "1", "-l", "1"], "--lambda: required for encode\n"),
+            (HC_ARGS[:-2], "--nubar: required for flavor gl\n"),
+            (["young", "--flavor", "GL", "--lambda", '{"white": [1]}'],
+             "--lambda.black: missing bipartition component\n"),
+            (["simple-dim", "--flavor", "GL", "--lambda", '{"black": [1]}'],
+             "--lambda.white: missing bipartition component\n"),
+        ],
+        ids=["unreadable-file", "at-file-not-json", "file-not-json", "neither-json-nor-file",
+             "not-a-partition", "mixed-operands", "bad-rational", "missing-r-s", "missing-m",
+             "missing-t", "missing-encode-lambda", "missing-nubar", "missing-black", "missing-white"],
+    )
+    def test_schema_refusals_exit_2(self, capsys, tmp_path, argv, err):
+        # each raise of cli that no other tier-1 test reached
+        (tmp_path / "bad.json").write_text("not json")
+        assert main([x.replace("{tmp}", str(tmp_path)) for x in argv]) == 2
+        got = capsys.readouterr().err
+        assert got.startswith("schema error: " + err.replace("{tmp}", str(tmp_path)))
+        assert "Traceback" not in got
+        assert got.endswith("\n") and got.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flavor, endpoint, message",
+        [
+            ("GL", "3", "object endpoint 3 does not fit flavor GL"),
+            ("GL", "[1]", "object endpoint [1] does not fit flavor GL"),
+            ("GL", "[1,-1]", "object endpoint [1, -1] has a negative count"),
+            ("GL", '{"r": 1, "s": 0}', "object endpoint {'r': 1, 's': 0} is not an integer or a tuple of integers"),
+            # the grammar takes a bare integer for S and O, where a signature also takes [m]
+            ("S", "[1]", "expected a nonnegative integer"),
+            ("O", "[2]", "expected a nonnegative integer"),
+        ],
+    )
+    def test_bad_endpoint_exit_2(self, capsys, flavor, endpoint, message):
+        # the GL cases said "GL endpoints are [r, s] pairs"; their text is now
+        # the one every signature entry point gives (diagrams._endpoint)
+        other = "[1,0]" if flavor == "GL" else "2"
+        assert main(["gram", "--flavor", flavor, "-l", endpoint, "-m", other, "--t", "2"]) == 2
+        assert capsys.readouterr().err == f"schema error: -l: {message}\n"
 
     def test_empty_block_exit_2(self, capsys):
         # an empty block crashed with an IndexError while the blocks were sorted

@@ -10,6 +10,7 @@ from interpcat.diagrams import (
     BrauerDiagram,
     PartitionDiagram,
     WalledDiagram,
+    basis_size,
     brauer_diagram,
     closure_components,
     compose_diagrams,
@@ -419,24 +420,95 @@ class TestAsSignature:
             as_signature(x, flavor)
 
 
+# one malformed endpoint per shape, as (flavor, data), and the one message
+# diagrams._endpoint gives for it
+MALFORMED = {
+    "bool": ("S", (True,), "object endpoint (True,) is not an integer or a tuple of integers"),
+    "float": ("GL", (1.5, 0), "object endpoint (1.5, 0) is not an integer or a tuple of integers"),
+    "str": ("O", ("2",), "object endpoint ('2',) is not an integer or a tuple of integers"),
+    "negative": ("S", (-1,), "object endpoint (-1,) has a negative count"),
+    "negative-GL": ("GL", (0, -2), "object endpoint (0, -2) has a negative count"),
+    "too-long": ("S", (1, 2), "object endpoint (1, 2) does not fit flavor S"),
+    "too-short": ("GL", (1,), "object endpoint (1,) does not fit flavor GL"),
+    "unknown-flavor": ("X", (1,), "unknown flavor 'X'"),
+}
+CONSTRUCTORS = {"S": partition_diagram, "O": brauer_diagram, "GL": walled_diagram}
+SIG_BUILDERS = {("S", 1): sig_s, ("O", 1): sig_o, ("GL", 2): sig_gl}
+
+
+def _entry_points(flavor, data) -> dict:
+    """{name: call} for each entry point that takes signature data and can
+    be given this data."""
+    calls = {
+        "ObjectSignature": lambda: ObjectSignature(flavor, data),
+        "as_signature": lambda: as_signature(data, flavor),
+        "identity_diagram": lambda: identity_diagram(flavor, data),
+        "enumerate_basis": lambda: enumerate_basis(flavor, data, data),
+        "basis_size": lambda: basis_size(flavor, data, data),
+    }
+    fields = ("r", "s") if flavor == "GL" else ("m",)
+    if len(fields) == len(data):
+        calls["signature_from_json"] = lambda: signature_from_json(
+            {"flavor": flavor, **dict(zip(fields, data))})
+    builder = SIG_BUILDERS.get((flavor, len(data)))
+    if builder:
+        calls[builder.__name__] = lambda: builder(*data)
+    constructor = CONSTRUCTORS.get(flavor)
+    if constructor:
+        calls[constructor.__name__] = lambda: constructor(data, data, [])
+    return calls
+
+
+ENTRY_CASES = [
+    pytest.param(call, message, id=f"{shape}-{name}")
+    for shape, (flavor, data, message) in MALFORMED.items()
+    for name, call in _entry_points(flavor, data).items()
+]
+
+
 class TestSignatureData:
+    """diagrams._endpoint is the one check of signature data."""
+
+    def test_lists_normalize_to_tuples(self):
+        # as as_signature, identity_diagram and enumerate_basis already did
+        assert ObjectSignature("S", [2]) == sig_s(2)
+        assert ObjectSignature("GL", [1, 0]) == sig_gl(1, 0)
+        assert type(ObjectSignature("GL", [1, 0]).data) is tuple
+
     @pytest.mark.parametrize(
-        "make",
+        "make, message",
         [
-            lambda: sig_s(True),
-            lambda: sig_o(False),
-            lambda: sig_gl(1.5, 0),
-            lambda: sig_gl(1, True),
-            lambda: ObjectSignature("S", [2]),
-            lambda: ObjectSignature("GL", [1, 0]),
-            lambda: ObjectSignature("S", ("2",)),
-            lambda: ObjectSignature("S", (-1,)),
+            (lambda: sig_s(True), r"object endpoint \(True,\) is not an integer"),
+            (lambda: sig_o(False), r"object endpoint \(False,\) is not an integer"),
+            (lambda: sig_gl(1.5, 0), r"object endpoint \(1.5, 0\) is not an integer"),
+            (lambda: sig_gl(1, True), r"object endpoint \(1, True\) is not an integer"),
+            (lambda: ObjectSignature("S", ("2",)), r"object endpoint \('2',\) is not an integer"),
+            (lambda: ObjectSignature("S", (-1,)), r"object endpoint \(-1,\) has a negative count"),
+            (lambda: ObjectSignature("O", (1, 1)), r"object endpoint \(1, 1\) does not fit flavor O"),
+            (lambda: ObjectSignature("GL", [1]), r"object endpoint \[1\] does not fit flavor GL"),
+            (lambda: ObjectSignature("Sp", (1,)), "unknown flavor 'Sp'"),
         ],
-        ids=["S-bool", "O-bool", "GL-float", "GL-bool", "S-list", "GL-list", "S-str", "S-negative"],
+        ids=["S-bool", "O-bool", "GL-float", "GL-bool", "S-str", "S-negative", "O-length",
+             "GL-length", "unknown-flavor"],
     )
-    def test_non_integer_data_is_refused(self, make):
-        with pytest.raises(ValueError, match="bad signature data"):
+    def test_non_integer_data_is_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("make, message", ENTRY_CASES)
+    def test_one_message_per_shape(self, make, message):
+        # every entry point that takes signature data, given the same data
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_every_entry_point_is_reached(self):
+        names = {name for flavor, data, _ in MALFORMED.values() for name in _entry_points(flavor, data)}
+        assert names == {
+            "ObjectSignature", "sig_s", "sig_o", "sig_gl", "as_signature", "signature_from_json",
+            "identity_diagram", "enumerate_basis", "basis_size",
+            "partition_diagram", "brauer_diagram", "walled_diagram",
+        }
 
     def test_booleans_do_not_reach_tensor(self):
         # True == 1 once let S[True] (x) S[1] read as S[2]
