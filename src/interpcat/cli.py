@@ -321,6 +321,13 @@ def cmd_functor_rank(args):
 # ran for over 180 s.
 MAX_LR_SIZE = 50
 
+# Most arms, len(--a) + len(--b), that hc-stable takes.  Each arm adds one
+# level to symfun._vectors_with_sum's recursion, so --a with 3,000 zeros ran
+# out of recursion depth.  With --nu [1] --nubar [1] and all shifts 0, 50
+# arms take 0.2 s from the CLI on a 2-CPU VM, 200 take 0.3 s and 900 take
+# 15 s.  As with MAX_LR_SIZE, the limit bounds the depth, not the time.
+MAX_HC_ARMS = 50
+
 
 def _check_lr_size(command: str, names: str, *partitions) -> None:
     """Refuse, before any work, a partition of more than MAX_LR_SIZE boxes;
@@ -418,9 +425,23 @@ def cmd_hc_stable(args):
     check_n = None if args.check_n is None else _nonnegative(args.check_n, "--check-n")
     nus = nu if args.flavor == "gl" else (nu,)
     _check_lr_size("hc-stable", "gamma delta nu nubar", shift.gamma, shift.delta, *nus)
-    out = {"multiplicity": symfun.stable_hc_multiplicity(shift, nu, args.flavor)}
+    arms = shift.k + shift.l
+    if arms > MAX_HC_ARMS:
+        raise ValueError(
+            f"hc-stable budget exceeded: len(a) + len(b) = {arms} > MAX_HC_ARMS = {MAX_HC_ARMS}"
+        )
+    out = {}
     if check_n is not None:
+        # the instance's first arm alone has at least n plus the largest
+        # |shift| boxes, so that bound refuses a large n or shift before the
+        # instance is built
+        least = check_n + max(map(abs, shift.a + shift.b), default=0)
+        if arms and least > MAX_LR_SIZE:
+            raise ValueError(
+                f"hc-stable budget exceeded: |lambda| >= {least} > MAX_LR_SIZE = {MAX_LR_SIZE}"
+            )
         lam, mu = symfun.shift_instance(shift, check_n)
+        _check_lr_size("hc-stable", "lambda mu", lam, mu)
         if args.flavor == "gl":
             direct = symfun.gl_mixed_multiplicity(lam, mu, nu[0], nu[1])
         else:
@@ -431,6 +452,7 @@ def cmd_hc_stable(args):
             "mu": list(mu),
             "multiplicity": direct,
         }
+    out["multiplicity"] = symfun.stable_hc_multiplicity(shift, nu, args.flavor)
     return out
 
 

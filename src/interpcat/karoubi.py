@@ -55,6 +55,7 @@ from functools import lru_cache
 from interpcat.diagrams import (
     DIAGRAM_CLASSES,
     Diagram,
+    basis_size,
     identity_diagram,
     partition_diagram,
     tensor_diagram,
@@ -139,7 +140,7 @@ def _symmetrizer(flavor: str, lam) -> Morphism:
     part's permutations shifted onto its own block of strands.  Terms come
     part by part (GL: blacks, then whites), each in _symmetrizer_terms order:
     a permutation keeping each color, with one of the two coefficients +-norm."""
-    parts = _parts(flavor, _normalize_label(flavor, lam))
+    parts = _parts(flavor, lam)
     data = tuple(sum(p) for p in parts)
     sig = ObjectSignature(flavor, data)
     norm = math.prod(Fraction(sn_irrep_dimension(p), math.factorial(sum(p))) for p in parts)
@@ -305,8 +306,8 @@ Label = tuple  # Partition for S/O, Bipartition for GL
 
 
 def _parts(flavor: str, lam: Label) -> tuple[Partition, ...]:
-    """The partitions a label is made of: (lam,) for S and O, and
-    (black, white) for GL."""
+    """The checked partitions a label is made of: (lam,) for S and O, and
+    (black, white) for GL.  The one check of a label."""
     if flavor == "GL":
         try:
             black, white = lam
@@ -314,13 +315,14 @@ def _parts(flavor: str, lam: Label) -> tuple[Partition, ...]:
             raise ValueError(
                 f"{lam!r} is not a bipartition (expected a (black, white) pair)"
             ) from None
-        return black, white
-    return (lam,)
+        return check_partition(black), check_partition(white)
+    return (check_partition(lam),)
 
 
 def _label_data(flavor: str, lam: Label) -> tuple[int, ...]:
-    """Signature data of Y_lam: (|lam|,), or (|black|, |white|) for GL."""
-    return tuple(sum(p) for p in _parts(flavor, lam))
+    """Signature data of Y_lam for a normalized label, not checked again:
+    (|lam|,), or (|black|, |white|) for GL."""
+    return tuple(map(sum, lam)) if flavor == "GL" else (sum(lam),)
 
 
 def _label_size(flavor: str, lam: Label) -> int:
@@ -510,16 +512,33 @@ def multiplicity(X: KaroubiObject, lam: Label) -> int:
 
 
 def _normalize_label(flavor: str, lam) -> Label:
-    parts = tuple(check_partition(p) for p in _parts(flavor, lam))
+    parts = _parts(flavor, lam)
     return parts if flavor == "GL" else parts[0]
+
+
+# Largest End(x) basis that decompose takes, for X on x: End(x) is the
+# largest Hom basis whose traces _Traces takes.  Fresh-process times of
+# decompose(object_of_identity(x)) on a 2-CPU VM: S [4] (4,140 diagrams)
+# 0.74 to 1.3 s, GL (4, 3) (5,040) 18 to 25 s, O [6] (10,395) 42 s, and
+# S [5] (115,975) did not finish in 60 s.
+MAX_DECOMPOSE_BASIS = 5000
 
 
 def decompose(X: KaroubiObject, seed: int = 0) -> dict[Label, int]:
     """Multiset {label: multiplicity} with all zero entries dropped.
 
-    `seed` is accepted for compatibility and has no effect: every Hom
-    dimension is an exact trace (see _hom_dim)."""
-    labels = DIAGRAM_CLASSES[X.sig.flavor]._labels(X.sig.data)
+    An X whose End(x) has more than MAX_DECOMPOSE_BASIS basis diagrams is
+    refused before any y_lam or basis is built.  `seed` is accepted for
+    compatibility and has no effect: every Hom dimension is an exact trace
+    (see _hom_dim)."""
+    flavor, data = X.sig.flavor, X.sig.data
+    size = basis_size(flavor, data, data)
+    if size > MAX_DECOMPOSE_BASIS:
+        raise SizeBudgetError(
+            f"decompose budget exceeded: End({X.sig}) has {size} basis diagrams"
+            f" > MAX_DECOMPOSE_BASIS = {MAX_DECOMPOSE_BASIS}"
+        )
+    labels = DIAGRAM_CLASSES[flavor]._labels(data)
     return {lam: m for lam, m in _multiplicities(X, labels).items() if m}
 
 

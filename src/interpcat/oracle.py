@@ -36,6 +36,7 @@ from interpcat.diagrams import Diagram, PartitionDiagram, compose_diagrams
 from interpcat.homspaces import Morphism, as_signature, hom_basis
 from interpcat.karoubi import KaroubiObject
 from interpcat.linalg import integer_rank
+from interpcat.partitions import is_int
 from interpcat.ratfunc import PoleError
 
 MAX_ENTRIES = 10**6
@@ -45,6 +46,9 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _check_budget(n: int, l: int, m: int):
+    """The one check of n, run by every entry point before any matrix."""
+    if not is_int(n) or n < 0:
+        raise ValueError(f"the classical oracle expects a nonnegative integer n, got {n!r}")
     if n**l * n**m > MAX_ENTRIES:
         raise ValueError(
             f"matrix budget exceeded: n^(l+m) = {n ** (l + m)} > {MAX_ENTRIES}"

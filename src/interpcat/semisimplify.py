@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from interpcat.diagrams import _row_transpositions, basis_size, enumerate_basis, pairing_table
 from interpcat.homspaces import Morphism, as_signature, hom_basis
-from interpcat.partitions import check_partition, partitions_of
+from interpcat.partitions import partitions_of
 from interpcat.linalg import determinant, integer_rank, right_nullspace
 from interpcat.ratfunc import RF_ONE, RatFunc, t_power
 
@@ -213,9 +213,4 @@ def annihilated_simples(n: int, max_size: int) -> list[Partition]:
     """All lambda with |lambda| <= max_size killed at t = n: |lambda| + lambda_1 > n."""
     if n < 0:
         raise ValueError("annihilated_simples expects a nonnegative integer n")
-    out = []
-    for k in range(max_size + 1):
-        for lam in partitions_of(k):
-            if lam and k + lam[0] > n:
-                out.append(check_partition(lam))
-    return out
+    return [lam for k in range(max_size + 1) for lam in partitions_of(k) if lam and k + lam[0] > n]

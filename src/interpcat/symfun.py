@@ -217,14 +217,14 @@ def triple_encode(lam, k: int, l: int) -> TriplePartition:
     beta = tuple(conj[j] - k for j in range(l))
     gamma_len = (conj[l] if l < len(conj) else 0) - k
     gamma = tuple(lam[k + i] - l for i in range(max(0, gamma_len)))
-    tp = TriplePartition(alpha, beta, gamma, k, l)
-    triple_decode(tp)  # validates all five constraints
-    return tp
+    return TriplePartition(alpha, beta, gamma, k, l)
 
 
-def _rows_from_triple(alpha, beta, gamma, k: int, l: int) -> Partition:
-    """Rows of the decoded partition; alpha/beta entries may include zeros."""
-    rows = [alpha[i] + l for i in range(k)]
+def _rows_from_triple(alpha, beta, gamma) -> Partition:
+    """Rows of the decoded partition, cut at k = len(alpha) and l =
+    len(beta); alpha/beta entries may include zeros."""
+    l = len(beta)
+    rows = [a + l for a in alpha]
     depth = max(len(gamma), max(beta) if beta else 0)
     for i in range(1, depth + 1):
         g = gamma[i - 1] if i <= len(gamma) else 0
@@ -237,7 +237,10 @@ def _rows_from_triple(alpha, beta, gamma, k: int, l: int) -> Partition:
 
 
 def triple_decode(tp: TriplePartition) -> Partition:
-    """Inverse of triple_encode; validates all five constraints."""
+    """Inverse of triple_encode; validates the constraints.  Constraints 1,
+    3 and 5 imply constraint 2, len(gamma) = lam'_{l+1} - k: rows 1..k are
+    alpha_i + l > l, row k + i is gamma_i + l > l for i <= len(gamma) <=
+    beta_l, and every later row is at most l."""
     alpha, beta, gamma = tp.alpha, tp.beta, tp.gamma
     if len(alpha) != tp.k:
         raise ValueError("constraint 1 violated: k must equal the length of alpha")
@@ -251,14 +254,7 @@ def triple_decode(tp: TriplePartition) -> Partition:
         raise ValueError("constraint 5 violated: gamma_1 must not exceed alpha_k")
     if gamma and tp.l and len(gamma) > beta[-1]:
         raise ValueError("constraint 5 violated: gamma'_1 must not exceed beta_l")
-    lam = _rows_from_triple(alpha, beta, gamma, tp.k, tp.l)
-    conj = conjugate(lam)
-    expected = (conj[tp.l] if tp.l < len(conj) else 0) - tp.k
-    if expected != len(gamma):
-        raise ValueError(
-            "constraint 2 violated: gamma must have length lam'_{l+1} - k"
-            f" = {expected}, got {len(gamma)}"
-        )
+    lam = _rows_from_triple(alpha, beta, gamma)
     if tp.l > durfee(lam) or tp.k > durfee(lam):
         raise ValueError("constraint 1 violated: cuts must not exceed the diagonal")
     return lam
@@ -317,10 +313,10 @@ def _tilde(c, d, tail: Partition, eps: Partition) -> tuple[Partition, Partition]
     k, l = len(c), len(d)
     alpha = tuple((tail[0] if tail else 0) + sum(c[i:]) for i in range(k))
     beta = tuple(len(tail) + sum(d[j:]) for j in range(l))
-    lam = _rows_from_triple(alpha, beta, tail, k, l)
+    lam = _rows_from_triple(alpha, beta, tail)
     alpha = tuple(x - y for x, y in zip(alpha, c))
     beta = tuple(x - y for x, y in zip(beta, d))
-    return lam, _rows_from_triple(alpha, beta, eps, k, l)
+    return lam, _rows_from_triple(alpha, beta, eps)
 
 
 def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
@@ -387,10 +383,10 @@ def shift_instance(shift: ShiftData, n: int) -> tuple[Partition, Partition]:
     k, l = shift.k, shift.l
     alpha = tuple(base + (k - i) * n for i in range(k))
     beta = tuple(base + (l - i) * n for i in range(l))
-    lam = _rows_from_triple(alpha, beta, shift.gamma, k, l)
+    lam = _rows_from_triple(alpha, beta, shift.gamma)
     alpha_mu = tuple(x + y for x, y in zip(alpha, shift.a))
     beta_mu = tuple(x + y for x, y in zip(beta, shift.b))
-    mu = _rows_from_triple(alpha_mu, beta_mu, shift.delta, k, l)
+    mu = _rows_from_triple(alpha_mu, beta_mu, shift.delta)
     return lam, mu
 
 
@@ -489,10 +485,10 @@ def char_difference_forward(b, c, flavor: str = "gl", K: int = 6) -> MomentSeque
 def weight_moment_difference(mu, moved_up, moved_down, K: int = 6) -> MomentSequence:
     """Moment difference when some coordinates of mu move up/down by one.
 
-    moved_up and moved_down are disjoint 1-based index sets.  The result is
-    cross-checked against the direct power-sum difference of the shifted
-    weight, which it must match identically.  K above MAX_MOMENT_DEGREE is
-    refused up front.
+    moved_up and moved_down are disjoint 1-based index sets.  P_k(x) =
+    (x + 1)^k - x^k and P-bar_k(x) = (x - 1)^k - x^k, so the result is the
+    power-sum difference of the shifted weight minus that of mu, term by
+    term.  K above MAX_MOMENT_DEGREE is refused up front.
     """
     _check_degree(K)
     mu = tuple(Fraction(x) for x in mu)
@@ -503,21 +499,9 @@ def weight_moment_difference(mu, moved_up, moved_down, K: int = 6) -> MomentSequ
     for i in up | down:
         if not 1 <= i <= len(mu):
             raise ValueError(f"index {i} outside the weight of length {len(mu)}")
-    lam = list(mu)
-    for i in up:
-        lam[i - 1] += 1
-    for i in down:
-        lam[i - 1] -= 1
-    values: dict[int, Fraction] = {}
-    for k in range(1, K + 1):
-        total = _moment([mu[i - 1] for i in up], [mu[i - 1] for i in down], k)
-        direct = sum(x**k for x in lam) - sum(x**k for x in mu)
-        if total != direct:
-            raise AssertionError(
-                f"moment bookkeeping broke at k={k}: {total} != {direct}"
-            )
-        values[k] = total
-    return MomentSequence("gl", values)
+    b = [mu[i - 1] for i in up]
+    c = [mu[i - 1] for i in down]
+    return MomentSequence("gl", {k: _moment(b, c, k) for k in range(1, K + 1)})
 
 
 def search_decomposition(

@@ -271,6 +271,29 @@ class TestSelftestCommand:
         }
 
 
+class TestSelftestRefusals:
+    """Each raise of selftest that no other tier-1 test reached: the CLI's
+    --level choices keep a bad level from run_selftest, and the oracles
+    are given valid input by their checks."""
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: selftest.run_selftest("bogus"), ValueError,
+             "selftest level must be 'quick' or 'full'"),
+            (lambda: selftest.hook_content_dimension((2,), 2), ValueError,
+             r"padding invalid: n = 2 too small for \(2,\)"),
+            # x_2, not symmetric in x_1 and x_2
+            (lambda: selftest._schur_expand({(0, 1): 1}, 2), AssertionError,
+             r"non-symmetric leading term \(0, 1\)"),
+        ],
+        ids=["level", "padding", "non-symmetric"],
+    )
+    def test_raises(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
+
 ENDO_S1 = {"source": {"flavor": "S", "m": 1}, "target": {"flavor": "S", "m": 1}}
 
 
@@ -583,6 +606,59 @@ class TestExitCodes:
         column = json.dumps([1] * cli.MAX_LR_SIZE)
         argv = [column if x == "[1]" else x for x in LR_CALLS[command]]
         assert main([command.split()[0], *argv]) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "a, b, err",
+        [
+            ([0] * 3000, [], "len(a) + len(b) = 3000 > MAX_HC_ARMS = 50"),
+            ([0] * 26, [0] * 25, "len(a) + len(b) = 51 > MAX_HC_ARMS = 50"),
+        ],
+        ids=["3000-zeros", "just-over"],
+    )
+    def test_hc_arms_budget_exit_1(self, capsys, monkeypatch, a, b, err):
+        # each arm is one level of _vectors_with_sum's recursion: 3,000
+        # zeros in --a once ended in a RecursionError traceback
+        assert cli.MAX_HC_ARMS == 50
+        monkeypatch.setattr(symfun, "stable_hc_multiplicity", None)  # never runs
+        argv = ["--a", json.dumps(a), "--b", json.dumps(b)] + HC_ARGS[5:]
+        start = time.perf_counter()
+        assert main([HC_ARGS[0], *argv]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: hc-stable budget exceeded: {err}\n"
+
+    def test_hc_arms_budget_admits_the_limit(self, capsys):
+        argv = ["--a", json.dumps([0] * 25), "--b", json.dumps([0] * 25)] + HC_ARGS[5:]
+        assert run_json(capsys, HC_ARGS[0], *argv) == {"multiplicity": 50}
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            # the instance's lambda has about 5,000 rows: a RecursionError
+            # traceback once, now refused before it is built
+            (["--check-n", "5000"], "|lambda| >= 5000 > MAX_LR_SIZE = 50"),
+            (["--check-n", "10000000000"], "|lambda| >= 10000000000 > MAX_LR_SIZE = 50"),
+            (["--b", "[-1000000000]", "--check-n", "0"], "|lambda| >= 1000000000 > MAX_LR_SIZE = 50"),
+            # built, then refused: lambda = [51]
+            (["--check-n", "50"], "|lambda| = 51 > MAX_LR_SIZE = 50"),
+            # lambda = [45] and mu = [55]
+            (["--a", "[10]", "--check-n", "35"], "|mu| = 55 > MAX_LR_SIZE = 50"),
+        ],
+        ids=["5000", "huge", "huge-shift", "just-over", "mu"],
+    )
+    def test_check_n_budget_exit_1(self, capsys, monkeypatch, argv, err):
+        monkeypatch.setattr(symfun, "stable_hc_multiplicity", None)  # never runs
+        if ">=" in err:
+            monkeypatch.setattr(symfun, "shift_instance", None)  # never built
+        call = dict(zip(HC_ARGS[1::2], HC_ARGS[2::2]))
+        call.update(zip(argv[::2], argv[1::2]))
+        start = time.perf_counter()
+        assert main([HC_ARGS[0], *(x for item in call.items() for x in item)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: hc-stable budget exceeded: {err}\n"
+
+    def test_check_n_budget_admits_the_limit(self, capsys):
+        got = run_json(capsys, *HC_ARGS, "--check-n", "49")
+        assert got["direct_check"] == {"n": 49, "lambda": [50], "mu": [50], "multiplicity": 1}
 
     @pytest.mark.parametrize(
         "argv, err",

@@ -898,6 +898,7 @@ FLAVOR_BRANCHES = {
     "karoubi.promote": "S promotes by its Frobenius generators, GL by its cup and cap; O has none",
     "karoubi._parts": "a GL label is a (black, white) pair of partitions",
     "karoubi._normalize_label": "the same label shapes",
+    "karoubi._label_data": "the same label shapes, normalized, so that _parts does not check them again",
     "oracle.diagram_matrix": "only S has the strict delta matrices",
     "selftest._random_sig": "random GL data is a pair, S and O data one count",
     "selftest.check_composition_associativity": "random O rows need even sums, GL rows are "

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,72 @@ class TestGlLabelNotAPair:
             multiplicity(X, ((1,),))
         with pytest.raises(ValueError, match="5 is not a bipartition"):
             multiplicity(X, 5)
+
+
+# one malformed label per shape, as (flavor, label), and the one message
+# karoubi._parts gives for it
+MALFORMED_LABELS = {
+    "zero-part": ("S", (2, 0), "(2, 0) is not a partition (weakly decreasing, positive)"),
+    "increasing": ("O", (1, 2), "(1, 2) is not a partition (weakly decreasing, positive)"),
+    "not-integers": ("S", ("2",), "('2',) is not a partition (expected integers)"),
+    "GL-zero-part": ("GL", ((2, 0), ()), "(2, 0) is not a partition (weakly decreasing, positive)"),
+    "GL-increasing": ("GL", ((), [1, 2]), "(1, 2) is not a partition (weakly decreasing, positive)"),
+    "GL-not-a-pair": ("GL", ((1,),), "((1,),) is not a bipartition (expected a (black, white) pair)"),
+    "GL-partition": ("GL", (2, 1), "2 is not a partition (expected integers)"),
+}
+UNIT = {"S": sig_s(0), "O": sig_o(0), "GL": sig_gl(0, 0)}
+
+
+def _label_entry_points(flavor, lam) -> dict:
+    """{name: call} for each entry point that takes a label of this flavor."""
+    calls = {
+        "dim_simple": lambda: dim_simple(lam, flavor),
+        "young_symmetrizer": lambda: young_symmetrizer(lam, flavor),
+        "symmetrizer_object": lambda: symmetrizer_object(lam, flavor),
+        "symmetrizer_terms": lambda: karoubi.symmetrizer_terms(lam, flavor),
+        "multiplicity": lambda: multiplicity(object_of_identity(UNIT[flavor]), lam),
+    }
+    if flavor == "GL":
+        calls["bipartition_symmetrizer"] = lambda: bipartition_symmetrizer(lam)
+    return calls
+
+
+class TestLabelData:
+    """karoubi._parts is the one check of a label."""
+
+    @pytest.mark.parametrize("flavor, lam, message", list(MALFORMED_LABELS.values()), ids=list(MALFORMED_LABELS))
+    def test_one_message_per_shape(self, flavor, lam, message):
+        for name, call in _label_entry_points(flavor, lam).items():
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message, name
+
+    @pytest.mark.parametrize(
+        "flavor, as_list, as_tuple",
+        [("S", [2, 1], (2, 1)), ("O", [1, 1], (1, 1)), ("GL", [[1], [1]], ((1,), (1,)))],
+    )
+    def test_lists_are_labels(self, flavor, as_list, as_tuple):
+        # symmetrizer_terms once raised TypeError on a list
+        expected = {name: call() for name, call in _label_entry_points(flavor, as_tuple).items()}
+        for name, call in _label_entry_points(flavor, as_list).items():
+            assert call() == expected[name], name
+
+    def test_symmetrizer_terms_checks_its_label(self):
+        # (2, 0) once gave 2 terms and (1, 2) 4, labels dim_simple refuses
+        assert karoubi.symmetrizer_terms([2, 1]) == 4
+        for lam in [(2, 0), (1, 2)]:
+            with pytest.raises(ValueError) as refused:
+                dim_simple(lam)
+            with pytest.raises(ValueError) as info:
+                karoubi.symmetrizer_terms(lam)
+            assert str(info.value) == str(refused.value)
+
+    def test_every_entry_point_is_reached(self):
+        names = {name for f, lam, _ in MALFORMED_LABELS.values() for name in _label_entry_points(f, lam)}
+        assert names == {
+            "dim_simple", "young_symmetrizer", "bipartition_symmetrizer", "symmetrizer_object",
+            "symmetrizer_terms", "multiplicity",
+        }
 
 
 class TestSpecialP:
@@ -836,6 +903,54 @@ class TestClassSums:
         traces = karoubi._Traces(Y, Y.sig)
         assert traces.hom_dim(Y) == 19
         assert sorted(traces.chi) == [((True, 1), (True, 1), (True, 1)), ((True, 3),)]
+
+
+class TestDecomposeBudget:
+    """decompose refuses an X whose End(x) has more than MAX_DECOMPOSE_BASIS
+    basis diagrams, before any y_lam or basis is built."""
+
+    def test_limit_lies_between_the_objects_in_use_and_the_slow_ones(self):
+        limit = karoubi.MAX_DECOMPOSE_BASIS
+        assert limit == 5000
+        assert diagrams.basis_size("S", (4,), (4,)) == 4140 <= limit
+        assert diagrams.basis_size("GL", (4, 3), (4, 3)) == 5040 > limit
+        assert diagrams.basis_size("O", (6,), (6,)) == 10395 > limit
+
+    @pytest.mark.parametrize(
+        "sig, size",
+        [(sig_gl(4, 3), 5040), (sig_o(6), 10395), (sig_s(5), 115975), (sig_gl(4, 4), 40320)],
+        ids=["GL-4-3", "O-6", "S-5", "GL-4-4"],
+    )
+    def test_over_the_limit_is_refused_up_front(self, sig, size, monkeypatch):
+        X = object_of_identity(sig)
+        monkeypatch.setattr(karoubi, "_multiplicities", None)  # never runs
+        message = (
+            f"decompose budget exceeded: End({sig}) has {size} basis diagrams"
+            f" > MAX_DECOMPOSE_BASIS = {karoubi.MAX_DECOMPOSE_BASIS}"
+        )
+        unit = ((), ()) if sig.flavor == "GL" else ()
+        for call in (lambda: decompose(X), lambda: multiplicity(X, unit)):
+            start = time.perf_counter()
+            with pytest.raises(SizeBudgetError) as info:
+                call()
+            assert time.perf_counter() - start < 1.0
+            assert str(info.value) == message
+
+    def test_largest_object_under_the_limit(self):
+        # End([4]) is semisimple at generic t, so it is the sum of the
+        # squared multiplicities
+        mult = decompose(object_of_identity(sig_s(4)))
+        assert sum(m * m for m in mult.values()) == 4140
+
+    def test_cli_exit_1(self, capsys):
+        f = json.dumps(morphism_to_json(identity(sig_gl(4, 3))))
+        start = time.perf_counter()
+        assert main(["decompose", "-f", f]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: decompose budget exceeded: End(GL[4, 3]) has 5040 basis diagrams"
+            " > MAX_DECOMPOSE_BASIS = 5000\n"
+        )
 
 
 class TestDecompose:

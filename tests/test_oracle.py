@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,36 @@ class TestPatternMatrices:
         n = 3
         assert sum(map(sum, delta_matrix(p, n))) == 3 * 2 * 1
         assert sum(map(sum, e_matrix(p, n))) == 3**3
+
+
+ORACLE_CALLS = {
+    "e_matrix": lambda n: e_matrix(PI, n),
+    "delta_matrix": lambda n: delta_matrix(PI, n),
+    "diagram_matrix": lambda n: diagram_matrix(PI, n),
+    "morphism_matrix": lambda n: morphism_matrix(identity(sig_s(1)), n),
+    "verify_structure_constants": lambda n: verify_structure_constants(1, 1, 1, n),
+    "hom_dim_classical": lambda n: hom_dim_classical(1, 1, n),
+    "functor_image_rank": lambda n: functor_image_rank(KaroubiObject(sig_s(1), identity(sig_s(1))), n),
+}
+
+
+class TestParameterN:
+    """oracle._check_budget is the one check of n, and every entry point
+    runs it before any matrix is built.  A negative n once gave 0 or an
+    IndexError."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_CALLS))
+    @pytest.mark.parametrize("n", [-1, Fraction(1, 2), 0.5, True])
+    def test_refused(self, name, n, monkeypatch):
+        monkeypatch.setattr(oracle, "_block_weights", None)  # no matrix is built
+        with pytest.raises(ValueError) as info:
+            ORACLE_CALLS[name](n)
+        assert str(info.value) == f"the classical oracle expects a nonnegative integer n, got {n!r}"
+
+    @pytest.mark.parametrize("name", list(ORACLE_CALLS))
+    def test_zero_and_one_are_taken(self, name):
+        for n in (0, 1):
+            ORACLE_CALLS[name](n)
 
 
 class TestStructureConstants:

@@ -291,6 +291,25 @@ class TestText:
             parse_poly("2 x")
 
 
+class TestRefusals:
+    """Each raise of ratfunc that no other tier-1 test reached."""
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: t_power(-1), ValueError, "negative power of t is not a polynomial"),
+            (lambda: RatFunc(RF_ONE, 1), TypeError, r"RatFunc\(RatFunc, den\) is not supported"),
+            (lambda: RatFunc("x"), TypeError, "cannot interpret 'x' as a polynomial in t"),
+            (lambda: RF_ONE + "x", TypeError, "cannot interpret 'x' as a rational function in t"),
+            (lambda: parse_ratfunc("1 t"), ValueError, r"missing \+/- between terms in '1 t'"),
+        ],
+        ids=["negative-power", "ratfunc-and-den", "str-poly", "str-ratfunc", "missing-sign"],
+    )
+    def test_raises(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
+
 # -- int coefficients ---------------------------------------------------------
 #
 # The reference below is Fraction-only textbook arithmetic on coefficient

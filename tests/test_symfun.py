@@ -12,7 +12,14 @@ from pathlib import Path
 import pytest
 
 from interpcat import symfun
-from interpcat.partitions import check_partition, contains, is_int, partitions_of, sub_partitions
+from interpcat.partitions import (
+    check_partition,
+    conjugate,
+    contains,
+    is_int,
+    partitions_of,
+    sub_partitions,
+)
 from interpcat.selftest import hall_pairing_by_expansion, schur_products_expanded
 from interpcat.symfun import (
     MAX_MOMENT_BITS,
@@ -279,6 +286,40 @@ class TestTriple:
             # gamma three columns wide against a single beta column of height 1
             triple_decode(TriplePartition((3,), (1,), (1, 1), k=1, l=1))
 
+    def test_constraint_2_is_implied(self):
+        # triple_decode tests no constraint 2, len(gamma) = lam'_{l+1} - k:
+        # every triple that meets constraints 1, 3 and 5 decodes to a
+        # partition that meets it
+        start = time.perf_counter()
+        parts = [p for n in range(5) for p in partitions_of(n)]
+        decoded = 0
+        for alpha, beta, gamma in itertools.product(parts, repeat=3):
+            k, l = len(alpha), len(beta)
+            if gamma and ((k and gamma[0] > alpha[-1]) or (l and len(gamma) > beta[-1])):
+                continue  # constraint 5
+            lam = symfun._rows_from_triple(alpha, beta, gamma)
+            conj = conjugate(lam)
+            assert (conj[l] if l < len(conj) else 0) - k == len(gamma), (alpha, beta, gamma)
+            decoded += 1
+        assert decoded > 500
+        assert time.perf_counter() - start < 1.0
+
+    def test_encode_needs_no_decode(self):
+        # triple_encode does not decode its result: every triple that its
+        # cut checks let through decodes, to lam itself
+        start = time.perf_counter()
+        encoded = 0
+        for lam in (p for n in range(9) for p in partitions_of(n)):
+            for k, l in itertools.product(range(-1, 5), repeat=2):
+                try:
+                    tp = triple_encode(lam, k, l)
+                except ValueError:
+                    continue
+                assert triple_decode(tp) == lam, (lam, k, l)
+                encoded += 1
+        assert encoded > 100
+        assert time.perf_counter() - start < 1.0
+
 
 class TestStableHC:
     def test_spec_single_box(self):
@@ -400,6 +441,18 @@ class TestMoments:
     def test_osp_rejects_c(self):
         with pytest.raises(ValueError):
             char_difference_forward((1,), (2,), "osp", 4)
+
+    def test_weight_difference_is_the_power_sum_difference(self):
+        # weight_moment_difference does not compare itself with the direct
+        # power-sums: the identity it rests on is checked here
+        for mu in [(0,), (3, 1, 0), (Fraction(5, 2), -2, 4)]:
+            for moves in itertools.product((0, 1, -1), repeat=len(mu)):
+                up = {i + 1 for i, x in enumerate(moves) if x == 1}
+                down = {i + 1 for i, x in enumerate(moves) if x == -1}
+                lam = [Fraction(x) + y for x, y in zip(mu, moves)]
+                w = weight_moment_difference(mu, up, down, 5)
+                for k in range(1, 6):
+                    assert w.values[k] == sum(x**k for x in lam) - sum(Fraction(x) ** k for x in mu)
 
     def test_weight_difference_single_up(self):
         w = weight_moment_difference((3, 1, 0), {1}, set(), 3)
@@ -616,3 +669,32 @@ def count_moments(monkeypatch):
 
     monkeypatch.setattr(symfun, "_moment", spy)
     return calls
+
+
+class TestRefusals:
+    """Each raise of symfun that no other tier-1 test reached."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: triple_encode((1,), -1, 0), "cuts must be nonnegative"),
+            (lambda: triple_encode((1,), 0, 2), "column cut l = 2 exceeds the diagonal length d = 1"),
+            (lambda: triple_decode(TriplePartition((), (1,), (), k=0, l=0)),
+             "constraint 1 violated: l must equal the length of beta"),
+            (lambda: triple_decode(TriplePartition((1, 1), (), (), k=2, l=0)),
+             "constraint 1 violated: cuts must not exceed the diagonal"),
+            # the shifts push the second row of mu past the first
+            (lambda: shift_instance(ShiftData((0, 1), (), (), ()), 0),
+             r"triple does not decode to a partition: rows \[1, 2\]"),
+            (lambda: stable_hc_multiplicity(ShiftData((), (), (), ()), (), "sp"),
+             r"unknown flavor 'sp' \(expected 'gl' or 'osp'\)"),
+            (lambda: weight_moment_difference((1,), [2], []), "index 2 outside the weight of length 1"),
+            (lambda: search_decomposition(char_difference_forward((1,), (), "osp", 6), 1, 1, 1),
+             "osp searches take s = 0"),
+        ],
+        ids=["negative-cut", "column-cut", "decode-l", "decode-diagonal", "instance-rows",
+             "hc-flavor", "weight-index", "osp-search"],
+    )
+    def test_raises(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
