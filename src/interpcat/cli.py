@@ -328,6 +328,17 @@ MAX_LR_SIZE = 50
 # 15 s.  As with MAX_LR_SIZE, the limit bounds the depth, not the time.
 MAX_HC_ARMS = 50
 
+# Most terms of the stable sum that hc-stable takes (symfun.stable_hc_terms),
+# counted before any term is visited: the arm vectors of each weight number
+# C(w + k + l - 1, k + l - 1) over k + l arms.  With all shifts 0 and
+# --nu [w] --nubar [w], 4 arms of weight 37 (9,880 terms) take 0.9 s from the
+# CLI on a 2-CPU VM and 38 arms of weight 3 (9,880) 1.1 s; 50 arms of weight 4
+# (292,825 terms) took 39 s, and 6 arms over gamma = delta = [3, 2] with
+# nu = nubar = [6, 4, 2] (27,013 terms) 6 to 7 s.  The largest sum in use
+# (the corpus, selftest, the demos, the tests and the stable benchmark) has
+# 51 terms.
+MAX_HC_TERMS = 10_000
+
 
 def _check_lr_size(command: str, names: str, *partitions) -> None:
     """Refuse, before any work, a partition of more than MAX_LR_SIZE boxes;
@@ -429,6 +440,12 @@ def cmd_hc_stable(args):
     if arms > MAX_HC_ARMS:
         raise ValueError(
             f"hc-stable budget exceeded: len(a) + len(b) = {arms} > MAX_HC_ARMS = {MAX_HC_ARMS}"
+        )
+    terms = symfun.stable_hc_terms(shift, nu, args.flavor)
+    if terms > MAX_HC_TERMS:
+        raise ValueError(
+            f"hc-stable budget exceeded: the stable sum has {terms} terms"
+            f" > MAX_HC_TERMS = {MAX_HC_TERMS}"
         )
     out = {}
     if check_n is not None:

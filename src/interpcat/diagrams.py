@@ -16,9 +16,9 @@ Flavors:
 Per-flavor behaviour lives on these classes and nowhere else: each carries
 the kernels that differ as private methods (_signature, _to_json,
 _check_colors) and classmethods (_trusted, _basis, _basis_size, _from_json,
-_labels), its _kind for messages, _pairs for a matching, and _colors, the
-length of its signature data: (m,) for S and O, the Diagram default, and
-(r, s) for GL, blacks then whites on each row.  Entry points keyed by a
+_labels, _fixed_count), its _kind for messages, _pairs for a matching, and
+_colors, the length of its signature data: (m,) for S and O, the Diagram
+default, and (r, s) for GL, blacks then whites on each row.  Entry points keyed by a
 flavor string look the class up (_diagram_class).  _endpoint is the one
 check of signature data, with one message per malformed shape: the entry
 points here that take endpoints, homspaces.ObjectSignature (and so
@@ -52,6 +52,14 @@ relabelling each diagram once and looking up its canonical blocks;
 semisimplify uses them to run one union-find row per orbit of a pairing
 table.
 
+_fixed_count(target, source) is the number of basis diagrams of Hom(x, y)
+that d -> s o d o x fixes, for permutations s of y and x of x whose cycle
+types (karoubi._class_key) are target and source: the trace of that map,
+in closed form and without the basis.  S counts the set partitions fixed
+by a permutation (_invariant_set_partitions), O the matchings, and GL the
+bijections between its two sides (WalledDiagram._basis) that commute with
+the permutations.
+
 Composition convention: compose_diagrams(p, q) is "p after q" -- q maps
 [k] -> [l], p maps [l] -> [m], and the second return value is the exponent
 of t produced by components lying in the middle row only, which for
@@ -69,6 +77,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -164,6 +173,37 @@ def _merge_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple, list[int
         new_b += range(start + na + 1, start + na + nb + 1)
         start += na + nb
     return tuple(map(sum, zip(a, b))), new_a, new_b
+
+
+def _cycle_lengths(*keys) -> Counter:
+    """{d: m_d}, the number of cycles of each length over cycle types given
+    as karoubi._class_key tuples of (black, length) pairs."""
+    return Counter(length for key in keys for _, length in key)
+
+
+@lru_cache(maxsize=1024)
+def _invariant_set_partitions(lengths: tuple[int, ...]) -> int:
+    """Set partitions fixed by a permutation whose cycles have these lengths
+    (a sorted tuple).  Such a permutation permutes a fixed partition's
+    blocks; the cycles that one orbit of j blocks covers make a group, and j
+    divides each of their lengths.  Once the first point of the group's
+    first cycle names a block, each other cycle puts its first point in one
+    of the j blocks, which places all of it.  So the count is the sum over
+    set partitions of the cycles of prod over groups of
+    sum_{j | gcd} j^(|group| - 1), taken here by the group of the first cycle
+    and the cycles it leaves."""
+    if not lengths:
+        return 1
+    counts = Counter(lengths[1:])  # ascending, as lengths is sorted
+    total = 0
+    for taken in itertools.product(*(range(m + 1) for m in counts.values())):
+        group = [lengths[0]] + [d for d, k in zip(counts, taken) for _ in range(k)]
+        rest = tuple(d for (d, m), k in zip(counts.items(), taken) for _ in range(m - k))
+        ways = math.prod(math.comb(m, k) for m, k in zip(counts.values(), taken))
+        g = math.gcd(*group)
+        weight = sum(j ** (len(group) - 1) for j in range(1, g + 1) if g % j == 0)
+        total += ways * weight * _invariant_set_partitions(rest)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +377,12 @@ class PartitionDiagram(Diagram):
         (m,) = data
         return [lam for k in range(m + 1) for lam in partitions_of(k)]
 
+    @classmethod
+    def _fixed_count(cls, target, source) -> int:
+        """Set partitions of the endpoints fixed by the permutation that the
+        cycle types target and source make of them together."""
+        return _invariant_set_partitions(tuple(sorted(_cycle_lengths(target, source).elements())))
+
 
 @dataclass(frozen=True)
 class BrauerDiagram(Diagram):
@@ -374,6 +420,23 @@ class BrauerDiagram(Diagram):
         """Partitions of m, m - 2, ...: matchings change size in pairs."""
         (m,) = data
         return [lam for k in range(m % 2, m + 1, 2) for lam in partitions_of(k)]
+
+    @classmethod
+    def _fixed_count(cls, target, source) -> int:
+        """Matchings of the endpoints fixed by the permutation that the cycle
+        types target and source make of them together.  A fixed matching
+        joins two cycles of one length d, in d ways, or joins the points of
+        one cycle of even length d that lie d/2 apart.  So the count is
+        prod_d sum_k C(m_d, 2k) (2k - 1)!! d^k, where an odd d keeps only the
+        term that joins all of its m_d = 2k cycles in pairs."""
+        return math.prod(
+            sum(
+                math.comb(m, 2 * k) * double_factorial_odd(2 * k) * d**k
+                for k in range(m // 2 + 1)
+                if d % 2 == 0 or m == 2 * k
+            )
+            for d, m in _cycle_lengths(target, source).items()
+        )
 
 
 @dataclass(frozen=True)
@@ -457,6 +520,20 @@ class WalledDiagram(Diagram):
         ]
         out.sort(key=lambda lab: (sum(lab[0]) + sum(lab[1]), lab))
         return out
+
+    @classmethod
+    def _fixed_count(cls, target, source) -> int:
+        """Walled diagrams fixed by d -> s o d o x, for permutations s and x
+        of cycle types target and source.  A walled diagram is a bijection
+        from A = {source blacks, target whites} to B = {target blacks, source
+        whites} (_basis), fixed when it carries the action on A to the action
+        on B.  A's cycles are x's black and s's white ones, B's are s's black
+        and x's white ones; when the two have one cycle type rho, the fixed
+        bijections are as many as its centralizer has elements,
+        z_rho = prod_d d^(m_d) m_d!, and otherwise there are none."""
+        a = _cycle_lengths([c for c in source if c[0]], [c for c in target if not c[0]])
+        b = _cycle_lengths([c for c in target if c[0]], [c for c in source if not c[0]])
+        return math.prod(d**m * math.factorial(m) for d, m in a.items()) if a == b else 0
 
     @classmethod
     def _from_json(cls, obj: dict) -> WalledDiagram:

@@ -26,22 +26,35 @@ triangular solve (_multiplicities): [X : L(lambda)] is dim Hom(X, Y_lambda),
 minus K(lambda, mu) [X : L(mu)] over the strictly smaller mu, by induction
 on size.  Hom(X, Y) is the image of the idempotent P(d) = e_Y o d o e_X on
 the diagram space, so its dimension is the trace of P: the sum over basis
-diagrams d of the coefficient of d in e_Y o d o e_X.  That trace is taken by
-class sums (_Traces): d o e_X is composed once per basis diagram d and per
-(X, target signature), shared by every label of that size, and e_Y's terms
-are grouped by conjugacy class (_class_key: a permutation's colored cycle
-type; any other diagram alone).  The trace against a permutation is a class
-function, so each class costs one trace, at one representative, shared by
-every Y of the signature; a class whose coefficients sum to 0 costs none.
-Every composition goes through the homspaces composition kernel.  The sum
-is a constant of Q(t).  Each idempotent is scaled once to clear the
+diagrams d of the coefficient of d in e_Y o d o e_X.  Each idempotent's
+terms are summed by conjugacy class (_class_sums, by _class_key: a
+permutation's colored cycle type; any other diagram alone), and the trace
+takes one of two routes (_hom_dims, proofs at _hom_dim):
+
+  fixed points  when e_X and e_Y are both sums of permutations (identity
+                objects, every y_lambda, conjugated and tensored
+                symmetrizers): d -> s o d o x permutes the basis for
+                permutations s and x, so its trace is the number of
+                diagrams it fixes, a closed form in the two cycle types
+                (the flavor's _fixed_count).  No basis is enumerated and
+                nothing is composed.
+  traces        for any other X (promoted idempotents, special_p, JSON
+                idempotents), _Traces: d o e_X is composed once per basis
+                diagram d and per (X, target signature), shared by every
+                label of that size; the trace against a permutation is a
+                class function, so each class of e_Y costs one trace, at one
+                representative, shared by every Y of the signature, and a
+                class whose coefficients sum to 0 costs none.  Every
+                composition goes through the homspaces composition kernel.
+
+The sum is a constant of Q(t).  Each idempotent is scaled once to clear the
 denominators of its constant coefficients (homspaces._integral_terms, as in
-compose and trace), the sum runs over Z, and one division ends it; no
-dimension is taken at a sample point, so every generic-t answer is exact and
-independent of any seed.  K has one home, _symmetrizer_decomposition: the
-same solve with X = Y_lambda over the labels below lambda.  The generic
-dimensions of simples follow by the trace accounting
-dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
+compose and trace), the sum runs over Z, and one division ends it, checked
+to be a dimension (_dimension); no dimension is taken at a sample point, so
+every generic-t answer is exact and independent of any seed.  K has one
+home, _symmetrizer_decomposition: the same solve with X = Y_lambda over the
+labels below lambda.  The generic dimensions of simples follow by the trace
+accounting dim L(lambda) = tr(y_lambda) - sum K(lambda, mu) dim L(mu).
 """
 
 from __future__ import annotations
@@ -359,12 +372,12 @@ def _symmetrizer_object(flavor: str, lam: Label) -> KaroubiObject:
 
 
 def _class_key(d: Diagram):
-    """The key that e_Y's terms are summed by in _hom_dim: for a permutation
-    diagram, its cycle type with each cycle tagged by its color (endpoint
-    i <= data[0] is black; S and O have one color), as sorted (black, length)
-    pairs; any other diagram is its own key.  Two permutations that keep
-    each color are conjugate by such a permutation exactly when their keys
-    agree."""
+    """The key that an idempotent's terms are summed by (_class_sums): for a
+    permutation diagram, its cycle type with each cycle tagged by its color
+    (endpoint i <= data[0] is black; S and O have one color), as sorted
+    (black, length) pairs; any other diagram is its own key.  Two
+    permutations that keep each color are conjugate by such a permutation
+    exactly when their keys agree."""
     source, target = d._signature()
     blocks = d._blocks
     n = sum(source)
@@ -386,11 +399,36 @@ def _class_key(d: Diagram):
     return tuple(sorted(cycles))
 
 
+def _class_sums(idem: Morphism) -> tuple[int, dict]:
+    """(n, {key: sum of n c_s over the terms s with that _class_key}) for
+    the idempotent cleared once (homspaces._integral_terms); a key whose sum
+    is 0 is left out.  Every key is a cycle type (a tuple) exactly when every
+    term is a permutation."""
+    n, terms = _integral_terms(idem)
+    sums: dict = {}
+    for s, c in terms:
+        key = _class_key(s)
+        sums[key] = sums.get(key, 0) + c
+    return n, {key: c for key, c in sums.items() if c}
+
+
+def _dimension(total, n: int, size: int) -> int:
+    """total / n, a trace cleared by n, as the dimension of a space with a
+    basis of size diagrams: an ArithmeticError unless it is an integer in
+    [0, size], since then an idempotent was wrong."""
+    total = constant_or_self(total)
+    if not isinstance(total, RatFunc):
+        q, r = divmod(total, n)
+        if not r and 0 <= q <= size:
+            return q
+    raise ArithmeticError(f"the trace {total / Fraction(n)} of e_Y o - o e_X is not a dimension")
+
+
 class _Traces:
-    """The X side of _hom_dim's traces from X into one target signature y,
+    """The trace route of _hom_dim from X into one target signature y,
     shared by every Y of that signature: R_d = d o e_X, composed once per
     basis diagram d and kept by column, columns[m] = {d: R_d[m]}; and chi,
-    one trace per class key, taken at the first representative asked for."""
+    one trace per class key, taken at the first term of e_Y with that key."""
 
     def __init__(self, X: KaroubiObject, target: ObjectSignature):
         self.target = target
@@ -415,32 +453,50 @@ class _Traces:
 
     def hom_dim(self, Y: KaroubiObject) -> int:
         """dim Hom(X, Y) for a Y of the target signature (see _hom_dim)."""
-        ny, ey = _integral_terms(Y.idem)
-        sums: dict = {}
-        representative: dict = {}
-        for s, c in ey:
+        ny, sums = _class_sums(Y.idem)
+        for s in Y.idem.terms:
             key = _class_key(s)
-            sums[key] = sums.get(key, 0) + c
-            representative.setdefault(key, s)
-        total = 0
-        for key, c in sums.items():
-            if c:
-                if key not in self.chi:
-                    self.chi[key] = self._chi(representative[key])
-                total += c * self.chi[key]
-        total = constant_or_self(total)
-        if not isinstance(total, RatFunc):
-            q, r = divmod(total, self.nx * ny)
-            if not r and 0 <= q <= len(self.basis):
-                return q
-        raise ArithmeticError(
-            f"the trace {total / Fraction(self.nx * ny)} of e_Y o - o e_X is not a dimension"
-        )
+            if key in sums and key not in self.chi:
+                self.chi[key] = self._chi(s)
+        total = sum(c * self.chi[key] for key, c in sums.items())
+        return _dimension(total, self.nx * ny, len(self.basis))
+
+
+def _permutations(sums: dict) -> bool:
+    """Whether the class sums of _class_sums come from permutations only."""
+    return all(isinstance(key, tuple) for key in sums)
+
+
+def _hom_dims(X: KaroubiObject):
+    """Y -> dim Hom(X, Y), for one X and any number of Y (see _hom_dim).
+    When e_X and e_Y are both sums of permutations, the fixed-point route:
+    sum over class keys k_s of e_Y and k_x of e_X of
+    S_Y(k_s) S_X(k_x) F(k_s, k_x), with S the class sums (_class_sums) and F
+    the flavor's _fixed_count, divided once by n_X n_Y.  Otherwise the trace
+    route, _Traces, kept for the latest target signature."""
+    flavor, x = X.sig.flavor, X.sig.data
+    nx, sx = _class_sums(X.idem)
+    fixed = DIAGRAM_CLASSES[flavor]._fixed_count if _permutations(sx) else None
+    traces = None
+
+    def hom_dim(Y: KaroubiObject) -> int:
+        nonlocal traces
+        if fixed:
+            ny, sy = _class_sums(Y.idem)
+            if _permutations(sy):
+                total = sum(cy * cx * fixed(ky, kx) for ky, cy in sy.items() for kx, cx in sx.items())
+                return _dimension(total, nx * ny, basis_size(flavor, x, Y.sig.data))
+        if traces is None or traces.target != Y.sig:
+            traces = _Traces(X, Y.sig)
+        return traces.hom_dim(Y)
+
+    return hom_dim
 
 
 def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
     """dim Hom(X, Y) at generic t: the trace of the idempotent
-    P(d) = e_Y o d o e_X on the diagram space Hom(x, y), by class sums.
+    P(d) = e_Y o d o e_X on the diagram space Hom(x, y), by one of two
+    routes (_hom_dims).
 
     Over a field of characteristic 0 the trace of an idempotent is its rank,
     so dim Hom(X, Y) = tr P, an exact constant of Q(t), with no elimination
@@ -458,15 +514,26 @@ def _hom_dim(X: KaroubiObject, Y: KaroubiObject) -> int:
     tr P = sum over keys of (the sum of c_s over the key) chi(one s of it).
     A diagram that is not a permutation is its own key.
 
-    _Traces holds R and chi for (X, y), so _multiplicities shares them
-    between every label of one size, and a key whose coefficients sum to 0
-    costs nothing.  Each idempotent is first scaled by the lcm n of its
+    The fixed-point route, when e_X = sum_x a_x x is a sum of permutations
+    too: then tr P = sum_s sum_x c_s a_x tr(d -> s o d o x).  For
+    permutations s and x, d -> s o d o x closes no component and has the
+    inverse d -> s^-1 o d o x^-1, so it permutes the basis diagrams with
+    coefficient 1, and its trace is the number of diagrams it fixes.  That
+    number depends only on the cycle types of s and x, by the argument
+    above on each side, and each flavor counts it in closed form
+    (_fixed_count): no basis is enumerated and nothing is composed.
+
+    The trace route, for any other X (_Traces): R and chi are held for
+    (X, y), so _multiplicities shares them between every label of one size,
+    and a key whose coefficients sum to 0 costs nothing.
+
+    On both routes each idempotent is first scaled by the lcm n of its
     constant coefficients' denominators (homspaces._integral_terms), so the
     sum runs over Z, and over Q(t) only where a t enters it, from a closed
     loop or a non-constant coefficient; one division by n_X n_Y ends it.  A
     sum that is not a multiple q n_X n_Y with q an integer in [0, |basis|]
-    means an idempotent was wrong, and raises ArithmeticError."""
-    return _Traces(X, Y.sig).hom_dim(Y)
+    means an idempotent was wrong, and raises ArithmeticError (_dimension)."""
+    return _hom_dims(X)(Y)
 
 
 # bounded: one small dict per symmetrizer label
@@ -476,12 +543,11 @@ def _symmetrizer_decomposition(flavor: str, lam: Label) -> dict[Label, int]:
     one home of K.  K is unitriangular, K(lam, lam) = 1 and every other
     constituent of Y_lam is strictly smaller, so the recursion decreases size.
 
-    y_lam and every y_mu are Q-combinations of permutation diagrams, and
-    composing a permutation diagram with any diagram closes no loop and no
-    middle component.  So every sandwich y_lam o d o y_mu has constant
-    coefficients, and each Hom dimension is a trace summed over Z after
-    clearing the denominators of y_lam and y_mu, with one division and no
-    sample point.
+    y_lam and every y_mu are Q-combinations of permutation diagrams, so
+    every Hom dimension takes the fixed-point route of _hom_dim: class sums
+    of y_lam and y_mu against the flavor's closed-form fixed-point counts,
+    summed over Z after clearing their denominators, with one division, no
+    basis, no composition and no sample point.
     """
     return _multiplicities(_symmetrizer_object(flavor, lam), _labels_below(flavor, lam))
 
@@ -491,12 +557,9 @@ def _multiplicities(X: KaroubiObject, labels: list[Label]) -> dict[Label, int]:
     K(lam, mu) [X : L(mu)] over the strictly smaller mu, exactly."""
     flavor = X.sig.flavor
     mult: dict[Label, int] = {}
-    traces = None  # labels come size by size, so only the current size's is kept
+    hom_dim = _hom_dims(X)  # labels come size by size, so one _Traces at a time
     for lam in labels:
-        Y = _symmetrizer_object(flavor, lam)
-        if traces is None or traces.target != Y.sig:
-            traces = _Traces(X, Y.sig)
-        value = traces.hom_dim(Y)
+        value = hom_dim(_symmetrizer_object(flavor, lam))
         for mu, k in _symmetrizer_decomposition(flavor, lam).items():
             value -= k * mult[mu]
         if value < 0:
@@ -517,10 +580,12 @@ def _normalize_label(flavor: str, lam) -> Label:
 
 
 # Largest End(x) basis that decompose takes, for X on x: End(x) is the
-# largest Hom basis whose traces _Traces takes.  Fresh-process times of
-# decompose(object_of_identity(x)) on a 2-CPU VM: S [4] (4,140 diagrams)
-# 0.74 to 1.3 s, GL (4, 3) (5,040) 18 to 25 s, O [6] (10,395) 42 s, and
-# S [5] (115,975) did not finish in 60 s.
+# largest Hom basis whose traces _Traces takes.  The times below hold for
+# the trace route only; on the fixed-point route each of these objects
+# decomposes in under 0.02 s.  Fresh-process times on a 2-CPU VM of the
+# multiplicities of object_of_identity(x) forced onto the trace route, once
+# the K solves are done: S [4] (4,140 diagrams) 0.5 s, GL (4, 3) (5,040)
+# 1.5 s, O [6] (10,395) 2.0 s, and S [5] (115,975) 29 s.
 MAX_DECOMPOSE_BASIS = 5000
 
 

@@ -319,12 +319,9 @@ def _tilde(c, d, tail: Partition, eps: Partition) -> tuple[Partition, Partition]
     return lam, _rows_from_triple(alpha, beta, eps)
 
 
-def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
-    """The eventually-constant multiplicity attached to the shift data.
-
-    flavor "gl": nu is a pair (nu, nubar) of partitions; flavor "osp": nu is
-    a single partition.  The value equals the direct formula evaluated on
-    any instantiation with row gaps above the stated threshold.
+def _hc_sum(shift: ShiftData, nu, flavor: str):
+    """(base, term) of the sum that stable_hc_multiplicity takes, or
+    (None, None) when its weights do not balance and it is empty.
 
     Both flavors sum one term over eps inside gamma ∩ delta and over arms
     (c, d) >= max(0, -(a, b)) of weight |c| + |d| = base + |eps|; the flavor
@@ -336,7 +333,7 @@ def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
         # |c| + |d| = |nu| - |gamma| + |eps| = |nubar| - |a| - |b| - |delta| + |eps|
         base = sum(nu) - sum(gamma)
         if base != sum(nubar) - sum(a) - sum(b) - sum(delta):
-            return 0
+            return None, None
 
         def term(lam, eta, mu, eta_bar):
             left = _lr(lam, eta, nu)
@@ -347,7 +344,7 @@ def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
         # 2(|c| + |d|) + |a| + |b| + |gamma| + |delta| - 2|eps| = |nu|
         doubled = sum(nu) - sum(a) - sum(b) - sum(gamma) - sum(delta)
         if doubled % 2:
-            return 0
+            return None, None
         base = doubled // 2
 
         def term(lam, eta, mu, eta_bar):
@@ -355,6 +352,21 @@ def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
 
     else:
         raise ValueError(f"unknown flavor {flavor!r} (expected 'gl' or 'osp')")
+    return base, term
+
+
+def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
+    """The eventually-constant multiplicity attached to the shift data.
+
+    flavor "gl": nu is a pair (nu, nubar) of partitions; flavor "osp": nu is
+    a single partition.  The value equals the direct formula evaluated on
+    any instantiation with row gaps above the stated threshold.  The sum is
+    _hc_sum's, and stable_hc_terms counts its terms.
+    """
+    base, term = _hc_sum(shift, nu, flavor)
+    if base is None:
+        return 0
+    a, b, gamma, delta = shift.a, shift.b, shift.gamma, shift.delta
     k, shifts = len(a), a + b
     lows = tuple(max(0, -x) for x in shifts)
     total = 0
@@ -364,6 +376,24 @@ def stable_hc_multiplicity(shift: ShiftData, nu, flavor: str = "gl") -> int:
             moved = tuple(x + y for x, y in zip(arms, shifts))
             mu, eta_bar = _tilde(moved[:k], moved[k:], delta, eps)
             total += term(lam, eta, mu, eta_bar)
+    return total
+
+
+def stable_hc_terms(shift: ShiftData, nu, flavor: str = "gl") -> int:
+    """The number of terms stable_hc_multiplicity sums, without visiting
+    any: for each eps, the arm vectors >= lows of weight base + |eps|, that
+    is C(w + n - 1, n - 1) with w = base + |eps| - sum(lows) >= 0 over n
+    arms (one, the empty vector, when n = 0 and w = 0)."""
+    base, _ = _hc_sum(shift, nu, flavor)
+    if base is None:
+        return 0
+    shifts = shift.a + shift.b
+    n, low = len(shifts), sum(max(0, -x) for x in shifts)
+    total = 0
+    for eps in sub_partitions(_meet(shift.gamma, shift.delta)):
+        w = base + sum(eps) - low
+        if w >= 0:
+            total += math.comb(w + n - 1, n - 1) if n else w == 0
     return total
 
 

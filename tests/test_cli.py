@@ -11,6 +11,7 @@ import pytest
 
 from interpcat import cli, karoubi, selftest, semisimplify, symfun
 from interpcat.cli import main
+from interpcat.diagrams import PartitionDiagram
 from interpcat.ratfunc import RF_T
 
 WORKED_P = {"flavor": "S", "top": 3, "bottom": 6, "blocks": [[1, 3, -2], [2, -4, -5], [-1], [-3, -6]]}
@@ -329,10 +330,12 @@ class TestExitCodes:
         assert "negative multiplicity of L((1,))" in capsys.readouterr().err
 
     def test_trace_guard_exit_1(self, capsys, monkeypatch):
-        # a loop on every composite of the sandwich puts t into the trace of
-        # e_Y o - o e_X, so _hom_dim's check that the trace is a dimension
-        # fails; compose, and so KaroubiObject's idempotency check, is untouched
-        y = run_json(capsys, "young", "--lambda", "[1]")
+        # the promoted y_(1) has terms that are not permutations, so it takes
+        # the trace route: a loop on every composite of the sandwich puts t
+        # into the trace of e_Y o - o e_X, so _hom_dim's check that the trace
+        # is a dimension fails; compose, and so promote and KaroubiObject's
+        # idempotency check, is untouched
+        y = run_json(capsys, "promote", "-f", json.dumps(run_json(capsys, "young", "--lambda", "[1]")))
         compose_terms = karoubi._compose_terms
 
         def with_a_loop(fs, gs):
@@ -342,6 +345,19 @@ class TestExitCodes:
         assert main(["decompose", "-f", json.dumps(y)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the trace ") and "Traceback" not in err
+
+    def test_fixed_point_guard_exit_1(self, capsys, monkeypatch):
+        # y_(2) is a sum of permutations, so it takes the fixed-point route;
+        # a count of 1 + (number of cycles of x) gives its two classes, the
+        # identity and the transposition, 3 and 2: the sum 5 against Y_() is
+        # not a multiple of n_X n_Y = 2, so it is not a dimension
+        y = run_json(capsys, "young", "--lambda", "[2]")
+        fixed = classmethod(lambda cls, target, source: 1 + len(source))
+        monkeypatch.setattr(PartitionDiagram, "_fixed_count", fixed)
+        assert main(["decompose", "-f", json.dumps(y)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the trace 5/2 of e_Y o - o e_X is not a dimension\n"
+        )
 
     def test_symbolic_gram_rank_guard_exit_1(self, capsys, monkeypatch):
         # two equal rows of exponents: the rank at t = 1/2 is not full
@@ -659,6 +675,31 @@ class TestExitCodes:
     def test_check_n_budget_admits_the_limit(self, capsys):
         got = run_json(capsys, *HC_ARGS, "--check-n", "49")
         assert got["direct_check"] == {"n": 49, "lambda": [50], "mu": [50], "multiplicity": 1}
+
+    @pytest.mark.parametrize(
+        "arms, weight, terms",
+        [(4, 38, 10660), (50, 4, 292825)],
+        ids=["just-over", "50-zeros"],
+    )
+    def test_hc_terms_budget_exit_1(self, capsys, monkeypatch, arms, weight, terms):
+        # the terms are counted before any is visited: 50 zero shifts with
+        # --nu [4] --nubar [4] once ran for 39 s
+        assert cli.MAX_HC_TERMS == 10_000
+        monkeypatch.setattr(symfun, "stable_hc_multiplicity", None)  # never runs
+        nu = json.dumps([weight])
+        argv = ["--a", json.dumps([0] * arms), *HC_ARGS[3:9], "--nu", nu, "--nubar", nu]
+        start = time.perf_counter()
+        assert main([HC_ARGS[0], *argv]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: hc-stable budget exceeded: the stable sum has {terms} terms"
+            " > MAX_HC_TERMS = 10000\n"
+        )
+
+    def test_hc_terms_budget_admits_the_limit(self, capsys):
+        # 4 zero shifts of weight 37: C(40, 3) = 9,880 terms, each 1
+        argv = ["--a", "[0, 0, 0, 0]", *HC_ARGS[3:9], "--nu", "[37]", "--nubar", "[37]"]
+        assert run_json(capsys, HC_ARGS[0], *argv) == {"multiplicity": 9880}
 
     @pytest.mark.parametrize(
         "argv, err",

@@ -179,6 +179,36 @@ def _labels_up_to(flavor: str, size: int) -> list:
     return sorted({lam for data in signatures for lam in DIAGRAM_CLASSES[flavor]._labels(data)})
 
 
+def _key(rhos) -> tuple:
+    """karoubi._class_key of a permutation with cycle types rhos, one per
+    color: (rho,) for S and O, (black, white) for GL."""
+    return tuple(sorted((black, d) for black, rho in zip((True, False), rhos) for d in rho))
+
+
+class TestFixedCounts:
+    """Each flavor's closed-form _fixed_count, the number of basis diagrams
+    of Hom(source, target) fixed by a pair of permutations of the given
+    cycle types, against the count over the basis (_weighted_fixed_points),
+    for every class pair: l + m <= 6 for S and O, r + s <= 3 on each side
+    for GL."""
+
+    @pytest.mark.parametrize("flavor", ["S", "O", "GL"])
+    def test_against_the_basis(self, flavor):
+        cls = DIAGRAM_CLASSES[flavor]
+        if flavor == "GL":
+            data = [(r, s) for r in range(4) for s in range(4 - r)]
+            pairs = list(itertools.product(data, data))
+        else:
+            pairs = [((l,), (m,)) for l in range(7) for m in range(7 - l)]
+        checked = 0
+        for source, target in pairs:
+            for (rho_t, rho_s), weight in _weighted_fixed_points(flavor, source, target).items():
+                size = math.prod(class_size(rho, n) for rho, n in zip(rho_t + rho_s, target + source))
+                assert cls._fixed_count(_key(rho_t), _key(rho_s)) * size == weight, (rho_t, rho_s)
+                checked += 1
+        assert checked == {"S": 139, "O": 139, "GL": 324}[flavor]
+
+
 class TestCharacterOracle:
     def test_mn_table_s3(self):
         # the full character table of S_3: trivial, standard, sign

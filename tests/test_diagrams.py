@@ -903,7 +903,7 @@ FLAVOR_BRANCHES = {
     "selftest._random_sig": "random GL data is a pair, S and O data one count",
     "selftest.check_composition_associativity": "random O rows need even sums, GL rows are "
     "pairs",
-    "symfun.stable_hc_multiplicity": "gl and osp fix the arm weight and the LR term "
+    "symfun._hc_sum": "gl and osp fix the arm weight and the LR term "
     "differently",
     "symfun.MomentSequence.__post_init__": "osp moments vanish in odd degree",
     "symfun.char_difference_forward": "osp takes no c parameters and has no odd moments",

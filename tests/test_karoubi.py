@@ -660,11 +660,12 @@ class TestExactHomRank:
         assert len(runs) == len(set(runs))
 
     def test_each_sandwich_half_is_composed_once(self, monkeypatch):
+        # an X with terms that are not permutations takes the trace route:
         # R_d = d o e_X is composed once per basis diagram d of each target
         # signature, shared by every label of that size; chi is taken once
         # per class key, by one representative s, as s o m once per diagram
-        # m that R reaches
-        X = symmetrizer_object((2, 1))
+        # m that R reaches.  ([3], promote(y_(2))) is isomorphic to Y_(2).
+        X = KaroubiObject(sig_s(3), promote(young_symmetrizer((2,))))
         labels = karoubi._labels_below("S", (2, 1)) + [(2, 1)]
         for lam in labels:  # the K solves, memoized, compose their own traces
             karoubi._symmetrizer_decomposition("S", lam)
@@ -685,7 +686,7 @@ class TestExactHomRank:
 
         monkeypatch.setattr(karoubi, "_compose_terms", spy)
         assert karoubi._multiplicities(X, labels) == {
-            (): 1, (1,): 3, (2,): 2, (1, 1): 2, (2, 1): 1,
+            (): 2, (1,): 2, (2,): 1, (1, 1): 0, (2, 1): 0,
         }
         targets = dict.fromkeys(symmetrizer_object(lam).sig for lam in labels)
         bases = {sig: hom_basis(X.sig, sig) for sig in targets}
@@ -903,6 +904,88 @@ class TestClassSums:
         traces = karoubi._Traces(Y, Y.sig)
         assert traces.hom_dim(Y) == 19
         assert sorted(traces.chi) == [((True, 1), (True, 1), (True, 1)), ((True, 3),)]
+
+
+def labels_up_to_four(flavor):
+    """Every label of total size <= 4."""
+    if flavor == "GL":
+        data = [(r, s) for r in range(5) for s in range(5 - r)]
+    else:
+        data = [(3,), (4,)]
+    return sorted({lam for d in data for lam in DIAGRAM_CLASSES[flavor]._labels(d)})
+
+
+# (flavor, size of X, which X of that size); a case that takes over 1 s on
+# a 2-CPU VM is slow: each S X of size 4 takes 1 to 10 s
+ROUTE_CASES = [(f, n, None) for f, top in (("S", 3), ("O", 4), ("GL", 4)) for n in range(top + 1)]
+ROUTE_CASES += [pytest.param("S", 4, i, marks=pytest.mark.slow) for i in range(6)]
+
+
+class TestFixedPointRoute:
+    """An X whose idempotent is a sum of permutations takes dim Hom(X, Y_lam)
+    from the class sums of e_X and e_Y and the flavor's closed-form
+    fixed-point counts, with no basis and no composition; it equals the
+    trace route, _Traces."""
+
+    @staticmethod
+    def assert_matches_the_trace_route(xs, ys, monkeypatch):
+        traces = karoubi._Traces
+        want = [[traces(X, Y.sig).hom_dim(Y) for Y in ys] for X in xs]
+        monkeypatch.setattr(karoubi, "_Traces", None)  # the route takes no trace
+        assert [[_hom_dim(X, Y) for Y in ys] for X in xs] == want
+
+    @pytest.mark.parametrize("flavor, size, which", ROUTE_CASES)
+    def test_identities_and_symmetrizers(self, flavor, size, which, monkeypatch):
+        # X: the identity object of each signature of this size and each
+        # Y_mu of this size (only the one at index which, unless None); Y:
+        # every Y_lam up to size 4
+        labels = labels_up_to_four(flavor)
+        data = [(r, size - r) for r in range(size + 1)] if flavor == "GL" else [(size,)]
+        xs = [object_of_identity(homspaces.ObjectSignature(flavor, d)) for d in data]
+        xs += [symmetrizer_object(mu, flavor) for mu in labels if karoubi._label_size(flavor, mu) == size]
+        ys = [symmetrizer_object(lam, flavor) for lam in labels]
+        self.assert_matches_the_trace_route(xs if which is None else [xs[which]], ys, monkeypatch)
+
+    def test_conjugated_and_tensored_symmetrizers(self, monkeypatch):
+        sigma = (2, 3, 1)
+        conjugated = compose(
+            permutation_morphism(sigma), compose(young_symmetrizer((2, 1)), permutation_morphism((3, 1, 2)))
+        )
+        tensored = tensor(young_symmetrizer((2,)), young_symmetrizer((1,)))
+        gl_tensored = tensor(
+            bipartition_symmetrizer(((1, 1), ())), bipartition_symmetrizer(((), (1,)))
+        )
+        xs = [KaroubiObject(e.source, e) for e in (conjugated, tensored)]
+        ys = [symmetrizer_object(lam) for lam in labels_up_to_four("S")]
+        self.assert_matches_the_trace_route(xs, ys, monkeypatch)
+        X = KaroubiObject(gl_tensored.source, gl_tensored)
+        ys = [symmetrizer_object(lam, "GL") for lam in labels_up_to_four("GL")]
+        monkeypatch.undo()
+        self.assert_matches_the_trace_route([X], ys, monkeypatch)
+        # conjugation gives an isomorphic object
+        assert decompose(xs[0]) == decompose(symmetrizer_object((2, 1)))
+
+    def test_no_basis_and_no_composition(self, monkeypatch):
+        X = symmetrizer_object((2, 1))
+        labels = karoubi._labels_below("S", (2, 1)) + [(2, 1)]
+        for lam in labels:  # the K solves are memoized
+            karoubi._symmetrizer_decomposition("S", lam)
+        monkeypatch.setattr(karoubi, "hom_basis", None)
+        monkeypatch.setattr(karoubi, "_compose_terms", None)
+        assert karoubi._multiplicities(X, labels) == {
+            (): 1, (1,): 3, (2,): 2, (1, 1): 2, (2, 1): 1,
+        }
+
+    def test_a_permutation_x_against_another_y_takes_the_trace_route(self, monkeypatch):
+        # the route needs both idempotents to be sums of permutations
+        X, Y = symmetrizer_object((1, 1)), KaroubiObject(sig_s(3), special_p(3))
+
+        def counted(cls, target, source):
+            raise AssertionError("a fixed-point count for an X or Y with other terms")
+
+        monkeypatch.setattr(diagrams.PartitionDiagram, "_fixed_count", classmethod(counted))
+        assert _hom_dim(X, Y) == reference_hom_dim(X, Y) == 4
+        assert _hom_dim(Y, X) == reference_hom_dim(Y, X) == 4
 
 
 class TestDecomposeBudget:

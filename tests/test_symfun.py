@@ -369,6 +369,26 @@ class TestStableHC:
                     assert osp_multiplicity(lam, mu, nu) == expected
         assert time.perf_counter() - start < 2.0
 
+    def test_terms_are_counted_without_visiting_them(self, monkeypatch):
+        # stable_hc_terms against the terms stable_hc_multiplicity visits,
+        # each of which builds two (lam~, eta~) pairs
+        tilde, built = symfun._tilde, []
+
+        def counted(*args):
+            built.append(args)
+            return tilde(*args)
+
+        monkeypatch.setattr(symfun, "_tilde", counted)
+        nonzero = 0
+        for a, b, gamma, delta in itertools.product(GRID_A, GRID_B, GRID_SMALL, GRID_SMALL):
+            shift = ShiftData(a, b, gamma, delta)
+            for nu, flavor in [(((1,), (2,)), "gl"), (((2,), (1, 1)), "gl"), ((2,), "osp"), ((1, 1), "osp")]:
+                built.clear()
+                stable_hc_multiplicity(shift, nu, flavor)
+                assert symfun.stable_hc_terms(shift, nu, flavor) * 2 == len(built), (shift, nu)
+                nonzero += bool(built)
+        assert nonzero > 400  # of 1,792 sums
+
     def test_malformed_shift(self):
         with pytest.raises(ValueError):
             ShiftData((0,), (), (1, 2), ())
